@@ -27,7 +27,6 @@ from .core import (
     UserState,
     VoteModelParams,
     VoteTrajectory,
-    validate_params,
 )
 from .fitting import (
     LinearFit,
@@ -85,6 +84,5 @@ __all__ = [
     "simulate_once",
     "step_week",
     "success_rate_series",
-    "validate_params",
     "visibility",
 ]

@@ -10,9 +10,9 @@ Subcommands
 
 Scenario configs are INI-style: sections ``[vote] [story] [policy] [rank]
 [user] [ensemble] [run]`` whose keys mirror the parameter-record field
-names exactly.  ``--sweep SECTION.KEY=V1,V2,...`` (repeatable; cross
-product) fans one scenario out over a parameter grid; outputs are keyed
-by the swept values.
+names exactly.  ``--sweep SECTION.KEY=V1,V2,...`` (repeatable, once per
+key; cross product) fans one scenario out over a parameter grid; outputs
+are keyed by the swept values.
 
 Every command writes a ``summary.json`` embedding the fully resolved
 parameters and tool version, so a run is reproducible from its outputs.
@@ -30,6 +30,7 @@ import configparser
 import copy
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -43,11 +44,13 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    EnsembleOptions,
     FixedThreshold,
     FriendVoteObservation,
     NetworkProportional,
     ParameterError,
     RankModelParams,
+    RunOptions,
     StoryConfig,
     UserState,
     VoteModelParams,
@@ -66,6 +69,7 @@ from .vote_dynamics import (
     integrate_votes,
     promotion_threshold_for,
     saturation_time,
+    step_count,
 )
 
 __all__ = [
@@ -100,8 +104,6 @@ class CliError(Exception):
 
 class ConfigError(CliError):
     """Invalid or inconsistent scenario configuration."""
-
-    exit_code = EXIT_CONFIG
 
 
 class InputError(CliError):
@@ -150,83 +152,35 @@ def _build_record(cls, cfg: dict[str, dict[str, str]], section: str):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _build_policy(cfg: dict[str, dict[str, str]]):
+_POLICIES = {"fixed": FixedThreshold, "network_proportional": NetworkProportional}
+
+
+def _story_records(cfg: dict[str, dict[str, str]]):
+    """Build the ``[vote] [story] [policy] [run]`` records of one story.
+
+    Returns them with their resolved-parameter doc for ``summary.json``.
+    """
+    params = _build_record(VoteModelParams, cfg, "vote")
+    story = _build_record(StoryConfig, cfg, "story")
     section = dict(cfg.get("policy", {}))
     kind = section.pop("kind", "fixed")
+    if kind not in _POLICIES:
+        raise ConfigError(
+            f"[policy] kind must be 'fixed' or 'network_proportional', got {kind!r}"
+        )
+    policy = _build_record(_POLICIES[kind], {"policy": section}, "policy")
+    run = _build_record(RunOptions, cfg, "run")
     try:
-        if kind == "fixed":
-            return record_from_mapping(FixedThreshold, section)
-        if kind == "network_proportional":
-            return record_from_mapping(NetworkProportional, section)
-    except ParameterError as exc:
-        raise ConfigError(f"[policy] {exc}") from None
-    raise ConfigError(
-        f"[policy] kind must be 'fixed' or 'network_proportional', got {kind!r}"
-    )
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    horizon_minutes: float = 2880.0
-    weeks: int = 25
-    rank_kappa: float = 1.0
-    M_schedule: tuple[float, ...] | None = None
-
-
-def _parse_run_section(cfg: dict[str, dict[str, str]]) -> RunOptions:
-    section = dict(cfg.get("run", {}))
-    known = {"horizon_minutes", "weeks", "rank_kappa", "M_schedule"}
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(f"[run] unknown key(s): {', '.join(unknown)}")
-    try:
-        horizon = float(section.get("horizon_minutes", 2880.0))
-        weeks = int(section.get("weeks", 25))
-        kappa = float(section.get("rank_kappa", 1.0))
-        schedule = None
-        if "M_schedule" in section:
-            schedule = tuple(
-                float(v) for v in section["M_schedule"].split(",") if v.strip()
-            )
-            if not schedule:
-                raise ValueError("M_schedule is empty")
+        step_count(run.horizon_minutes, params.dt)
     except ValueError as exc:
         raise ConfigError(f"[run] {exc}") from None
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(f"[run] horizon_minutes must be > 0, got {horizon}")
-    if weeks < 1:
-        raise ConfigError(f"[run] weeks must be >= 1, got {weeks}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ConfigError(f"[run] rank_kappa must be > 0, got {kappa}")
-    return RunOptions(
-        horizon_minutes=horizon, weeks=weeks, rank_kappa=kappa, M_schedule=schedule
-    )
-
-
-@dataclass(frozen=True)
-class EnsembleOptions:
-    runs: int = 100
-    seed: int = 0
-    arrival_mode: str = "poisson"
-
-
-def _parse_ensemble_section(
-    cfg: dict[str, dict[str, str]], seed_override: int | None
-) -> EnsembleOptions:
-    section = dict(cfg.get("ensemble", {}))
-    known = {"runs", "seed", "arrival_mode"}
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(f"[ensemble] unknown key(s): {', '.join(unknown)}")
-    try:
-        runs = int(section.get("runs", 100))
-        seed = int(section.get("seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"[ensemble] {exc}") from None
-    mode = section.get("arrival_mode", "poisson")
-    if seed_override is not None:
-        seed = seed_override
-    return EnsembleOptions(runs=runs, seed=seed, arrival_mode=mode)
+    doc = {
+        "vote": dataclasses.asdict(params),
+        "story": dataclasses.asdict(story),
+        "policy": {"kind": kind, **dataclasses.asdict(policy)},
+        "run": {"horizon_minutes": run.horizon_minutes},
+    }
+    return params, story, policy, run, doc
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -248,6 +202,8 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, str, list[str]]]:
                 f"sweep {spec!r}: unknown section {section!r}; "
                 f"expected one of {', '.join(_SECTIONS)}"
             )
+        if any((section, key) == swept[:2] for swept in sweeps):
+            raise ConfigError(f"sweep {spec!r}: {section}.{key} is already swept")
         values = [v.strip() for v in raw_values.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"sweep {spec!r}: empty value list")
@@ -259,28 +215,36 @@ def expand_sweeps(
     cfg: dict[str, dict[str, str]],
     sweeps: list[tuple[str, str, list[str]]],
 ) -> list[tuple[dict[str, str], dict[str, dict[str, str]]]]:
-    """Cross product of sweep values; yields (overrides, patched config)."""
+    """Cross product of sweep values; yields (overrides, patched config).
+
+    Each point must get its own output name, so two points whose values
+    read the same once ``/`` becomes ``-`` are rejected.
+    """
     if not sweeps:
         return [({}, cfg)]
     combos = []
+    suffixes = set()
     for values in itertools.product(*(vals for _, _, vals in sweeps)):
         patched = copy.deepcopy(cfg)
         overrides = {}
         for (section, key, _), value in zip(sweeps, values):
             patched.setdefault(section, {})[key] = value
             overrides[f"{section}.{key}"] = value
+        suffix = _suffix_for(overrides)
+        if suffix in suffixes:
+            raise ConfigError(
+                f"sweep: two points share the output name suffix {suffix!r}"
+            )
+        suffixes.add(suffix)
         combos.append((overrides, patched))
     return combos
 
 
 def _suffix_for(overrides: dict[str, str]) -> str:
-    if not overrides:
-        return ""
-    parts = []
-    for qualified, value in overrides.items():
-        key = qualified.split(".", 1)[1]
-        parts.append(f"{key}={value.replace('/', '-')}")
-    return "_" + "_".join(parts)
+    return "".join(
+        f"_{qualified.split('.', 1)[1]}={value.replace('/', '-')}"
+        for qualified, value in overrides.items()
+    )
 
 
 # --- trace ingestion -------------------------------------------------------
@@ -320,15 +284,11 @@ def _read_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
     return data
 
 
-def ingest_traces(path: Path, kind: str = "vote") -> list[TraceRecord]:
+def ingest_traces(path: Path) -> list[TraceRecord]:
     """Parse a ``id,t,value`` CSV trace; time per id must never decrease.
 
-    ``kind`` states the time unit only: "vote" traces are in minutes,
-    "rank" traces in week indices.  Violations are reported with their
-    line numbers.
+    Violations are reported with their line numbers.
     """
-    if kind not in ("vote", "rank"):
-        raise ValueError(f"kind must be 'vote' or 'rank', got {kind!r}")
     records: list[TraceRecord] = []
     last_t: dict[str, float] = {}
     for lineno, row in _read_rows(path, _TRACE_HEADER):
@@ -417,11 +377,9 @@ def compare_model_to_trace(
         if crossed.size:
             promo_trace = float(np.asarray(trace_times, float)[crossed[0]])
     promo_model = trajectory.promotion_time_Th
-    difference = (
-        promo_model - promo_trace
-        if promo_model is not None and promo_trace is not None
-        else None
-    )
+    difference = None
+    if promo_model is not None and promo_trace is not None:
+        difference = promo_model - promo_trace
     ratio = float(model_at[-1] / tv[-1]) if tv[-1] != 0 else None
     return ComparisonReport(
         n_overlap=int(tt.size),
@@ -509,245 +467,164 @@ class Scenario:
     options: dict = field(default_factory=dict)
 
 
-def _scenario_doc(scenario: Scenario, results: list[dict], extra: dict | None = None):
-    doc = {
-        "command": scenario.kind.replace("-", " "),
-        "format": scenario.output_format,
-        "results": results,
-        "tool_version": __version__,
-    }
-    if scenario.input_path is not None:
-        doc["input"] = Path(scenario.input_path).name
-    if extra:
-        doc.update(extra)
-    return doc
+def _run_model(scenario: Scenario, stem: str, plan):
+    """Run a model at every sweep point; one ``{stem}*.csv`` table each.
+
+    ``plan(cfg, scenario)`` validates one point and returns its resolved
+    parameters and a closure computing (summary fields, CSV columns, JSON
+    trajectory).  Every point is planned before any is computed, so an
+    invalid point fails the command before any work is done.
+    """
+    planned = [
+        (overrides, *plan(cfg, scenario))
+        for overrides, cfg in expand_sweeps(scenario.config, list(scenario.sweeps))
+    ]
+    tables, results = [], []
+    for overrides, params, compute in planned:
+        fields, columns, trajectory = compute()
+        entry = {"overrides": overrides, "params": params, **fields}
+        if scenario.output_format == "csv":
+            entry["file"] = f"{stem}{_suffix_for(overrides)}.csv"
+            tables.append((entry["file"], ",".join(columns), zip(*columns.values())))
+        else:
+            entry["file"] = None
+            entry["trajectory"] = trajectory
+        results.append(entry)
+    return tables, results, {}
 
 
-def _run_simulate_votes(scenario: Scenario) -> list[tuple[str, str]]:
-    combos = expand_sweeps(scenario.config, list(scenario.sweeps))
-    bundles = []
-    for overrides, cfg in combos:  # build (and so validate) before any run
-        params = _build_record(VoteModelParams, cfg, "vote")
-        story = _build_record(StoryConfig, cfg, "story")
-        policy = _build_policy(cfg)
-        run = _parse_run_section(cfg)
-        bundles.append((overrides, params, story, policy, run))
+def _plan_votes(cfg, scenario: Scenario):
+    params, story, policy, run, doc = _story_records(cfg)
 
-    outputs: list[tuple[str, str]] = []
-    results = []
-    for overrides, params, story, policy, run in bundles:
+    def compute():
         trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
-        entry = {
-            "overrides": overrides,
-            "params": {
-                "vote": dataclasses.asdict(params),
-                "story": dataclasses.asdict(story),
-                "policy": _policy_dict(policy),
-                "run": {"horizon_minutes": run.horizon_minutes},
-            },
+        fields = {
             "promotion_time_Th": trajectory.promotion_time_Th,
             "final_votes": trajectory.final_votes,
             "saturated_at": saturation_time(trajectory),
         }
-        if scenario.output_format == "csv":
-            name = f"votes{_suffix_for(overrides)}.csv"
-            outputs.append(
-                (name, _csv_text("t,m", zip(trajectory.times, trajectory.votes_m)))
-            )
-            entry["file"] = name
-        else:
-            entry["file"] = None
-            entry["trajectory"] = {
-                "t": trajectory.times,
-                "m": trajectory.votes_m,
-            }
-        results.append(entry)
-    outputs.append(("summary.json", _json_text(_scenario_doc(scenario, results))))
-    return outputs
+        columns = {"t": trajectory.times, "m": trajectory.votes_m}
+        return fields, columns, columns
+
+    return doc, compute
 
 
-def _run_simulate_rank(scenario: Scenario) -> list[tuple[str, str]]:
-    combos = expand_sweeps(scenario.config, list(scenario.sweeps))
-    bundles = []
-    for overrides, cfg in combos:
-        params = _build_record(RankModelParams, cfg, "rank")
-        user = _build_record(UserState, cfg, "user")
-        run = _parse_run_section(cfg)
-        if run.M_schedule is not None and len(run.M_schedule) != run.weeks:
-            raise ConfigError(
-                f"[run] M_schedule has {len(run.M_schedule)} entries "
-                f"but weeks = {run.weeks}"
-            )
-        bundles.append((overrides, params, user, run))
+def _plan_rank(cfg, scenario: Scenario):
+    params = _build_record(RankModelParams, cfg, "rank")
+    user = _build_record(UserState, cfg, "user")
+    run = _build_record(RunOptions, cfg, "run")
+    doc = {
+        "rank": dataclasses.asdict(params),
+        "user": dataclasses.asdict(user),
+        "run": {
+            "weeks": run.weeks,
+            "rank_kappa": run.rank_kappa,
+            "M_schedule": run.M_schedule,
+        },
+    }
 
-    outputs: list[tuple[str, str]] = []
-    results = []
-    for overrides, params, user, run in bundles:
+    def compute():
         trajectory = integrate_rank(user, params, run.weeks, run.M_schedule)
-        proxies = [
-            rank_proxy(f, run.rank_kappa) if f > 0 else None
-            for f in trajectory.front_page_F
-        ]
-        entry = {
-            "overrides": overrides,
-            "params": {
-                "rank": dataclasses.asdict(params),
-                "user": dataclasses.asdict(user),
-                "run": {
-                    "weeks": run.weeks,
-                    "rank_kappa": run.rank_kappa,
-                    "M_schedule": list(run.M_schedule) if run.M_schedule else None,
-                },
-            },
+        # None ("unranked") while F = 0
+        proxies = [rank_proxy(f, run.rank_kappa) for f in trajectory.front_page_F]
+        fields = {
             "final_front_page_F": trajectory.front_page_F[-1],
             "final_network_S": trajectory.network_S[-1],
             "final_rank_proxy": proxies[-1],
         }
-        if scenario.output_format == "csv":
-            name = f"rank{_suffix_for(overrides)}.csv"
-            rows = zip(
-                trajectory.weeks,
-                trajectory.front_page_F,
-                trajectory.network_S,
-                proxies,
-            )
-            outputs.append((name, _csv_text("week,F,S,rank_proxy", rows)))
-            entry["file"] = name
-        else:
-            entry["file"] = None
-            entry["trajectory"] = {
-                "week": trajectory.weeks,
-                "F": trajectory.front_page_F,
-                "S": trajectory.network_S,
-                "rank_proxy": proxies,
-            }
-        results.append(entry)
-    outputs.append(("summary.json", _json_text(_scenario_doc(scenario, results))))
-    return outputs
+        columns = {
+            "week": trajectory.weeks,
+            "F": trajectory.front_page_F,
+            "S": trajectory.network_S,
+            "rank_proxy": proxies,
+        }
+        return fields, columns, columns
+
+    return doc, compute
 
 
-def _run_ensemble(scenario: Scenario) -> list[tuple[str, str]]:
-    combos = expand_sweeps(scenario.config, list(scenario.sweeps))
-    bundles = []
-    for overrides, cfg in combos:
-        params = _build_record(VoteModelParams, cfg, "vote")
-        story = _build_record(StoryConfig, cfg, "story")
-        policy = _build_policy(cfg)
-        run = _parse_run_section(cfg)
-        opts = _parse_ensemble_section(cfg, scenario.seed_override)
-        try:
-            config = StochasticRunConfig(
-                story=story,
-                params=params,
-                policy=policy,
-                horizon=run.horizon_minutes,
-                seed=opts.seed,
-                runs=opts.runs,
-                arrival_mode=opts.arrival_mode,
-            )
-        except ParameterError as exc:
-            raise ConfigError(f"[ensemble] {exc}") from None
-        bundles.append((overrides, config, run))
+def _plan_ensemble(cfg, scenario: Scenario):
+    params, story, policy, run, doc = _story_records(cfg)
+    opts = _build_record(EnsembleOptions, cfg, "ensemble")
+    if scenario.seed_override is not None:
+        opts = dataclasses.replace(opts, seed=scenario.seed_override)
+    doc["ensemble"] = dataclasses.asdict(opts)
+    try:
+        config = StochasticRunConfig(
+            story, params, policy, run.horizon_minutes, **doc["ensemble"]
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"[ensemble] {exc}") from None
 
-    outputs: list[tuple[str, str]] = []
-    results = []
-    for overrides, config, run in bundles:
+    def compute():
         summary = ensemble(config)
-        n = summary.n_runs
-        std_final = float(summary.final_votes.std(ddof=1)) if n > 1 else 0.0
-        entry = {
-            "overrides": overrides,
-            "params": {
-                "vote": dataclasses.asdict(config.params),
-                "story": dataclasses.asdict(config.story),
-                "policy": _policy_dict(config.policy),
-                "run": {"horizon_minutes": run.horizon_minutes},
-                "ensemble": {
-                    "runs": config.runs,
-                    "seed": config.seed,
-                    "arrival_mode": config.arrival_mode,
-                },
-            },
+        fields = {
             "promotion_probability": summary.promotion_probability,
             "promotion_time_quantiles": summary.promotion_time_quantiles,
             "mean_final_votes": float(summary.final_votes.mean()),
-            "std_final_votes": std_final,
+            "std_final_votes": (
+                float(summary.final_votes.std(ddof=1)) if summary.n_runs > 1 else 0.0
+            ),
         }
-        if scenario.output_format == "csv":
-            name = f"ensemble_mean{_suffix_for(overrides)}.csv"
-            outputs.append(
-                (name, _csv_text("t,m", zip(summary.times, summary.mean_votes)))
-            )
-            entry["file"] = name
-        else:
-            entry["file"] = None
-            entry["trajectory"] = {
-                "t": summary.times,
-                "mean_m": summary.mean_votes,
-                "std_m": summary.std_votes,
-            }
-        results.append(entry)
-    outputs.append(("summary.json", _json_text(_scenario_doc(scenario, results))))
-    return outputs
+        trajectory = {
+            "t": summary.times,
+            "mean_m": summary.mean_votes,
+            "std_m": summary.std_votes,
+        }
+        return fields, {"t": summary.times, "m": summary.mean_votes}, trajectory
+
+    return doc, compute
 
 
-def _policy_dict(policy) -> dict:
-    if isinstance(policy, FixedThreshold):
-        return {"kind": "fixed", "h": policy.h}
-    return {"kind": "network_proportional", "factor": policy.factor}
+def _record_table(name: str, records: list[dict]):
+    """A CSV table with one row per record; the header is the record keys."""
+    return name, ",".join(records[0]), [r.values() for r in records]
 
 
-def _run_fit_linear(scenario: Scenario) -> list[tuple[str, str]]:
-    series = group_trace(ingest_traces(scenario.input_path, kind="vote"))
+def _per_id(scenario: Scenario, name: str, analyse, extra: dict):
+    """Apply ``analyse(t, value)`` to each series of the input trace."""
+    results = []
+    for sid, (t, v) in group_trace(ingest_traces(scenario.input_path)).items():
+        try:
+            results.append({"id": sid, **dataclasses.asdict(analyse(t, v))})
+        except ValueError as exc:
+            raise InputError(f"id {sid!r}: {exc}") from None
+    return [_record_table(name, results)], results, extra
+
+
+def _run_fit_linear(scenario: Scenario):
     through_origin = bool(scenario.options.get("through_origin", False))
-    results = []
-    for sid, (x, y) in series.items():
-        try:
-            fit = fit_linear(np.column_stack([x, y]), through_origin=through_origin)
-        except ValueError as exc:
-            raise InputError(f"id {sid!r}: {exc}") from None
-        results.append({"id": sid, **dataclasses.asdict(fit)})
-    extra = {"options": {"through_origin": through_origin}}
-    outputs: list[tuple[str, str]] = []
-    if scenario.output_format == "csv":
-        rows = [
-            (r["id"], r["slope"], r["intercept"], r["rss"], r["n_points"])
-            for r in results
-        ]
-        outputs.append(("fits.csv", _csv_text("id,slope,intercept,rss,n_points", rows)))
-    outputs.append(
-        ("summary.json", _json_text(_scenario_doc(scenario, results, extra)))
+    return _per_id(
+        scenario,
+        "fits.csv",
+        lambda x, y: fit_linear(np.column_stack([x, y]), through_origin=through_origin),
+        {"options": {"through_origin": through_origin}},
     )
-    return outputs
 
 
-def _run_fit_log(scenario: Scenario) -> list[tuple[str, str]]:
-    series = group_trace(ingest_traces(scenario.input_path, kind="vote"))
+def _run_fit_log(scenario: Scenario):
     log_base = float(scenario.options.get("log_base", math.e))
-    results = []
-    for sid, (x, y) in series.items():
-        try:
-            fit = fit_log(np.column_stack([x, y]), log_base=log_base)
-        except ValueError as exc:
-            raise InputError(f"id {sid!r}: {exc}") from None
-        results.append({"id": sid, **dataclasses.asdict(fit)})
-    extra = {"options": {"log_base": log_base}}
-    outputs: list[tuple[str, str]] = []
-    if scenario.output_format == "csv":
-        rows = [
-            (r["id"], r["alpha"], r["beta"], r["log_base"], r["rss"], r["n_points"])
-            for r in results
-        ]
-        outputs.append(
-            ("fits.csv", _csv_text("id,alpha,beta,log_base,rss,n_points", rows))
-        )
-    outputs.append(
-        ("summary.json", _json_text(_scenario_doc(scenario, results, extra)))
+    return _per_id(
+        scenario,
+        "fits.csv",
+        lambda x, y: fit_log(np.column_stack([x, y]), log_base=log_base),
+        {"options": {"log_base": log_base}},
     )
-    return outputs
 
 
-def _run_fit_success(scenario: Scenario) -> list[tuple[str, str]]:
+def _run_compare(scenario: Scenario):
+    params, story, policy, run, doc = _story_records(scenario.config)
+    trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
+    threshold = promotion_threshold_for(policy, story)
+    return _per_id(
+        scenario,
+        "compare.csv",
+        lambda t, v: compare_model_to_trace(t, v, trajectory, threshold=threshold),
+        {"params": doc},
+    )
+
+
+def _run_fit_success(scenario: Scenario):
     bins = int(scenario.options.get("bins", 10))
     min_submissions = int(scenario.options.get("min_submissions", 50))
     triples = []
@@ -759,51 +636,31 @@ def _run_fit_success(scenario: Scenario) -> list[tuple[str, str]]:
                 f"{scenario.input_path}: line {lineno}: numeric fields required"
             ) from None
     try:
-        binned = success_rate_series(
-            triples, bins=bins, min_submissions=min_submissions
-        )
+        binned = success_rate_series(triples, bins=bins, min_submissions=min_submissions)
         fit = fit_linear(binned.points)
     except ValueError as exc:
         raise InputError(f"{scenario.input_path}: {exc}") from None
-    bin_entries = [
-        {
-            "center_S": c,
-            "mean_success": m,
-            "stderr": e,
-            "count": n,
-        }
-        for c, m, e, n in zip(
-            binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts
-        )
-    ]
+    rows = list(
+        zip(binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts)
+    )
     results = [
         {
-            "bins": bin_entries,
+            "bins": [
+                {"center_S": c, "mean_success": m, "stderr": e, "count": n}
+                for c, m, e, n in rows
+            ],
             "fit": dataclasses.asdict(fit),
             "n_users_kept": binned.n_users_kept,
             "n_users_total": binned.n_users_total,
         }
     ]
-    extra = {"options": {"bins": bins, "min_submissions": min_submissions}}
-    outputs: list[tuple[str, str]] = []
-    if scenario.output_format == "csv":
-        rows = [
-            (b["center_S"], b["mean_success"], b["stderr"], b["count"])
-            for b in bin_entries
-        ]
-        outputs.append(
-            (
-                "success_bins.csv",
-                _csv_text("bin_center_S,mean_success,stderr,count", rows),
-            )
-        )
-    outputs.append(
-        ("summary.json", _json_text(_scenario_doc(scenario, results, extra)))
-    )
-    return outputs
+    table = ("success_bins.csv", "bin_center_S,mean_success,stderr,count", rows)
+    return [table], results, {
+        "options": {"bins": bins, "min_submissions": min_submissions}
+    }
 
 
-def _run_significance(scenario: Scenario) -> list[tuple[str, str]]:
+def _run_significance(scenario: Scenario):
     results = []
     for lineno, row in _read_rows(scenario.input_path, _OBS_HEADER):
         try:
@@ -825,82 +682,21 @@ def _run_significance(scenario: Scenario) -> list[tuple[str, str]]:
             }
         )
     extra = {
-        "mean_exact_k": float(np.mean([r["exact_k"] for r in results])),
-        "mean_tail_at_least_k": float(
-            np.mean([r["tail_at_least_k"] for r in results])
-        ),
+        f"mean_{key}": float(np.mean([r[key] for r in results]))
+        for key in ("exact_k", "tail_at_least_k")
     }
-    outputs: list[tuple[str, str]] = []
-    if scenario.output_format == "csv":
-        rows = [(r["id"], r["exact_k"], r["tail_at_least_k"]) for r in results]
-        outputs.append(
-            ("significance.csv", _csv_text("id,exact_k,tail_at_least_k", rows))
-        )
-    outputs.append(
-        ("summary.json", _json_text(_scenario_doc(scenario, results, extra)))
-    )
-    return outputs
+    return [_record_table("significance.csv", results)], results, extra
 
 
-def _run_compare(scenario: Scenario) -> list[tuple[str, str]]:
-    params = _build_record(VoteModelParams, scenario.config, "vote")
-    story = _build_record(StoryConfig, scenario.config, "story")
-    policy = _build_policy(scenario.config)
-    run = _parse_run_section(scenario.config)
-    trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
-    threshold = promotion_threshold_for(policy, story)
-
-    series = group_trace(ingest_traces(scenario.input_path, kind="vote"))
-    results = []
-    for sid, (t, v) in series.items():
-        try:
-            report = compare_model_to_trace(t, v, trajectory, threshold=threshold)
-        except ValueError as exc:
-            raise InputError(f"id {sid!r}: {exc}") from None
-        results.append({"id": sid, **dataclasses.asdict(report)})
-    extra = {
-        "params": {
-            "vote": dataclasses.asdict(params),
-            "story": dataclasses.asdict(story),
-            "policy": _policy_dict(policy),
-            "run": {"horizon_minutes": run.horizon_minutes},
-        }
-    }
-    outputs: list[tuple[str, str]] = []
-    if scenario.output_format == "csv":
-        rows = [
-            (
-                r["id"],
-                r["n_overlap"],
-                r["rms_error"],
-                r["promotion_time_model"],
-                r["promotion_time_trace"],
-                r["promotion_time_difference"],
-                r["final_value_ratio"],
-            )
-            for r in results
-        ]
-        outputs.append(
-            (
-                "compare.csv",
-                _csv_text(
-                    "id,n_overlap,rms_error,promotion_time_model,"
-                    "promotion_time_trace,promotion_time_difference,"
-                    "final_value_ratio",
-                    rows,
-                ),
-            )
-        )
-    outputs.append(
-        ("summary.json", _json_text(_scenario_doc(scenario, results, extra)))
-    )
-    return outputs
-
-
+# Each runner returns (tables, results, extra): the CSV tables as
+# (file name, header, rows), the ``results`` list of ``summary.json`` and
+# any further top-level keys of it.
 _RUNNERS = {
-    "simulate-votes": _run_simulate_votes,
-    "simulate-rank": _run_simulate_rank,
-    "ensemble": _run_ensemble,
+    "simulate-votes": functools.partial(_run_model, stem="votes", plan=_plan_votes),
+    "simulate-rank": functools.partial(_run_model, stem="rank", plan=_plan_rank),
+    "ensemble": functools.partial(
+        _run_model, stem="ensemble_mean", plan=_plan_ensemble
+    ),
     "fit-linear": _run_fit_linear,
     "fit-log": _run_fit_log,
     "fit-success": _run_fit_success,
@@ -918,47 +714,63 @@ def run_scenario(scenario: Scenario) -> int:
     runner = _RUNNERS.get(scenario.kind)
     if runner is None:
         raise ConfigError(f"unknown scenario kind {scenario.kind!r}")
-    outputs = runner(scenario)
+    tables, results, extra = runner(scenario)
+    doc = {
+        "command": scenario.kind.replace("-", " "),
+        "format": scenario.output_format,
+        "results": results,
+        "tool_version": __version__,
+        **extra,
+    }
+    if scenario.input_path is not None:
+        doc["input"] = Path(scenario.input_path).name
+    outputs = []
+    if scenario.output_format == "csv":
+        outputs = [(name, _csv_text(header, rows)) for name, header, rows in tables]
+    outputs.append(("summary.json", _json_text(doc)))
     _write_outputs(scenario.out_dir, outputs)
     return EXIT_OK
 
 
 # --- argument parsing ------------------------------------------------------
 
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path("."),
-        metavar="DIR",
-        help="output directory (default: current directory)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        dest="output_format",
-        help="csv: tables as CSV files plus summary.json; "
-        "json: everything embedded in summary.json",
-    )
+def _checked(cast, ok, bound: str):
+    """An argparse ``type``: ``cast`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
+    return parse
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        type=Path,
-        required=True,
-        metavar="PATH",
-        help="INI scenario config (sections [vote] [story] [policy] "
-        "[rank] [user] [ensemble] [run])",
-    )
-    parser.add_argument(
-        "--sweep",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=V1,V2,...",
-        help="sweep a config key over values; repeatable (cross product)",
-    )
+# Scenario kind -> (help, help for the input CSV argument, takes --config).
+# A kind "GROUP-NAME" is the command ``GROUP NAME``.
+_COMMANDS = {
+    "simulate-votes": ("story vote trajectory (CSV t,m)", None, True),
+    "simulate-rank": ("weekly user rank model (CSV week,F,S,rank_proxy)", None, True),
+    "ensemble": ("stochastic vote-model ensemble", None, True),
+    "fit-linear": ("y = slope*x + intercept per id", "trace CSV (id,t,value)", False),
+    "fit-log": (
+        "y = alpha*log(x) + beta per id",
+        "trace CSV (id,t,value), t >= 1",
+        False,
+    ),
+    "fit-success": (
+        "binned success rate vs. network size",
+        f"users CSV ({','.join(_USERS_HEADER)})",
+        False,
+    ),
+    "significance": (
+        "friend-voting chance probabilities",
+        f"observations CSV ({','.join(_OBS_HEADER)})",
+        False,
+    ),
+    "compare": ("model trajectory vs. observed trace", "trace CSV (id,t,value)", True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -971,112 +783,104 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    groups = {"": sub}
+    for group, help_text, metavar in (
+        ("simulate", "deterministic model runs", "WHAT"),
+        ("fit", "least-squares fits over CSV data", "KIND"),
+    ):
+        groups[group] = sub.add_parser(group, help=help_text).add_subparsers(
+            dest="target", required=True, metavar=metavar
+        )
+    cmd = {}
+    for kind, (help_text, input_help, configured) in _COMMANDS.items():
+        group, _, name = kind.rpartition("-")
+        cmd[kind] = groups[group].add_parser(name, help=help_text)
+        cmd[kind].set_defaults(kind=kind)
+        if input_help:
+            cmd[kind].add_argument("input", type=Path, help=input_help)
+        if configured:
+            cmd[kind].add_argument(
+                "--config",
+                type=Path,
+                required=True,
+                metavar="PATH",
+                help="INI scenario config (sections [vote] [story] [policy] "
+                "[rank] [user] [ensemble] [run])",
+            )
+            cmd[kind].add_argument(
+                "--sweep",
+                action="append",
+                default=[],
+                metavar="SECTION.KEY=V1,V2,...",
+                help="sweep a config key over values; repeatable (cross product)",
+            )
+        cmd[kind].add_argument(
+            "--out",
+            type=Path,
+            default=Path("."),
+            metavar="DIR",
+            help="output directory (default: current directory)",
+        )
+        cmd[kind].add_argument(
+            "--format",
+            choices=("csv", "json"),
+            default="csv",
+            dest="output_format",
+            help="csv: tables as CSV files plus summary.json; "
+            "json: everything embedded in summary.json",
+        )
 
-    simulate = sub.add_parser("simulate", help="deterministic model runs")
-    sim_sub = simulate.add_subparsers(dest="target", required=True, metavar="WHAT")
-    votes = sim_sub.add_parser("votes", help="story vote trajectory (CSV t,m)")
-    _add_config_args(votes)
-    _add_output_args(votes)
-    rank = sim_sub.add_parser(
-        "rank", help="weekly user rank model (CSV week,F,S,rank_proxy)"
-    )
-    _add_config_args(rank)
-    _add_output_args(rank)
-
-    ens = sub.add_parser("ensemble", help="stochastic vote-model ensemble")
-    _add_config_args(ens)
-    _add_output_args(ens)
-    ens.add_argument(
+    cmd["ensemble"].add_argument(
         "--seed",
         type=int,
         default=None,
         metavar="N",
         help="override the [ensemble] seed",
     )
-
-    fit = sub.add_parser("fit", help="least-squares fits over CSV data")
-    fit_sub = fit.add_subparsers(dest="target", required=True, metavar="KIND")
-    linear = fit_sub.add_parser("linear", help="y = slope*x + intercept per id")
-    linear.add_argument("input", type=Path, help="trace CSV (id,t,value)")
-    linear.add_argument(
+    cmd["fit-linear"].add_argument(
         "--through-origin", action="store_true", help="pin the intercept at 0"
     )
-    _add_output_args(linear)
-    log = fit_sub.add_parser("log", help="y = alpha*log(x) + beta per id")
-    log.add_argument("input", type=Path, help="trace CSV (id,t,value), t >= 1")
-    log.add_argument(
-        "--log-base", type=float, default=math.e, help="logarithm base (default e)"
+    cmd["fit-log"].add_argument(
+        "--log-base",
+        type=_checked(float, lambda v: math.isfinite(v) and v > 0 and v != 1,
+                      "positive and != 1"),
+        default=math.e,
+        help="logarithm base (default e)",
     )
-    _add_output_args(log)
-    success = fit_sub.add_parser(
-        "success", help="binned success rate vs. network size"
+    cmd["fit-success"].add_argument(
+        "--bins",
+        type=_checked(int, lambda v: v >= 1, ">= 1"),
+        default=10,
+        help="equal-width bin count (default 10)",
     )
-    success.add_argument(
-        "input", type=Path, help=f"users CSV ({','.join(_USERS_HEADER)})"
-    )
-    success.add_argument(
-        "--bins", type=int, default=10, help="equal-width bin count (default 10)"
-    )
-    success.add_argument(
+    cmd["fit-success"].add_argument(
         "--min-submissions",
-        type=int,
+        type=_checked(int, lambda v: v >= 1, ">= 1"),
         default=50,
         help="drop users below this many submissions (default 50)",
     )
-    _add_output_args(success)
-
-    sig = sub.add_parser(
-        "significance", help="friend-voting chance probabilities"
-    )
-    sig.add_argument(
-        "input", type=Path, help=f"observations CSV ({','.join(_OBS_HEADER)})"
-    )
-    _add_output_args(sig)
-
-    comp = sub.add_parser("compare", help="model trajectory vs. observed trace")
-    comp.add_argument("trace", type=Path, help="trace CSV (id,t,value)")
-    _add_config_args(comp)
-    _add_output_args(comp)
-
     return parser
 
 
+# Arguments every command shares; the rest are the command's own options.
+_SCENARIO_ARGS = {
+    "command", "target", "kind", "config", "sweep", "out", "output_format",
+    "seed", "input",
+}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    if args.command == "simulate":
-        kind = f"simulate-{args.target}"
-    elif args.command == "fit":
-        kind = f"fit-{args.target}"
-    else:
-        kind = args.command
-
-    config: dict[str, dict[str, str]] = {}
-    sweeps: tuple = ()
-    if getattr(args, "config", None) is not None:
-        config = load_config(args.config)
-        sweeps = tuple(parse_sweeps(list(getattr(args, "sweep", []) or [])))
-
-    options: dict = {}
-    if kind == "fit-linear":
-        options["through_origin"] = args.through_origin
-    elif kind == "fit-log":
-        options["log_base"] = args.log_base
-    elif kind == "fit-success":
-        options["bins"] = args.bins
-        options["min_submissions"] = args.min_submissions
-
-    input_path = getattr(args, "input", None)
-    if kind == "compare":
-        input_path = args.trace
-
+    given = vars(args)
+    configured = "config" in given
     return Scenario(
-        kind=kind,
-        config=config,
-        sweeps=sweeps,
+        kind=args.kind,
+        config=load_config(args.config) if configured else {},
+        sweeps=tuple(parse_sweeps(args.sweep)) if configured else (),
         out_dir=args.out,
         output_format=args.output_format,
-        seed_override=getattr(args, "seed", None),
-        input_path=input_path,
-        options=options,
+        seed_override=given.get("seed"),
+        input_path=given.get("input"),
+        options={k: v for k, v in given.items() if k not in _SCENARIO_ARGS},
     )
 
 

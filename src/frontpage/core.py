@@ -7,9 +7,9 @@ significance test.  Every record checks its invariants on construction and
 is frozen afterwards, so validated instances can be shared freely between
 concurrent runs.
 
-Records also serialize to a plain ``key = value`` text format (one field
-per line, ``#`` starts a comment).  The CLI composes the same lines into
-per-model sections; see :mod:`frontpage.cli` for the section layout.
+The run settings of the ``[run]`` and ``[ensemble]`` config sections are
+records too.  :func:`record_from_mapping` builds any record from the raw
+strings of one config section; see :mod:`frontpage.cli` for the layout.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ __all__ = [
     "RankModelParams",
     "UserState",
     "FriendVoteObservation",
-    "validate_params",
-    "to_config_text",
-    "parse_config_text",
+    "RunOptions",
+    "EnsembleOptions",
     "record_from_mapping",
 ]
 
@@ -85,7 +84,6 @@ class VoteModelParams:
     c_u: float = 0.3            # fraction proceeding from one upcoming page to the next
     c_f: float = 0.3            # fraction proceeding from one front page to the next
     visit_rate_N: float = 10.0  # site visitors per minute
-    threshold_h: int = 40       # votes required by the fixed promotion rule
     k_u: float = 0.060          # upcoming-queue page drift, pages/minute
     k_f: float = 0.003          # front-page drift, pages/minute
     sm_alpha: float = 112.0     # voter-network growth law: alpha * log(m) + beta
@@ -108,11 +106,6 @@ class VoteModelParams:
             bad.append(f"c_f must be in (0, 1), got {self.c_f}")
         if not (_finite(self.visit_rate_N) and self.visit_rate_N > 0.0):
             bad.append(f"visit_rate_N must be > 0, got {self.visit_rate_N}")
-        if not _is_integral(self.threshold_h) or self.threshold_h < 2:
-            bad.append(
-                f"threshold_h must be an integer >= 2 (a story starts with the "
-                f"submitter's own vote), got {self.threshold_h}"
-            )
         if not (_finite(self.k_u) and self.k_u > 0.0):
             bad.append(f"k_u must be > 0, got {self.k_u}")
         if not (_finite(self.k_f) and self.k_f >= 0.0):
@@ -341,17 +334,48 @@ class FriendVoteObservation:
         return bad
 
 
-def validate_params(params):
-    """Re-check an already constructed record.
+@dataclass(frozen=True)
+class RunOptions:
+    """Run length of the models, and how the rank model reports rank."""
 
-    Returns ``params`` unchanged when every invariant holds; raises
-    :class:`ParameterError` listing all violations otherwise.
+    horizon_minutes: float = 2880.0  # vote-model horizon
+    weeks: int = 25                  # rank-model horizon
+    rank_kappa: float = 1.0          # rank proxy is kappa / F
+    M_schedule: tuple[float, ...] | None = None  # per-week submission rates
+
+    def __post_init__(self) -> None:
+        _raise_if(self._violations())
+
+    def _violations(self) -> list[str]:
+        bad: list[str] = []
+        if not (_finite(self.horizon_minutes) and self.horizon_minutes > 0):
+            bad.append(f"horizon_minutes must be > 0, got {self.horizon_minutes}")
+        if not _is_integral(self.weeks) or self.weeks < 1:
+            bad.append(f"weeks must be >= 1, got {self.weeks}")
+        if not (_finite(self.rank_kappa) and self.rank_kappa > 0):
+            bad.append(f"rank_kappa must be > 0, got {self.rank_kappa}")
+        if self.M_schedule is not None and len(self.M_schedule) != self.weeks:
+            bad.append(
+                f"M_schedule has {len(self.M_schedule)} entries "
+                f"but weeks = {self.weeks}"
+            )
+        return bad
+
+
+@dataclass(frozen=True)
+class EnsembleOptions:
+    """Size, seed and arrival mode of a stochastic ensemble.
+
+    Unchecked here: :class:`frontpage.stochastic_sim.StochasticRunConfig`
+    validates them when the ensemble is configured.
     """
-    _raise_if(params._violations())
-    return params
+
+    runs: int = 100
+    seed: int = 0
+    arrival_mode: str = "poisson"
 
 
-# --- key = value serialization ---------------------------------------------
+# --- building records from config strings -----------------------------------
 
 def _parse_int(raw: str) -> int:
     try:
@@ -363,36 +387,20 @@ def _parse_int(raw: str) -> int:
         return int(value)
 
 
-_CASTERS = {"int": _parse_int, "float": float}
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in raw.split(",") if v.strip())
+    if not values:
+        raise ValueError("no values")
+    return values
 
 
-def to_config_text(record) -> str:
-    """Render a record as one ``key = value`` line per field."""
-    return "".join(
-        f"{f.name} = {getattr(record, f.name)!r}\n" for f in fields(record)
-    )
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a string mapping.
-
-    ``#`` starts a comment (full-line or trailing); blank lines are
-    ignored.  Malformed lines raise :class:`ParameterError` with the line
-    number.
-    """
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ParameterError(
-                f"line {lineno}: expected 'key = value', got {raw.strip()!r}"
-            )
-        out[key] = value.strip()
-    return out
+# Keyed by the field annotations as written (they are strings here).
+_CASTERS = {
+    "int": _parse_int,
+    "float": float,
+    "str": str,
+    "tuple[float, ...] | None": _parse_floats,
+}
 
 
 def record_from_mapping(cls, mapping: Mapping[str, str]):

@@ -57,12 +57,6 @@ class RankTrajectory:
         if bad:
             raise ParameterError("; ".join(bad))
 
-    @property
-    def rank_proxy(self) -> np.ndarray:
-        """Inverse front-page count (kappa = 1), NaN while F = 0."""
-        with np.errstate(divide="ignore"):
-            return np.where(self.front_page_F > 0, 1.0 / self.front_page_F, np.nan)
-
 
 def success_rate(network_S: float, params: RankModelParams) -> float:
     """Fraction of a user's submissions that reach the front page.

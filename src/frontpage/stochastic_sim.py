@@ -28,7 +28,12 @@ from .core import (
     _finite,
     _is_integral,
 )
-from .vote_dynamics import integrate_votes, promotion_threshold_for, visibility
+from .vote_dynamics import (
+    integrate_votes,
+    promotion_threshold_for,
+    step_count,
+    visibility,
+)
 
 __all__ = [
     "ARRIVAL_MODES",
@@ -131,13 +136,7 @@ def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajec
         return integrate_votes(story, params, policy, config.horizon)
 
     dt = params.dt
-    n_steps = int(round(config.horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - config.horizon) > 1e-9 * max(
-        1.0, config.horizon
-    ):
-        raise ValueError(
-            f"horizon ({config.horizon}) must be a whole number of dt ({dt}) steps"
-        )
+    n_steps = step_count(config.horizon, dt)
 
     rng = _rng_for_run(config.seed, run_index)
     threshold = promotion_threshold_for(policy, story)

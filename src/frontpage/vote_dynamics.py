@@ -32,6 +32,7 @@ __all__ = [
     "combined_voter_network",
     "visibility",
     "promotion_threshold_for",
+    "step_count",
     "integrate_votes",
     "analytic_upcoming_saturation",
     "saturation_time",
@@ -175,6 +176,16 @@ def promotion_threshold_for(policy: PromotionPolicy, story: StoryConfig) -> floa
     raise TypeError(f"unknown promotion policy: {policy!r}")
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Number of ``dt`` steps in ``horizon``; ValueError unless it is whole."""
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(
+            f"horizon ({horizon}) must be a whole number of dt ({dt}) steps"
+        )
+    return n_steps
+
+
 def integrate_votes(
     story: StoryConfig,
     params: VoteModelParams,
@@ -197,11 +208,7 @@ def integrate_votes(
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be a positive finite number, got {horizon}")
     dt = params.dt
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(
-            f"horizon ({horizon}) must be a whole number of dt ({dt}) steps"
-        )
+    n_steps = step_count(horizon, dt)
 
     threshold = promotion_threshold_for(policy, story)
     times = np.empty(n_steps + 1, dtype=float)

@@ -6,10 +6,13 @@ import pytest
 from frontpage import FixedThreshold, StoryConfig, VoteModelParams
 from frontpage.cli import (
     ComparisonReport,
+    ConfigError,
     InputError,
     compare_model_to_trace,
+    expand_sweeps,
     group_trace,
     ingest_traces,
+    load_config,
     main,
     parse_sweeps,
 )
@@ -274,10 +277,74 @@ class TestExitCodes:
         )
         assert code == 4
 
-    def test_bad_usage_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "sideways"])
-        assert exc.value.code == 2
+    def test_bad_usage_exits_two(self, tmp_path):
+        users = str(tmp_path / "users.csv")
+        trace = str(tmp_path / "trace.csv")
+        for argv in (
+            ["simulate", "sideways"],
+            ["fit", "success", users, "--bins", "0"],
+            ["fit", "success", users, "--bins", "many"],
+            ["fit", "success", users, "--min-submissions", "0"],
+            ["fit", "log", trace, "--log-base", "1"],
+            ["fit", "log", trace, "--log-base", "nan"],
+            ["fit", "log", trace, "--log-base", "-2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
+    def test_vote_threshold_h_is_rejected(self, tmp_path, capsys):
+        # promotion reads [policy] h only; [vote] threshold_h is not a key
+        ini = write_ini(
+            tmp_path / "th.ini",
+            {"vote": {"threshold_h": "500"}, "story": {"interestingness_r": "0.5"}},
+        )
+        code = main(
+            ["simulate", "votes", "--config", str(ini), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "threshold_h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "sweeps",
+        [
+            ["story.interestingness_r=0.1,0.9", "story.interestingness_r=0.5"],
+            ["story.interestingness_r=0.5,0.5"],
+        ],
+        ids=["repeated-key", "repeated-value"],
+    )
+    def test_sweep_collision_is_config_error(
+        self, votes_ini, tmp_path, sweeps, output_format
+    ):
+        out = tmp_path / "o"
+        argv = [
+            "simulate", "votes", "--config", str(votes_ini),
+            "--out", str(out), "--format", output_format,
+        ]
+        for spec in sweeps:
+            argv += ["--sweep", spec]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate votes", "ensemble", "compare"])
+    def test_fractional_horizon_is_config_error(self, tmp_path, command, capsys):
+        ini = write_ini(
+            tmp_path / "h.ini",
+            {
+                "story": {"interestingness_r": "0.5"},
+                "ensemble": {"runs": "2"},
+                "run": {"horizon_minutes": "2880.5"},
+            },
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_text("id,t,value\na,0,1.0\n")
+        argv = command.split()
+        if command == "compare":
+            argv.append(str(trace))
+        argv += ["--config", str(ini), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "whole number of dt" in capsys.readouterr().err
 
 
 class TestTraceIngestion:
@@ -478,3 +545,17 @@ class TestSignificanceCommand:
 def test_sweep_parsing_helpers():
     parsed = parse_sweeps(["story.interestingness_r=0.1,0.2"])
     assert parsed == [("story", "interestingness_r", ["0.1", "0.2"])]
+    with pytest.raises(ConfigError, match="already swept"):
+        parse_sweeps(["story.interestingness_r=0.1", "story.interestingness_r=0.2"])
+    # "/" is written as "-" in output names, so these two would share a file
+    with pytest.raises(ConfigError, match="output name"):
+        expand_sweeps({}, [("ensemble", "arrival_mode", ["a/b", "a-b"])])
+
+
+def test_load_config_comments_and_errors(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("# header\n[vote]\nc = 0.3  # inline\n\nk_u = 0.06\n")
+    assert load_config(path) == {"vote": {"c": "0.3", "k_u": "0.06"}}
+    path.write_text("[vote]\nc = 0.3\nnot a pair\n")
+    with pytest.raises(ConfigError, match=r"line\s+3"):
+        load_config(path)

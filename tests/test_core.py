@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,16 +15,15 @@ from frontpage import (
     UserState,
     VoteModelParams,
     VoteTrajectory,
-    validate_params,
 )
-from frontpage.core import parse_config_text, record_from_mapping, to_config_text
+from frontpage.cli import load_config
+from frontpage.core import EnsembleOptions, RunOptions, record_from_mapping
 
 
 def test_golden_defaults():
     v = VoteModelParams()
     assert (v.c, v.c_u, v.c_f) == (0.3, 0.3, 0.3)
     assert v.visit_rate_N == 10.0
-    assert v.threshold_h == 40
     assert v.k_u == 0.060
     assert v.k_f == 0.003
     assert (v.sm_alpha, v.sm_beta) == (112.0, 47.0)
@@ -36,12 +36,6 @@ def test_golden_defaults():
     assert FixedThreshold().h == 40
 
 
-def test_validate_params_passes_defaults():
-    params = VoteModelParams()
-    assert validate_params(params) is params
-    assert validate_params(RankModelParams()) is not None
-
-
 @pytest.mark.parametrize(
     "kwargs, fragment",
     [
@@ -51,8 +45,8 @@ def test_validate_params_passes_defaults():
         ({"c": 0.0}, "c"),
         ({"c": 1.2}, "c"),
         ({"visit_rate_N": 0.0}, "visit_rate_N"),
-        ({"threshold_h": 1}, "threshold_h"),  # would promote at the initial vote
-        ({"threshold_h": 2.5}, "threshold_h"),
+        ({"sm_beta": -1.0}, "sm_beta"),
+        ({"friends_window": 0.0}, "friends_window"),
         ({"k_u": 0.0}, "k_u"),
         ({"k_f": -0.1}, "k_f"),
         ({"sm_alpha": -1.0}, "sm_alpha"),
@@ -67,13 +61,19 @@ def test_vote_params_rejections_name_the_field(kwargs, fragment):
         VoteModelParams(**kwargs)
 
 
+@pytest.mark.parametrize("h", [1, 2.5])  # h = 1 would promote at the initial vote
+def test_fixed_threshold_rejects_h(h):
+    with pytest.raises(ParameterError, match=r"^h must be an integer >= 2"):
+        FixedThreshold(h=h)
+
+
 def test_error_lists_every_violation():
     with pytest.raises(ParameterError) as exc:
-        VoteModelParams(c_u=2.0, visit_rate_N=-1.0, threshold_h=0)
+        VoteModelParams(c_u=2.0, visit_rate_N=-1.0, k_u=0.0)
     message = str(exc.value)
     assert "c_u" in message
     assert "visit_rate_N" in message
-    assert "threshold_h" in message
+    assert "k_u" in message
 
 
 def test_story_config_bounds():
@@ -135,28 +135,33 @@ def test_observation_bounds():
 def test_validation_is_total(c_u, k_u, h):
     """Any field combination either validates or raises ParameterError."""
     try:
-        params = VoteModelParams(c_u=c_u, k_u=k_u, threshold_h=h)
+        params = VoteModelParams(c_u=c_u, k_u=k_u)
+    except ParameterError:
+        pass
+    else:
+        assert 0.0 < params.c_u < 1.0
+        assert params.k_u > 0.0
+    try:
+        policy = FixedThreshold(h=h)
     except ParameterError:
         return
-    assert 0.0 < params.c_u < 1.0
-    assert params.k_u > 0.0
-    assert params.threshold_h >= 2
+    assert policy.h >= 2
 
 
-def test_config_text_round_trip():
-    params = VoteModelParams(c=0.25, threshold_h=50)
-    text = to_config_text(params)
-    assert "c = 0.25" in text
-    assert "threshold_h = 50" in text
-    rebuilt = record_from_mapping(VoteModelParams, parse_config_text(text))
+def test_config_text_round_trip(tmp_path):
+    """A record written out as an INI section reads back equal."""
+    params = VoteModelParams(c=0.25, sm_log_base=10.0)
+    path = tmp_path / "vote.ini"
+    path.write_text(
+        "[vote]\n"
+        + "".join(
+            f"{f.name} = {getattr(params, f.name)!r}\n"
+            for f in dataclasses.fields(params)
+        )
+    )
+    assert "c = 0.25" in path.read_text()
+    rebuilt = record_from_mapping(VoteModelParams, load_config(path)["vote"])
     assert rebuilt == params
-
-
-def test_parse_config_text_comments_and_errors():
-    parsed = parse_config_text("# header\n c = 0.3  # inline\n\nk_u = 0.06\n")
-    assert parsed == {"c": "0.3", "k_u": "0.06"}
-    with pytest.raises(ParameterError, match="line 2"):
-        parse_config_text("c = 0.3\nnot a pair\n")
 
 
 def test_record_from_mapping_errors():
@@ -164,11 +169,33 @@ def test_record_from_mapping_errors():
         record_from_mapping(VoteModelParams, {"speed": "1"})
     with pytest.raises(ParameterError, match="cannot parse"):
         record_from_mapping(VoteModelParams, {"c": "fast"})
-    with pytest.raises(ParameterError, match="threshold_h"):
-        record_from_mapping(VoteModelParams, {"threshold_h": "40.5"})
+    with pytest.raises(ParameterError, match=r"^h: cannot parse '40.5' as int"):
+        record_from_mapping(FixedThreshold, {"h": "40.5"})
     with pytest.raises(ParameterError, match="missing required"):
         record_from_mapping(StoryConfig, {"submitter_network_S": "10"})
     story = record_from_mapping(
         StoryConfig, {"interestingness_r": "0.5", "submitter_network_S": "80"}
     )
     assert story == StoryConfig(interestingness_r=0.5, submitter_network_S=80)
+
+
+def test_run_and_ensemble_options_from_strings():
+    run = record_from_mapping(
+        RunOptions, {"weeks": "3.0", "M_schedule": "1, 2,,3", "rank_kappa": "10"}
+    )
+    assert run == RunOptions(weeks=3, rank_kappa=10.0, M_schedule=(1.0, 2.0, 3.0))
+    assert isinstance(run.weeks, int)
+    with pytest.raises(ParameterError, match="M_schedule has 2 entries but weeks = 3"):
+        record_from_mapping(RunOptions, {"weeks": "3", "M_schedule": "1,2"})
+    with pytest.raises(ParameterError, match="M_schedule: cannot parse"):
+        record_from_mapping(RunOptions, {"M_schedule": " , "})
+    with pytest.raises(ParameterError) as exc:
+        RunOptions(horizon_minutes=float("nan"), weeks=0, rank_kappa=-1.0)
+    for name in ("horizon_minutes", "weeks", "rank_kappa"):
+        assert name in str(exc.value)
+    opts = record_from_mapping(
+        EnsembleOptions, {"runs": "3.0", "seed": "7", "arrival_mode": " mean "}
+    )
+    assert opts == EnsembleOptions(runs=3, seed=7, arrival_mode="mean")
+    with pytest.raises(ParameterError, match="unknown key.*for EnsembleOptions: speed"):
+        record_from_mapping(EnsembleOptions, {"speed": "1"})

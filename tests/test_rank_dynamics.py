@@ -3,7 +3,6 @@ import pytest
 
 from frontpage import RankModelParams, UserState
 from frontpage.rank_dynamics import (
-    RankTrajectory,
     integrate_rank,
     rank_proxy,
     step_week,
@@ -115,19 +114,6 @@ def test_monotone_coupling(bump):
         )
     base = integrate_rank(base_state, base_params, weeks=20)
     assert np.all(bumped.front_page_F >= base.front_page_F)
-
-
-def test_trajectory_rank_proxy_series():
-    traj = RankTrajectory(
-        weeks=[0.0, 1.0, 2.0],
-        front_page_F=[0.0, 2.0, 4.0],
-        network_S=[1.0, 1.0, 1.0],
-    )
-    proxy = traj.rank_proxy
-    assert np.isnan(proxy[0])
-    np.testing.assert_allclose(proxy[1:], [0.5, 0.25])
-    # strictly decreasing in F: best proxy belongs to the largest F
-    assert np.nanargmin(proxy) == np.argmax(traj.front_page_F)
 
 
 def test_weeks_must_be_positive_int():
