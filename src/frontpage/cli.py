@@ -473,7 +473,8 @@ def _run_model(scenario: Scenario, stem: str, plan):
     ``plan(cfg, scenario)`` validates one point and returns its resolved
     parameters and a closure computing (summary fields, CSV columns, JSON
     trajectory).  Every point is planned before any is computed, so an
-    invalid point fails the command before any work is done.
+    invalid point fails the command before any work is done.  A point that
+    overflows the model at run time is a config error naming the point.
     """
     planned = [
         (overrides, *plan(cfg, scenario))
@@ -481,7 +482,11 @@ def _run_model(scenario: Scenario, stem: str, plan):
     ]
     tables, results = [], []
     for overrides, params, compute in planned:
-        fields, columns, trajectory = compute()
+        try:
+            fields, columns, trajectory = compute()
+        except (ValueError, OverflowError) as exc:
+            point = " ".join(f"{k}={v}" for k, v in overrides.items())
+            raise ConfigError(f"{point or 'config'}: {exc}") from None
         entry = {"overrides": overrides, "params": params, **fields}
         if scenario.output_format == "csv":
             entry["file"] = f"{stem}{_suffix_for(overrides)}.csv"

@@ -10,12 +10,14 @@ monotone, and their ensemble mean should track the mean-field integrator
 wherever no promotion flip happens near the mean — which is exactly what
 the ensemble summary is used to check.
 
-All runs of an ensemble step together.  The time-only parts of the rate
-(upcoming queue, submitter's friends, front-page decay by age since
-promotion) are tables built once per config; per step only the
-voter-network term is evaluated on the vector of vote counts.  The
-summary's mean and spread are taken across runs at each step, so memory
-is O(horizon + runs) plus a bounded buffer of uniforms.
+All runs of an ensemble step together on the
+:class:`~frontpage.vote_dynamics.RateKernel` that the mean-field
+integrator also reads: its time-only tables (upcoming queue, submitter's
+friends, front-page decay by age since promotion) are built once per
+config, and per step only the voter-network term is evaluated on the
+vector of vote counts.  The summary's mean and spread are taken across
+runs at each step, so memory is O(horizon + runs) plus a bounded buffer of
+uniforms.
 
 Reproducibility contract: run ``i`` of an ensemble draws from a generator
 seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))``, one uniform
@@ -28,7 +30,6 @@ how many runs share the ensemble or on the order they are reported in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,7 +45,7 @@ from .core import (
     _is_integral,
 )
 from .vote_dynamics import (
-    _FRIENDS_RATE_UNIT,
+    RateKernel,
     integrate_votes,
     promotion_threshold_for,
     step_count,
@@ -55,7 +56,6 @@ __all__ = [
     "PROMOTION_QUANTILES",
     "StochasticRunConfig",
     "EnsembleSummary",
-    "RateKernel",
     "simulate_once",
     "ensemble",
 ]
@@ -137,53 +137,6 @@ class EnsembleSummary:
             bad.append("mean_votes must be nondecreasing")
         if bad:
             raise ParameterError("; ".join(bad))
-
-
-class RateKernel:
-    """Total visibility rate of many runs at one step.
-
-    Equals ``visibility(t, m, story, promotion_time, params).total`` at
-    the step midpoint ``t = (k + 0.5) * dt`` for a run with ``m`` votes
-    that was promoted at the end of step ``promo_step``
-    (``promotion_time = (promo_step + 1) * dt``); ``promo_step >= n_steps``
-    means not promoted.  The time-only terms are tables over the horizon.
-    """
-
-    def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
-        n = params.visit_rate_N
-        t = (np.arange(n_steps) + 0.5) * params.dt
-        queue = np.where(
-            t <= params.upcoming_window,
-            params.c * params.c_u ** ((params.k_u * t + 1.0) - 1.0) * n,
-            0.0,
-        )
-        s = story.submitter_network_S
-        pool_rate = s * _FRIENDS_RATE_UNIT
-        in_friends = t <= params.friends_window
-        self.submitter = np.where(
-            in_friends & (pool_rate > 0.0) & (s - pool_rate * t >= 0.0),
-            pool_rate,
-            0.0,
-        )
-        self.unpromoted = queue + self.submitter
-        # t is the age since promotion here: promotions happen at step ends.
-        self.front = params.c_f ** ((params.k_f * t + 1.0) - 1.0) * n
-        has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
-        self.voter_steps = int(np.count_nonzero(in_friends)) if has_voters else 0
-        self.alpha = params.sm_alpha
-        self.beta = params.sm_beta
-        self.log_base = math.log(params.sm_log_base)
-
-    def __call__(self, k: int, m: np.ndarray, promo_step: np.ndarray) -> np.ndarray:
-        rate = np.full(m.shape, self.unpromoted[k])
-        if k < self.voter_steps:
-            network = self.alpha * (np.log(m) / self.log_base) + self.beta
-            rate += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
-        age = k - 1 - promo_step
-        promoted = age >= 0
-        if promoted.any():
-            rate[promoted] = self.front[age[promoted]] + self.submitter[k]
-        return rate
 
 
 def _rng_for_run(seed: int, run_index: int, *stream: int) -> np.random.Generator:

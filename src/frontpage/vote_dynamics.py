@@ -7,6 +7,12 @@ friends of prior voters.  Each audience contributes a visibility rate
 times its interestingness.  The deterministic trajectory is the minute-by-
 minute integral of the combined rate, with promotion to the front page
 switching the story from the upcoming channels to the front-page channel.
+
+Each channel's rate is written once, as a scalar function.
+:func:`visibility` reports them per instant; :class:`RateKernel` tabulates
+their time-only parts over a horizon and is the one kernel of both
+solution paths: :func:`integrate_votes` (mean-field) and the Monte Carlo
+ensemble in :mod:`frontpage.stochastic_sim`.
 """
 
 from __future__ import annotations
@@ -27,10 +33,8 @@ from .core import (
 
 __all__ = [
     "VisibilityBreakdown",
-    "page_upcoming",
-    "page_front",
-    "combined_voter_network",
     "visibility",
+    "RateKernel",
     "promotion_threshold_for",
     "step_count",
     "integrate_votes",
@@ -46,6 +50,9 @@ _FRIENDS_RATE_UNIT = 1.0 / (24.0 * 60.0)
 # Minimum bar for the network-proportional promotion rule, so that a
 # submitter with no reverse friends still needs more than their own vote.
 _PROPORTIONAL_FLOOR = 2.0
+
+# Most steps in one run (about two years of minutes): bounds its time and memory.
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,45 +74,37 @@ class VisibilityBreakdown:
         )
 
 
-def page_upcoming(t: float, params: VoteModelParams) -> float:
-    """Position of a story submitted at t=0 in the upcoming queue.
-
-    New submissions push older ones down at ``k_u`` pages per minute;
-    page 1 is the queue front.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return params.k_u * t + 1.0
+def _queue_rate(t: float, params: VoteModelParams) -> float:
+    """Upcoming-queue viewers per minute; the story starts on page 1 at t=0
+    and drifts down ``k_u`` pages per minute until ``upcoming_window``."""
+    if t <= params.upcoming_window:
+        page = params.k_u * t + 1.0
+        return params.c * params.c_u ** (page - 1.0) * params.visit_rate_N
+    return 0.0
 
 
-def page_front(t: float, promotion_time: float, params: VoteModelParams) -> float:
-    """Position on the front page, 0 before promotion.
-
-    The front page turns over much more slowly than the queue
-    (``k_f`` << ``k_u``), so promoted stories stay visible for days.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t < promotion_time:
-        return 0.0
-    return params.k_f * (t - promotion_time) + 1.0
+def _front_rate(age: float, params: VoteModelParams) -> float:
+    """Front-page viewers per minute ``age`` minutes after promotion; the
+    front page turns over slowly (``k_f`` << ``k_u``)."""
+    page = params.k_f * age + 1.0
+    return params.c_f ** (page - 1.0) * params.visit_rate_N
 
 
-def combined_voter_network(
-    m: float,
-    sm_alpha: float,
-    sm_beta: float,
-    log_base: float = math.e,
-) -> float:
-    """Size of the joint reverse-friend network of a story's first m voters.
+def _submitter_rate(t: float, story: StoryConfig, params: VoteModelParams) -> float:
+    """The submitter's S reverse friends, S/1440 per minute until the pool
+    drains or the friends window closes."""
+    s = story.submitter_network_S
+    pool_rate = s * _FRIENDS_RATE_UNIT
+    if t <= params.friends_window and pool_rate > 0.0 and s - pool_rate * t >= 0.0:
+        return pool_rate
+    return 0.0
 
-    Overlap between individual networks makes the union grow
-    logarithmically rather than linearly in the number of voters.  With
-    alpha = 0 and beta = 0 the channel is disabled and this returns 0.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return max(0.0, sm_alpha * math.log(m, log_base) + sm_beta)
+
+def _voter_rate(m: float, params: VoteModelParams) -> float:
+    """Viewers per minute from the joint reverse-friend network of m voters,
+    which overlap makes grow logarithmically (alpha = beta = 0: disabled)."""
+    network = params.sm_alpha * math.log(m, params.sm_log_base) + params.sm_beta
+    return _FRIENDS_RATE_UNIT * max(0.0, network)
 
 
 def visibility(
@@ -126,45 +125,56 @@ def visibility(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     promoted = promotion_time is not None and t >= promotion_time
-
-    if promoted:
-        p = page_front(t, promotion_time, params)
-        v_front = params.c_f ** (p - 1.0) * params.visit_rate_N
-        v_upcoming = 0.0
-    else:
-        v_front = 0.0
-        if t <= params.upcoming_window:
-            q = page_upcoming(t, params)
-            v_upcoming = params.c * params.c_u ** (q - 1.0) * params.visit_rate_N
-        else:
-            v_upcoming = 0.0
-
-    in_friends_window = t <= params.friends_window
-
-    pool_rate = story.submitter_network_S * _FRIENDS_RATE_UNIT
-    if (
-        in_friends_window
-        and pool_rate > 0.0
-        and story.submitter_network_S - pool_rate * t >= 0.0
-    ):
-        v_submitter = pool_rate
-    else:
-        v_submitter = 0.0
-
-    if not promoted and in_friends_window:
-        s_m = combined_voter_network(
-            m, params.sm_alpha, params.sm_beta, params.sm_log_base
-        )
-        v_voters = _FRIENDS_RATE_UNIT * s_m
-    else:
-        v_voters = 0.0
-
     return VisibilityBreakdown(
-        v_front=v_front,
-        v_upcoming=v_upcoming,
-        v_submitter_friends=v_submitter,
-        v_voter_friends=v_voters,
+        v_front=_front_rate(t - promotion_time, params) if promoted else 0.0,
+        v_upcoming=0.0 if promoted else _queue_rate(t, params),
+        v_submitter_friends=_submitter_rate(t, story, params),
+        v_voter_friends=(
+            _voter_rate(m, params)
+            if not promoted and t <= params.friends_window
+            else 0.0
+        ),
     )
+
+
+class RateKernel:
+    """Total visibility rate at step ``k``, shared by both solution paths.
+
+    The time-only terms are tables built from the channel functions of
+    :func:`visibility`, so each entry equals its ``visibility`` term bit for
+    bit at the step midpoint ``t = (k + 0.5) * dt``: ``unpromoted`` (queue
+    plus submitter), ``submitter``, and ``front[a]``, the front page
+    ``a + 0.5`` steps after promotion.  The voter-network term is added
+    while ``k < voter_steps``.  Called on vectors, it gives the rates of
+    runs with ``m`` votes promoted at the end of step ``promo_step``
+    (``>= n_steps``: not promoted).
+    """
+
+    def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
+        t = [(k + 0.5) * params.dt for k in range(n_steps)]
+        self.submitter = np.array([_submitter_rate(x, story, params) for x in t])
+        self.unpromoted = np.array([_queue_rate(x, params) for x in t]) + self.submitter
+        # t is the age since promotion here: promotions happen at step ends.
+        self.front = np.array([_front_rate(x, params) for x in t])
+        has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
+        in_friends = sum(x <= params.friends_window for x in t)
+        self.voter_steps = in_friends if has_voters else 0
+        self.alpha = params.sm_alpha
+        self.beta = params.sm_beta
+        self.log_base = math.log(params.sm_log_base)
+
+    def __call__(self, k: int, m: np.ndarray, promo_step: np.ndarray) -> np.ndarray:
+        rate = np.full(m.shape, self.unpromoted[k])
+        if k < self.voter_steps:
+            # _voter_rate on a vector: np.log and math.log differ in the
+            # last bit on a few inputs, so the Monte Carlo path keeps its own.
+            network = self.alpha * (np.log(m) / self.log_base) + self.beta
+            rate += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
+        age = k - 1 - promo_step
+        promoted = age >= 0
+        if promoted.any():
+            rate[promoted] = self.front[age[promoted]] + self.submitter[k]
+        return rate
 
 
 def promotion_threshold_for(policy: PromotionPolicy, story: StoryConfig) -> float:
@@ -177,8 +187,13 @@ def promotion_threshold_for(policy: PromotionPolicy, story: StoryConfig) -> floa
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Number of ``dt`` steps in ``horizon``; ValueError unless it is whole."""
-    n_steps = int(round(horizon / dt))
+    """Number of ``dt`` steps in ``horizon``; ValueError unless whole and few enough."""
+    steps = horizon / dt
+    if not steps <= _MAX_STEPS:
+        raise ValueError(
+            f"horizon ({horizon}) is more than {_MAX_STEPS} steps of dt ({dt})"
+        )
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(
             f"horizon ({horizon}) must be a whole number of dt ({dt}) steps"
@@ -194,41 +209,52 @@ def integrate_votes(
 ) -> VoteTrajectory:
     """Deterministic vote trajectory over ``horizon`` minutes.
 
-    Each step adds ``r * visibility * dt`` votes, with the
-    time-dependent page positions and windows sampled at the step
-    midpoint (the vote count and promotion status are taken at the start
-    of the step).  Midpoint sampling keeps the discrete sum within a
-    fraction of a percent of the continuous-time integral at dt = 1;
-    sampling at the left endpoint overshoots the queue-decay integral by
-    several percent.
+    Each step adds ``r * rate * dt`` votes, ``rate`` being the
+    :class:`RateKernel` total: tau-leaping with each Poisson draw replaced
+    by its mean.  Page positions and windows are sampled at the step
+    midpoint, the vote count and promotion status at its start.  Midpoint
+    sampling keeps the sum within a fraction of a percent of the
+    continuous-time integral at dt = 1; the left endpoint overshoots the
+    queue-decay integral by several percent.
 
     The promotion rule is checked after each step; crossing the bar marks
-    the story promoted from the end of that step onward.
+    the story promoted from the end of that step onward.  The front-page
+    term is taken at the exact age ``t - promotion_time``, not from the
+    kernel's table, so each step equals ``visibility(...).total`` bit for
+    bit at any ``dt``.  OverflowError if the vote count overflows.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be a positive finite number, got {horizon}")
     dt = params.dt
     n_steps = step_count(horizon, dt)
-
     threshold = promotion_threshold_for(policy, story)
-    times = np.empty(n_steps + 1, dtype=float)
-    votes = np.empty(n_steps + 1, dtype=float)
-    times[0] = 0.0
-    votes[0] = 1.0
-    promotion_time: float | None = None
+    kernel = RateKernel(story, params, n_steps)
+    unpromoted, submitter = kernel.unpromoted.tolist(), kernel.submitter.tolist()
+    r = story.interestingness_r
 
+    promotion_time: float | None = None
     m = 1.0
+    votes = [m]
     for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        vis = visibility(t_mid, m, story, promotion_time, params)
-        m = m + story.interestingness_r * vis.total * dt
-        times[k + 1] = (k + 1) * dt
-        votes[k + 1] = m
+        if promotion_time is None:
+            rate = unpromoted[k]
+            if k < kernel.voter_steps:
+                rate += _voter_rate(m, params)
+        else:
+            rate = _front_rate((k + 0.5) * dt - promotion_time, params) + submitter[k]
+        m = m + r * rate * dt
+        votes.append(m)
         if promotion_time is None and m >= threshold:
-            promotion_time = float(times[k + 1])
+            promotion_time = (k + 1) * dt
+    # m never decreases, so a final finite count means every step was finite
+    if not math.isfinite(m):
+        raise OverflowError(
+            f"vote count is {m} after {horizon} minutes: the vote rate "
+            "overflows floating point"
+        )
 
     return VoteTrajectory(
-        times=times, votes_m=votes, promotion_time_Th=promotion_time
+        times=np.arange(n_steps + 1) * dt,
+        votes_m=np.array(votes),
+        promotion_time_Th=promotion_time,
     )
 
 

@@ -346,6 +346,48 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "whole number of dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])
+    @pytest.mark.parametrize("command", ["simulate votes", "ensemble"])
+    def test_too_many_steps_is_config_error(self, tmp_path, command, dt, capsys):
+        ini = write_ini(
+            tmp_path / "tiny.ini",
+            {
+                "vote": {"dt": dt},
+                "story": {"interestingness_r": "0.5"},
+                "run": {"horizon_minutes": "60"},
+            },
+        )
+        argv = [*command.split(), "--config", str(ini), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "more than 1000000 steps" in capsys.readouterr().err
+
+    def test_rate_too_large_to_draw_is_config_error(self, tmp_path, capsys):
+        ini = write_ini(
+            tmp_path / "big.ini",
+            {
+                "vote": {"visit_rate_N": "1e300"},
+                "story": {"interestingness_r": "0.5"},
+                "ensemble": {"runs": "2", "seed": "1"},
+                "run": {"horizon_minutes": "10"},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["ensemble", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not out.exists()
+
+    def test_overflowing_votes_name_the_sweep_point(self, votes_ini, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [
+            "simulate", "votes", "--config", str(votes_ini), "--out", str(out),
+            "--sweep", "vote.visit_rate_N=10,1e307",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "vote.visit_rate_N=1e307" in err
+        assert "vote count is inf" in err
+        assert not out.exists()
+
 
 class TestTraceIngestion:
     def test_well_formed_trace(self, tmp_path):

@@ -10,8 +10,9 @@ from frontpage import (
     StoryConfig,
     VoteModelParams,
 )
-from frontpage.stochastic_sim import RateKernel, ensemble, simulate_once
+from frontpage.stochastic_sim import ensemble, simulate_once
 from frontpage.vote_dynamics import (
+    RateKernel,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,

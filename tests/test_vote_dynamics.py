@@ -10,57 +10,75 @@ from frontpage import (
     VoteModelParams,
 )
 from frontpage.vote_dynamics import (
+    RateKernel,
     analytic_upcoming_saturation,
-    combined_voter_network,
     integrate_votes,
-    page_front,
-    page_upcoming,
     promotion_threshold_for,
     saturation_time,
+    step_count,
     visibility,
 )
 
 
 class TestPagePositions:
     def test_upcoming_initial_and_drift(self, default_params):
-        assert page_upcoming(0.0, default_params) == 1.0
-        assert page_upcoming(60.0, default_params) == pytest.approx(4.6)
-        assert page_upcoming(1000.0, default_params) == pytest.approx(61.0)
+        story = StoryConfig(0.5, 0)
+        p = default_params
+
+        def v_upcoming(t):
+            return visibility(t, 1.0, story, None, p).v_upcoming
+
+        # queue page 1 at submission, 4.6 after an hour, 61 after 1000 min
+        assert v_upcoming(0.0) == p.c * p.visit_rate_N
+        assert v_upcoming(60.0) == pytest.approx(p.c * p.c_u**3.6 * p.visit_rate_N)
+        assert v_upcoming(1000.0) == pytest.approx(p.c * p.c_u**60 * p.visit_rate_N)
 
     def test_front_zero_before_promotion(self, default_params):
-        assert page_front(50.0, 100.0, default_params) == 0.0
-        assert page_front(100.0, 100.0, default_params) == 1.0
-        assert page_front(1100.0, 100.0, default_params) == pytest.approx(4.0)
+        story = StoryConfig(0.5, 0)
+        p = default_params
+
+        def v_front(t, promotion_time):
+            return visibility(t, 45.0, story, promotion_time, p).v_front
+
+        assert v_front(50.0, 100.0) == 0.0
+        assert v_front(100.0, 100.0) == p.visit_rate_N  # front page 1
+        assert v_front(1100.0, 100.0) == pytest.approx(p.c_f**3 * p.visit_rate_N)
 
     def test_negative_time_rejected(self, default_params):
+        story = StoryConfig(0.5, 0)
         with pytest.raises(ValueError):
-            page_upcoming(-1.0, default_params)
+            visibility(-1.0, 1.0, story, None, default_params)
         with pytest.raises(ValueError):
-            page_front(-1.0, 0.0, default_params)
+            visibility(-1.0, 1.0, story, 0.0, default_params)
+
+
+def _v_voters(m, **params):
+    return visibility(0.0, m, StoryConfig(0.5, 0), None, VoteModelParams(**params))
 
 
 class TestCombinedVoterNetwork:
+    """The voter-friends channel is alpha * log(m) + beta viewers per day."""
+
     def test_intercept_at_single_vote(self):
-        assert combined_voter_network(1.0, 112.0, 47.0) == 47.0
+        v = _v_voters(1.0, sm_alpha=112.0, sm_beta=47.0)
+        assert v.v_voter_friends * 1440.0 == pytest.approx(47.0)
 
     def test_natural_log_growth(self):
         # 112 * ln(10) + 47
-        assert combined_voter_network(10.0, 112.0, 47.0) == pytest.approx(
-            304.88953041533315
-        )
+        v = _v_voters(10.0, sm_alpha=112.0, sm_beta=47.0)
+        assert v.v_voter_friends * 1440.0 == pytest.approx(304.88953041533315)
 
     def test_disabled_channel(self):
         for m in (1.0, 5.0, 1e6):
-            assert combined_voter_network(m, 0.0, 0.0) == 0.0
+            assert _v_voters(m, sm_alpha=0.0, sm_beta=0.0).v_voter_friends == 0.0
 
     def test_alternate_base(self):
-        assert combined_voter_network(100.0, 112.0, 47.0, log_base=10.0) == (
-            pytest.approx(112.0 * 2 + 47.0)
-        )
+        v = _v_voters(100.0, sm_alpha=112.0, sm_beta=47.0, sm_log_base=10.0)
+        assert v.v_voter_friends * 1440.0 == pytest.approx(112.0 * 2 + 47.0)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
-            combined_voter_network(0.5, 112.0, 47.0)
+            _v_voters(0.5, sm_alpha=112.0, sm_beta=47.0)
 
 
 class TestVisibility:
@@ -230,3 +248,79 @@ def test_saturation_time_detects_stalling(queue_only_params, unreachable_policy)
         StoryConfig(0.9, 400), VoteModelParams(), FixedThreshold(h=40), 720.0
     )
     assert saturation_time(growing) is None
+
+
+_KERNEL_CASES = [
+    (VoteModelParams(sm_alpha=0.0, sm_beta=0.0), 2880.0),
+    (
+        VoteModelParams(
+            sm_alpha=0.0,
+            sm_beta=0.0,
+            dt=0.3,
+            k_f=0.05,
+            upcoming_window=100.0,
+            friends_window=700.0,
+        ),
+        900.0,
+    ),
+]
+
+
+@pytest.mark.parametrize("params, horizon", _KERNEL_CASES, ids=["defaults", "dt_0.3"])
+def test_kernel_tables_equal_visibility_exactly(params, horizon):
+    story = StoryConfig(0.5, 80)
+    n_steps = step_count(horizon, params.dt)
+    kernel = RateKernel(story, params, n_steps)
+    for k in range(n_steps):
+        t = (k + 0.5) * params.dt
+        waiting = visibility(t, 7.0, story, None, params)
+        assert kernel.unpromoted[k] == waiting.total
+        assert kernel.submitter[k] == waiting.v_submitter_friends
+        # promoted at t = 0, so the age since promotion is t itself
+        assert kernel.front[k] == visibility(t, 7.0, story, 0.0, params).v_front
+    assert kernel.voter_steps == 0
+
+
+def _reference_integrate(story, params, policy, horizon):
+    """The per-step ``visibility()`` integrator the kernel path replaced."""
+    dt = params.dt
+    n_steps = step_count(horizon, dt)
+    threshold = promotion_threshold_for(policy, story)
+    times = np.empty(n_steps + 1, dtype=float)
+    votes = np.empty(n_steps + 1, dtype=float)
+    times[0] = 0.0
+    votes[0] = 1.0
+    promotion_time = None
+    m = 1.0
+    for k in range(n_steps):
+        t_mid = (k + 0.5) * dt
+        vis = visibility(t_mid, m, story, promotion_time, params)
+        m = m + story.interestingness_r * vis.total * dt
+        times[k + 1] = (k + 1) * dt
+        votes[k + 1] = m
+        if promotion_time is None and m >= threshold:
+            promotion_time = float(times[k + 1])
+    return times, votes, promotion_time
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1, 0.3])
+@pytest.mark.parametrize(
+    "policy", [FixedThreshold(h=40), NetworkProportional(0.5)], ids=["fixed", "prop"]
+)
+@pytest.mark.parametrize("voters", [True, False], ids=["voters", "no_voters"])
+def test_integrator_bit_equal_to_reference_loop(dt, policy, voters):
+    network = {} if voters else {"sm_alpha": 0.0, "sm_beta": 0.0}
+    params = VoteModelParams(dt=dt, **network)
+    story = StoryConfig(0.5, 80)
+    traj = integrate_votes(story, params, policy, 2880.0)
+    times, votes, promotion_time = _reference_integrate(story, params, policy, 2880.0)
+    assert traj.promotion_time_Th is not None
+    assert traj.promotion_time_Th == promotion_time
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.votes_m.tobytes() == votes.tobytes()
+
+
+def test_overflowing_vote_count_raises():
+    params = VoteModelParams(visit_rate_N=1e307)
+    with pytest.raises(OverflowError):
+        integrate_votes(StoryConfig(0.5, 80), params, FixedThreshold(h=40), 60.0)
