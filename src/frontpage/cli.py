@@ -31,7 +31,6 @@ import copy
 import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -78,10 +77,8 @@ __all__ = [
     "InputError",
     "OutputError",
     "Scenario",
-    "TraceRecord",
     "ComparisonReport",
     "ingest_traces",
-    "group_trace",
     "compare_model_to_trace",
     "run_scenario",
     "main",
@@ -126,6 +123,10 @@ def load_config(path: Path) -> dict[str, dict[str, str]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config {path}: not UTF-8 text ({exc.reason})"
+        ) from None
     parser = configparser.ConfigParser(
         interpolation=None,
         inline_comment_prefixes=("#",),
@@ -249,49 +250,67 @@ def _suffix_for(overrides: dict[str, str]) -> str:
 
 # --- trace ingestion -------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observed point of a story's (or user's) time series."""
+def _read_rows(path: Path, header: list[str], cast) -> list:
+    """``cast(lineno, row)`` of each non-blank data row of a CSV file.
 
-    series_id: str
-    t: float
-    value: float
-
-
-def _read_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    The file must start with ``header``, and every row must have one
+    field per header column.  Rows stream from the file and are cast in
+    order until ``cast`` raises; a row of the wrong length anywhere in
+    the file is still reported ahead of that error.
+    """
+    cast_rows, cast_error, has_header, has_data = [], None, False, False
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # Universal newlines, as Path.read_text, so "\r\n" rows read alike.
+        with open(path, encoding="utf-8") as stream:
+            reader = csv.reader(stream)
+            for lineno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if not has_header:
+                    if [c.strip() for c in row] != header:
+                        raise InputError(
+                            f"{path}: line {lineno}: expected header "
+                            f"{','.join(header)!r}"
+                        )
+                    has_header = True
+                    continue
+                has_data = True
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                if cast_error is None:
+                    try:
+                        cast_rows.append(cast(lineno, row))
+                    except InputError as exc:
+                        cast_error = exc
     except OSError as exc:
         raise InputError(f"cannot read input {path}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [(lineno, row) for lineno, row in enumerate(rows, start=1) if row]
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    first_line, first = rows[0]
-    if [c.strip() for c in first] != header:
+    except UnicodeDecodeError as exc:
         raise InputError(
-            f"{path}: line {first_line}: expected header {','.join(header)!r}"
-        )
-    data = rows[1:]
-    if not data:
+            f"cannot read input {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not has_header:
+        raise InputError(f"{path}: empty file")
+    if not has_data:
         raise InputError(f"{path}: no data rows")
-    for lineno, row in data:
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
-    return data
+    if cast_error is not None:
+        raise cast_error
+    return cast_rows
 
 
-def ingest_traces(path: Path) -> list[TraceRecord]:
-    """Parse a ``id,t,value`` CSV trace; time per id must never decrease.
+def ingest_traces(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Parse a ``id,t,value`` CSV trace into ``{id: (t, value)}`` arrays.
 
-    Violations are reported with their line numbers.
+    Ids keep their first-appearance order, and time per id must never
+    decrease.  Violations are reported with their line numbers.
     """
-    records: list[TraceRecord] = []
-    last_t: dict[str, float] = {}
-    for lineno, row in _read_rows(path, _TRACE_HEADER):
+    columns: dict[str, tuple[list[float], list[float]]] = {}
+
+    def add(lineno: int, row: list[str]) -> None:
         series_id = row[0].strip()
         if not series_id:
             raise InputError(f"{path}: line {lineno}: empty id")
@@ -307,29 +326,21 @@ def ingest_traces(path: Path) -> list[TraceRecord]:
             raise InputError(f"{path}: line {lineno}: t must be finite and >= 0")
         if not math.isfinite(value):
             raise InputError(f"{path}: line {lineno}: value must be finite")
-        if series_id in last_t and t < last_t[series_id]:
+        series = columns.get(series_id)
+        if series is None:
+            series = columns[series_id] = ([], [])
+        elif t < series[0][-1]:
             raise InputError(
                 f"{path}: line {lineno}: time goes backwards for id "
-                f"{series_id!r} ({t} after {last_t[series_id]})"
+                f"{series_id!r} ({t} after {series[0][-1]})"
             )
-        last_t[series_id] = t
-        records.append(TraceRecord(series_id=series_id, t=t, value=value))
-    return records
+        series[0].append(t)
+        series[1].append(value)
 
-
-def group_trace(
-    records: list[TraceRecord],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Group records by id (first-appearance order) into (t, value) arrays."""
-    by_id: dict[str, list[TraceRecord]] = {}
-    for rec in records:
-        by_id.setdefault(rec.series_id, []).append(rec)
+    _read_rows(path, _TRACE_HEADER, add)
     return {
-        sid: (
-            np.array([r.t for r in recs]),
-            np.array([r.value for r in recs]),
-        )
-        for sid, recs in by_id.items()
+        sid: (np.array(times), np.array(values))
+        for sid, (times, values) in columns.items()
     }
 
 
@@ -484,7 +495,7 @@ def _run_model(scenario: Scenario, stem: str, plan):
     for overrides, params, compute in planned:
         try:
             fields, columns, trajectory = compute()
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             point = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"{point or 'config'}: {exc}") from None
         entry = {"overrides": overrides, "params": params, **fields}
@@ -589,10 +600,10 @@ def _record_table(name: str, records: list[dict]):
 def _per_id(scenario: Scenario, name: str, analyse, extra: dict):
     """Apply ``analyse(t, value)`` to each series of the input trace."""
     results = []
-    for sid, (t, v) in group_trace(ingest_traces(scenario.input_path)).items():
+    for sid, (t, v) in ingest_traces(scenario.input_path).items():
         try:
             results.append({"id": sid, **dataclasses.asdict(analyse(t, v))})
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise InputError(f"id {sid!r}: {exc}") from None
     return [_record_table(name, results)], results, extra
 
@@ -619,7 +630,10 @@ def _run_fit_log(scenario: Scenario):
 
 def _run_compare(scenario: Scenario):
     params, story, policy, run, doc = _story_records(scenario.config)
-    trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
+    try:
+        trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"config: {exc}") from None
     threshold = promotion_threshold_for(policy, story)
     return _per_id(
         scenario,
@@ -632,18 +646,20 @@ def _run_compare(scenario: Scenario):
 def _run_fit_success(scenario: Scenario):
     bins = int(scenario.options.get("bins", 10))
     min_submissions = int(scenario.options.get("min_submissions", 50))
-    triples = []
-    for lineno, row in _read_rows(scenario.input_path, _USERS_HEADER):
+
+    def cast(lineno: int, row: list[str]) -> tuple[float, float, float]:
         try:
-            triples.append((float(row[1]), float(row[2]), float(row[3])))
+            return float(row[1]), float(row[2]), float(row[3])
         except ValueError:
             raise InputError(
                 f"{scenario.input_path}: line {lineno}: numeric fields required"
             ) from None
+
+    triples = _read_rows(scenario.input_path, _USERS_HEADER, cast)
     try:
         binned = success_rate_series(triples, bins=bins, min_submissions=min_submissions)
         fit = fit_linear(binned.points)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise InputError(f"{scenario.input_path}: {exc}") from None
     rows = list(
         zip(binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts)
@@ -666,10 +682,9 @@ def _run_fit_success(scenario: Scenario):
 
 
 def _run_significance(scenario: Scenario):
-    results = []
-    for lineno, row in _read_rows(scenario.input_path, _OBS_HEADER):
+    def cast(lineno: int, row: list[str]) -> tuple[str, FriendVoteObservation]:
         try:
-            obs = FriendVoteObservation(
+            return row[0].strip(), FriendVoteObservation(
                 pool_N=int(row[1]),
                 sample_n=int(row[2]),
                 group_K=int(row[3]),
@@ -679,13 +694,15 @@ def _run_significance(scenario: Scenario):
             raise InputError(
                 f"{scenario.input_path}: line {lineno}: {exc}"
             ) from None
-        results.append(
-            {
-                "id": row[0].strip(),
-                "exact_k": chance_probability(obs, mode="exact"),
-                "tail_at_least_k": chance_probability(obs, mode="tail"),
-            }
-        )
+
+    results = [
+        {
+            "id": sid,
+            "exact_k": chance_probability(obs, mode="exact"),
+            "tail_at_least_k": chance_probability(obs, mode="tail"),
+        }
+        for sid, obs in _read_rows(scenario.input_path, _OBS_HEADER, cast)
+    ]
     extra = {
         f"mean_{key}": float(np.mean([r[key] for r in results]))
         for key in ("exact_k", "tail_at_least_k")
@@ -719,7 +736,10 @@ def run_scenario(scenario: Scenario) -> int:
     runner = _RUNNERS.get(scenario.kind)
     if runner is None:
         raise ConfigError(f"unknown scenario kind {scenario.kind!r}")
-    tables, results, extra = runner(scenario)
+    # A float overflow or NaN in a model or a fit raises FloatingPointError,
+    # which the runners report as bad config or input instead of writing it.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        tables, results, extra = runner(scenario)
     doc = {
         "command": scenario.kind.replace("-", " "),
         "format": scenario.output_format,

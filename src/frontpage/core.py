@@ -47,6 +47,13 @@ class ParameterError(ValueError):
     """
 
 
+# Longest rank-model run (about 19,000 years of weeks): bounds its time and memory.
+_MAX_WEEKS = 1_000_000
+# Largest voter sample of the chance-probability test: its binomial tail
+# then sums at most ~4e5 terms (under a second), where 10^30 would never end.
+_MAX_SAMPLE_N = 100_000_000
+
+
 def _raise_if(violations: list[str]) -> None:
     if violations:
         raise ParameterError("; ".join(violations))
@@ -321,6 +328,8 @@ class FriendVoteObservation:
                 f"sample_n must be in [0, pool_N], got {self.sample_n} "
                 f"with pool_N={self.pool_N}"
             )
+        elif self.sample_n > _MAX_SAMPLE_N:
+            bad.append(f"sample_n must be at most {_MAX_SAMPLE_N}, got {self.sample_n}")
         if not 0 <= self.group_K <= self.pool_N:
             bad.append(
                 f"group_K must be in [0, pool_N], got {self.group_K} "
@@ -352,6 +361,8 @@ class RunOptions:
             bad.append(f"horizon_minutes must be > 0, got {self.horizon_minutes}")
         if not _is_integral(self.weeks) or self.weeks < 1:
             bad.append(f"weeks must be >= 1, got {self.weeks}")
+        elif self.weeks > _MAX_WEEKS:
+            bad.append(f"weeks must be at most {_MAX_WEEKS}, got {self.weeks}")
         if not (_finite(self.rank_kappa) and self.rank_kappa > 0):
             bad.append(f"rank_kappa must be > 0, got {self.rank_kappa}")
         if self.M_schedule is not None and len(self.M_schedule) != self.weeks:

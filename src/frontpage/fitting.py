@@ -147,19 +147,54 @@ def chance_probability(obs: FriendVoteObservation, mode: str = "exact") -> float
     returns the probability of exactly the observed overlap; "tail"
     returns the probability of at least that many.  The two answer
     different questions, so both are exposed and the CLI reports both.
+
+    The tail is the ``math.fsum`` of ``binomial_pmf(j, n, p)`` over
+    ``j >= k``, bit for bit, but it adds only the terms that are nonzero
+    in double precision, so it costs the width of the binomial's bulk, not n.
     """
     if mode not in CHANCE_MODES:
         raise ValueError(f"mode must be one of {CHANCE_MODES}, got {mode!r}")
     p = obs.group_K / obs.pool_N
+    k, n = obs.overlap_k, obs.sample_n
     if mode == "exact":
-        return binomial_pmf(obs.overlap_k, obs.sample_n, p)
-    if obs.overlap_k == 0:
+        return binomial_pmf(k, n, p)
+    if k == 0 or p == 1.0:
         return 1.0
-    tail = math.fsum(
-        binomial_pmf(j, obs.sample_n, p)
-        for j in range(obs.overlap_k, obs.sample_n + 1)
-    )
-    return min(1.0, tail)
+    if p == 0.0:  # group_K / pool_N underflowed; binomial_pmf's terms are 0
+        return 0.0
+    # Each term is binomial_pmf's expression in its operation order, so the
+    # terms are bit-equal to it.
+    lgamma_n, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+
+    def term(j: int) -> float:
+        return math.exp(
+            lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * log_p + (n - j) * log_q
+        )
+
+    # The pmf is log-concave: it rises up to its mode and falls after it.
+    # So the terms that underflow to exactly 0.0 form one run below the
+    # mode and one above it, and adding zeros does not change fsum.  Below
+    # the mode, bisect for the first nonzero term; past it, stop at the
+    # first zero.
+    mode = min(n, math.floor((n + 1) * p))
+    start = k
+    if k < mode and term(k) == 0.0:
+        zero, nonzero = k, mode
+        while nonzero - zero > 1:
+            mid = (zero + nonzero) // 2
+            if term(mid) == 0.0:
+                zero = mid
+            else:
+                nonzero = mid
+        start = nonzero
+    terms = []
+    for j in range(start, n + 1):
+        t = term(j)
+        if t == 0.0 and j >= mode:
+            break
+        terms.append(t)
+    return min(1.0, math.fsum(terms))
 
 
 @dataclass(frozen=True)

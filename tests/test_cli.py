@@ -10,7 +10,6 @@ from frontpage.cli import (
     InputError,
     compare_model_to_trace,
     expand_sweeps,
-    group_trace,
     ingest_traces,
     load_config,
     main,
@@ -136,6 +135,24 @@ class TestSimulateRank:
         assert lines[-1].startswith("3.0,0.0,50.0,")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"][0]["final_rank_proxy"] is None
+
+    def test_weeks_past_the_cap_is_config_error(self, tmp_path, capsys):
+        ini = write_ini(
+            tmp_path / "rank.ini",
+            {
+                "user": {
+                    "front_page_F": "5.0",
+                    "network_S": "100.0",
+                    "submission_rate_M": "10.0",
+                },
+                "run": {"weeks": "1000000000000000"},
+            },
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", "rank", "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        assert "weeks must be at most 1000000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_active_user_with_kappa(self, tmp_path):
         ini = write_ini(
@@ -388,16 +405,59 @@ class TestExitCodes:
         assert "vote count is inf" in err
         assert not out.exists()
 
+    def test_compare_with_overflowing_votes_is_config_error(
+        self, votes_ini, tmp_path, capsys
+    ):
+        ini = votes_ini.read_text().replace("[vote]", "[vote]\nvisit_rate_N = 1e307")
+        votes_ini.write_text(ini)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("id,t,value\na,0,1\na,60,5\n")
+        out = tmp_path / "o"
+        argv = ["compare", str(trace), "--config", str(votes_ini), "--out", str(out)]
+        assert main(argv) == 2
+        assert "vote count is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,header,rows",
+        [
+            ("fit linear", "id,t,value", ["a,1,1e300", "a,2,3", "a,3,1e308"]),
+            ("fit log", "id,t,value", ["a,1,1e300", "a,2,3", "a,3,1e308"]),
+            ("compare", "id,t,value", ["a,1,1e300", "a,2,3"]),
+            ("compare", "id,t,value", ["a,1,2", "a,3,5e-324"]),  # model/trace ratio
+            (
+                "fit success",
+                "id,submissions,front_page_F,network_S",
+                ["u,100,1,1e308", "v,100,2,0", "w,100,3,1.7e308"],
+            ),
+        ],
+    )
+    def test_float_overflow_in_a_fit_is_input_error(
+        self, command, header, rows, votes_ini, tmp_path, capsys
+    ):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "o"
+        argv = [*command.split(), str(data), "--out", str(out)]
+        if command == "compare":
+            argv += ["--config", str(votes_ini)]
+        if command == "fit success":
+            argv += ["--min-submissions", "1"]
+        assert main(argv) == 3
+        assert "overflow encountered" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraceIngestion:
     def test_well_formed_trace(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("id,t,value\na,0,1.0\na,5,2.0\nb,0,1.5\n")
-        records = ingest_traces(path)
-        assert len(records) == 3
-        grouped = group_trace(records)
-        assert set(grouped) == {"a", "b"}
+        path.write_text("id,t,value\nb,0,1.5\na,0,1.0\n\nb,2,1.5\na,5,2.0\n")
+        grouped = ingest_traces(path)
+        assert list(grouped) == ["b", "a"]  # first-appearance order
         np.testing.assert_array_equal(grouped["a"][0], [0.0, 5.0])
+        np.testing.assert_array_equal(grouped["a"][1], [1.0, 2.0])
+        np.testing.assert_array_equal(grouped["b"][0], [0.0, 2.0])
+        np.testing.assert_array_equal(grouped["b"][1], [1.5, 1.5])
 
     def test_backwards_time_names_the_line(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -430,6 +490,27 @@ class TestTraceIngestion:
         path.write_text("id,t,value\na,soon,1.0\n")
         with pytest.raises(InputError, match="line 2"):
             ingest_traces(path)
+
+    def test_wrong_field_count_is_reported_before_a_bad_value(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("id,t,value\na,soon,1.0\na,1,2.0\na,2\n")
+        with pytest.raises(InputError, match="line 4: expected 3 fields"):
+            ingest_traces(path)
+
+    def test_oversized_field_names_the_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("id,t,value\na,1,2\na,2," + "9" * 200_000 + "\n")
+        with pytest.raises(InputError, match="line 3: field larger than field limit"):
+            ingest_traces(path)
+
+    def test_non_utf8_input_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,t,value\na,1,\xff\n")
+        code = main(["fit", "linear", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bad.csv: not UTF-8 text" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCompare:
@@ -601,3 +682,13 @@ def test_load_config_comments_and_errors(tmp_path):
     path.write_text("[vote]\nc = 0.3\nnot a pair\n")
     with pytest.raises(ConfigError, match=r"line\s+3"):
         load_config(path)
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[run]\nweeks = 3  # \xff\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "rank", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ini: not UTF-8 text" in err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,57 @@ class TestChanceProbability:
         assert chance_probability(obs, mode="tail") == pytest.approx(
             brute, rel=1e-12
         )
+
+    # pool_N for the exact-tail grid: group_K = p * pool_N reaches p = 1 - 1e-9.
+    _POOL = 2_000_000_000
+
+    def test_tail_equals_the_full_sum_bit_for_bit(self, rng):
+        """The tail skips only terms that are 0.0, so it is the full fsum."""
+        ps = [1e-5, 1e-3, 0.03, 0.5, 0.97, 1 - 1e-6, 1 - 1e-9]
+        ps += list(10 ** rng.uniform(-5, -0.01, 3))
+        checked = 0
+        for n in (1, 7, 60, 500, 4_000, 20_000):
+            for p_target in ps:
+                group = round(p_target * self._POOL)
+                p = group / self._POOL
+                terms = [binomial_pmf(j, n, p) for j in range(n + 1)]
+                mode = math.floor((n + 1) * p)
+                spread = math.ceil(math.sqrt(n * p * (1 - p)))
+                ks = {1, mode // 2, mode - 1, mode, mode + 1, mode + 40 * spread, n}
+                ks |= set(int(k) for k in rng.integers(1, n + 1, 3))
+                for k in sorted(k for k in ks if 1 <= k <= min(n, group)):
+                    obs = FriendVoteObservation(self._POOL, n, group, k)
+                    want = min(1.0, math.fsum(terms[k:]))
+                    assert chance_probability(obs, mode="tail") == want, (n, p, k)
+                    checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize(
+        "n,group,k",
+        [
+            (20_000, 1_000_000_000, 1),      # p = 0.5: terms below 7,297 underflow
+            (20_000, 1_000_000_000, 7_296),  # the last term that underflows
+            (20_000, 2_000_000, 373),        # p = 1e-3: every term from 373 on does
+        ],
+    )
+    def test_tail_where_the_first_term_underflows(self, n, group, k):
+        p = group / self._POOL
+        assert binomial_pmf(k, n, p) == 0.0
+        obs = FriendVoteObservation(self._POOL, n, group, k)
+        want = min(1.0, math.fsum(binomial_pmf(j, n, p) for j in range(k, n + 1)))
+        assert chance_probability(obs, mode="tail") == want
+
+    def test_tail_of_ten_million_trials_is_fast(self):
+        obs = FriendVoteObservation(
+            pool_N=100_000_000, sample_n=10_000_000, group_K=90_000_000, overlap_k=1
+        )
+        start = time.perf_counter()
+        tail = chance_probability(obs, mode="tail")
+        elapsed = time.perf_counter() - start
+        assert tail == pytest.approx(1.0, rel=1e-9)
+        # The first ~8.96e6 terms underflow: walking them, let alone summing
+        # all 10^7 terms, takes several seconds; the bulk is ~7e4 terms.
+        assert elapsed < 2.0
 
     def test_unknown_mode(self):
         obs = FriendVoteObservation(pool_N=100, sample_n=10, group_K=30, overlap_k=2)

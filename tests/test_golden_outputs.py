@@ -3,7 +3,9 @@
 Each case runs one command in csv and in json and compares the sha256 of
 every file it writes against a recorded digest.  Only deterministic
 outputs are covered: Poisson-mode ensembles draw their counts through
-``np.exp``, whose last bit may differ from one CPU to another.
+``np.exp``, whose last bit may differ from one CPU to another.  The
+analysis commands read small CSVs generated here from ``random.random``,
+whose stream Python keeps stable for a given seed.
 
 To re-record after an intended output change, run this module as a
 script (``PYTHONPATH=src python tests/test_golden_outputs.py``) and
@@ -11,6 +13,8 @@ paste the printed table over ``GOLDEN``.
 """
 
 import hashlib
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _BASELINE = (CONFIGS / "votes_baseline.ini").read_text()
 
-# name -> (argv before --config, config file or text, extra argv)
+# name -> (argv before the options, config file or text or None, extra argv).
+# "{trace}", "{users}" and "{observations}" name the generated input CSVs.
 CASES = {
     "votes_baseline": (["simulate", "votes"], "votes_baseline.ini", []),
     "votes_network_sweep": (
@@ -44,7 +49,68 @@ CASES = {
     "votes_dt_0.5": (
         ["simulate", "votes"], _BASELINE.replace("[vote]\n", "[vote]\ndt = 0.5\n"), []
     ),
+    "fit_linear": (["fit", "linear", "{trace}"], None, []),
+    "fit_linear_through_origin": (
+        ["fit", "linear", "{trace}"], None, ["--through-origin"]
+    ),
+    "fit_log": (["fit", "log", "{trace}"], None, ["--log-base", "10"]),
+    "compare": (["compare", "{trace}"], "votes_baseline.ini", []),
+    "fit_success": (
+        ["fit", "success", "{users}"], None, ["--bins", "7", "--min-submissions", "20"]
+    ),
+    "significance": (["significance", "{observations}"], None, []),
 }
+
+
+def _write_inputs(work: Path) -> dict[str, str]:
+    """Write the analysis input CSVs into ``work``; return their paths.
+
+    20 trace ids follow a log law or a line with noise, 150 users have
+    success rates rising with network size, and 40 friend-vote
+    observations include a large sample and overlaps far below and far
+    above the binomial mode, where the first tail terms underflow.
+    """
+    rng = random.Random(20070501)
+    u = rng.random
+    trace = ["id,t,value"]
+    for i in range(20):
+        t = 1.0
+        a, b, log_law = 5 + 25 * u(), 1 + 19 * u(), u() < 0.5
+        for _ in range(15 + int(16 * u())):
+            t += 100 * u()
+            value = a * (math.log(t) if log_law else 0.02 * t) + b + u() - 0.5
+            trace.append(f"s{i:02d},{t!r},{value!r}")
+    users = ["id,submissions,front_page_F,network_S"]
+    for i in range(150):
+        subs, net = 1 + int(399 * u()), int(1000 * u())
+        promoted = int(subs * min(1.0, (0.01 + 0.0004 * net) * 2 * u()))
+        users.append(f"u{i:03d},{subs},{promoted},{net}")
+    obs = []
+    for _ in range(34):
+        n, pool = 20 + int(5000 * u()), 20_000 + int(30_000 * u())
+        group = int(pool * (0.01 + 0.19 * u()))
+        mean = n * group / pool
+        k = round(mean + (2 * u() - 0.5) * math.sqrt(mean))
+        obs.append((pool, n, group, min(max(k, 0), n, group)))
+    obs += [
+        (10_000_000, 200_000, 100_000, 2_100),  # large n, k just past the mode
+        (10_000_000, 200_000, 100_000, 1),      # large n, k far below the mode
+        (40_000, 5_000, 8_000, 1),              # first terms underflow below
+        (40_000, 5_000, 400, 400),              # tiny tail, far above the mode
+        (40_000, 5_000, 2_000, 1_500),          # every tail term underflows
+        (40_000, 5_000, 40_000, 5_000),         # p = 1
+    ]
+    observations = ["id,pool_N,sample_n,group_K,overlap_k"] + [
+        f"o{i:02d},{pool},{n},{group},{k}" for i, (pool, n, group, k) in enumerate(obs)
+    ]
+    paths = {}
+    for name, lines in (
+        ("trace", trace), ("users", users), ("observations", observations)
+    ):
+        paths[name] = str(work / f"{name}.csv")
+        Path(paths[name]).write_text("\n".join(lines) + "\n")
+    return paths
+
 
 GOLDEN = {
     "votes_baseline-csv": {
@@ -123,19 +189,82 @@ GOLDEN = {
         "summary.json":
             "77ba70b6541a8d9abd52ba724cec746a281a90b97e5a3228f726f161cf424bc6",
     },
+    "fit_linear-csv": {
+        "fits.csv":
+            "21767aee9afbda25aefacc43333c04bda5cc31068fd898b8ad3318e4cd7253ba",
+        "summary.json":
+            "c6a28f978c82fdd0b9122aeaec2c51e3f444b099950562939d8792ac2e156b57",
+    },
+    "fit_linear-json": {
+        "summary.json":
+            "3cd29cf9c40a23618f96071ad7d802cb30f7b94f1590e45c654c07663b8a220e",
+    },
+    "fit_linear_through_origin-csv": {
+        "fits.csv":
+            "d6de6f552a3c85e04c35469ba7156bc44de5f29d19bd8988cc47bf3ee6cfebe6",
+        "summary.json":
+            "0fc6050321494c51d095784536c1dbbed8a0df9a0d1c10fcbc1d54c196756fbd",
+    },
+    "fit_linear_through_origin-json": {
+        "summary.json":
+            "e1cd0e0ddc97e5e1dea94fca40bd921f88f0a7266d3f7282e4f031b347c42b88",
+    },
+    "fit_log-csv": {
+        "fits.csv":
+            "973ed6a9fd2cd15fc453b656d9967c521b2085fd59ff233acedc4804152dba1a",
+        "summary.json":
+            "36deb2c37de37b9a261cf783e8a924b00430278e6606974ec4262021fb9e5108",
+    },
+    "fit_log-json": {
+        "summary.json":
+            "c3aae1f4b063ba60c63276e7fcee587b70d93bfe7df6919cee3f7fcc41607b13",
+    },
+    "compare-csv": {
+        "compare.csv":
+            "de51d1d3c93c14d19c7d2e34339861f72f2a433f2b0f5ceafcccb65c64fc3ae0",
+        "summary.json":
+            "da0df039317b5720dbdf5b7e27e5a1c289004055eafd26b3e43cddf7b41170ee",
+    },
+    "compare-json": {
+        "summary.json":
+            "e751d7c55f1a0a8f43d339a50680a6dd3a62b73eef109e99b785330a97c8a1cf",
+    },
+    "fit_success-csv": {
+        "success_bins.csv":
+            "45d07b5c1aa6d7d9ef46cd1b990dc308e494089ce517291bd6a3d99ba37c97b6",
+        "summary.json":
+            "b67c4d7eec29d2eb464efdbb3f874026fa2b3b3ea51f6b275e8f0649a521e49e",
+    },
+    "fit_success-json": {
+        "summary.json":
+            "9f4b2cabf8e19876437a75d29ed9f5171eae7498fcb7bfe608b8081593c1dffd",
+    },
+    "significance-csv": {
+        "significance.csv":
+            "08336f63f05e1a60eedfa827b228ce760ac5af8288b16a492a4e393f8a8bfa44",
+        "summary.json":
+            "2d9afc6e8dd499695530422358cd9023ce50145210303884ed223cd68e94c7fb",
+    },
+    "significance-json": {
+        "summary.json":
+            "9c376240d6d054e2c78502794e17edef3e73b12b1c4aed8cbcf857e101279776",
+    },
 }
 
 
 def _digests(name: str, fmt: str, work: Path) -> dict[str, str]:
     command, config, extra = CASES[name]
-    if config.endswith(".ini"):
-        path = CONFIGS / config
-    else:
-        path = work / "config.ini"
-        path.write_text(config)
+    inputs = _write_inputs(work)
+    argv = [arg.format(**inputs) for arg in command]
+    if config is not None:
+        if config.endswith(".ini"):
+            path = CONFIGS / config
+        else:
+            path = work / "config.ini"
+            path.write_text(config)
+        argv += ["--config", str(path)]
     out = work / "out"
-    assert main([*command, "--config", str(path), "--format", fmt, *extra,
-                 "--out", str(out)]) == 0
+    assert main([*argv, "--format", fmt, *extra, "--out", str(out)]) == 0
     return {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(out.iterdir())
