@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -417,49 +418,136 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _is_float_vector(value) -> bool:
+    """A 1-d float ndarray whose ``tolist()`` gives Python floats."""
+    return (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and value.dtype.kind == "f"
+        and value.dtype.itemsize <= 8
+    )
 
 
-def _jsonify(value):
-    """Convert to plain JSON types; non-finite floats become null."""
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+def _cells(column) -> list[str]:
+    """``_fmt`` of every cell of a column, typed arrays without the per-cell
+    dispatch: floats as ``repr`` (NaN as ""), integers as ``str``."""
+    if _is_float_vector(column):
+        cells = list(map(float.__repr__, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = ""
+        return cells
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(int.__repr__, column.tolist()))
+    return [_fmt(cell) for cell in column]
 
 
-def _json_text(doc) -> str:
-    return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
+def _write_csv(stream, header: str, columns) -> None:
+    """Write a table given by columns; rows stop at the shortest column."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    stream.write("\n".join(itertools.chain([header], rows)) + "\n")
 
 
-def _write_outputs(out_dir: Path, outputs: list[tuple[str, str]]) -> None:
-    """Write fully rendered outputs, each atomically (write then rename)."""
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _write_json(stream, value, pad: str = "\n") -> None:
+    """Write what ``json.dumps(value, sort_keys=True, indent=2)`` gives for
+    the plain-JSON copy of ``value``: dict keys become ``str(k)`` (a later
+    key wins a collision), tuples and ndarrays become lists, numpy scalars
+    Python numbers, and non-finite floats ``null``.  ``pad`` is the newline
+    and indent of the current depth.  TypeError for any other type.
+    """
+    write = stream.write
+    if value is None:
+        write("null")
+    elif isinstance(value, str):
+        write(_json_string(value))
+    elif isinstance(value, bool):
+        write("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        write(int.__repr__(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        write(_json_float(float(value)))
+    elif isinstance(value, np.ndarray):
+        if not (_is_float_vector(value) and value.size):
+            # list() raises TypeError on a 0-d array of a number
+            _write_json(stream, list(value.tolist()), pad)
+            return
+        inner = pad + "  "
+        text = map(
+            float.__repr__ if np.isfinite(value).all() else _json_float,
+            value.tolist(),
+        )
+        write("[" + inner + ("," + inner).join(text) + pad + "]")
+    elif isinstance(value, dict):
+        items = {str(k): v for k, v in value.items()}
+        if not items:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            write(sep + _json_string(key) + ": ")
+            _write_json(stream, items[key], inner)
+            sep = "," + inner
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(stream, item, inner)
+            sep = "," + inner
+        write(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _write_summary(stream, doc: dict) -> None:
+    _write_json(stream, doc)
+    stream.write("\n")
+
+
+def _write_outputs(out_dir: Path, outputs) -> None:
+    """Write ``(name, render)`` outputs: each ``render(stream)`` writes its
+    ``name.tmp``, and once all are written each is renamed into place.
+
+    Any failure, in rendering too, removes every ``.tmp`` not yet renamed.
+    """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create output directory {out_dir}: {exc}") from None
-    for name, text in outputs:
-        target = out_dir / name
-        tmp = out_dir / (name + ".tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, target)
-        except OSError as exc:
-            raise OutputError(f"cannot write {target}: {exc}") from None
+    pending = []  # (tmp, target) written but not yet renamed
+    try:
+        for name, render in outputs:
+            target = out_dir / name
+            tmp = out_dir / (name + ".tmp")
+            try:
+                with open(tmp, "w", encoding="utf-8") as stream:
+                    pending.append((tmp, target))
+                    render(stream)
+            except OSError as exc:
+                raise OutputError(f"cannot write {target}: {exc}") from None
+        while pending:
+            tmp, target = pending[0]
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise OutputError(f"cannot write {target}: {exc}") from None
+            pending.pop(0)
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 # --- scenario orchestration ------------------------------------------------
@@ -501,7 +589,7 @@ def _run_model(scenario: Scenario, stem: str, plan):
         entry = {"overrides": overrides, "params": params, **fields}
         if scenario.output_format == "csv":
             entry["file"] = f"{stem}{_suffix_for(overrides)}.csv"
-            tables.append((entry["file"], ",".join(columns), zip(*columns.values())))
+            tables.append((entry["file"], ",".join(columns), list(columns.values())))
         else:
             entry["file"] = None
             entry["trajectory"] = trajectory
@@ -594,7 +682,7 @@ def _plan_ensemble(cfg, scenario: Scenario):
 
 def _record_table(name: str, records: list[dict]):
     """A CSV table with one row per record; the header is the record keys."""
-    return name, ",".join(records[0]), [r.values() for r in records]
+    return name, ",".join(records[0]), list(zip(*(r.values() for r in records)))
 
 
 def _per_id(scenario: Scenario, name: str, analyse, extra: dict):
@@ -661,21 +749,19 @@ def _run_fit_success(scenario: Scenario):
         fit = fit_linear(binned.points)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(f"{scenario.input_path}: {exc}") from None
-    rows = list(
-        zip(binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts)
-    )
+    columns = [binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts]
     results = [
         {
             "bins": [
                 {"center_S": c, "mean_success": m, "stderr": e, "count": n}
-                for c, m, e, n in rows
+                for c, m, e, n in zip(*columns)
             ],
             "fit": dataclasses.asdict(fit),
             "n_users_kept": binned.n_users_kept,
             "n_users_total": binned.n_users_total,
         }
     ]
-    table = ("success_bins.csv", "bin_center_S,mean_success,stderr,count", rows)
+    table = ("success_bins.csv", "bin_center_S,mean_success,stderr,count", columns)
     return [table], results, {
         "options": {"bins": bins, "min_submissions": min_submissions}
     }
@@ -711,7 +797,7 @@ def _run_significance(scenario: Scenario):
 
 
 # Each runner returns (tables, results, extra): the CSV tables as
-# (file name, header, rows), the ``results`` list of ``summary.json`` and
+# (file name, header, columns), the ``results`` list of ``summary.json`` and
 # any further top-level keys of it.
 _RUNNERS = {
     "simulate-votes": functools.partial(_run_model, stem="votes", plan=_plan_votes),
@@ -728,10 +814,11 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario) -> int:
-    """Execute a scenario: build every output in memory, then write.
+    """Execute a scenario: compute every result, then write the outputs.
 
-    Building first means a failure part-way leaves the output directory
-    untouched; each file is then written via write-then-rename.
+    Every output is streamed to its ``.tmp`` file and only then are all
+    renamed into place, so a failure while computing or rendering leaves
+    the output directory untouched.
     """
     runner = _RUNNERS.get(scenario.kind)
     if runner is None:
@@ -751,8 +838,11 @@ def run_scenario(scenario: Scenario) -> int:
         doc["input"] = Path(scenario.input_path).name
     outputs = []
     if scenario.output_format == "csv":
-        outputs = [(name, _csv_text(header, rows)) for name, header, rows in tables]
-    outputs.append(("summary.json", _json_text(doc)))
+        outputs = [
+            (name, functools.partial(_write_csv, header=header, columns=columns))
+            for name, header, columns in tables
+        ]
+    outputs.append(("summary.json", functools.partial(_write_summary, doc=doc)))
     _write_outputs(scenario.out_dir, outputs)
     return EXIT_OK
 

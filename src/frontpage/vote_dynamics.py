@@ -17,6 +17,8 @@ ensemble in :mod:`frontpage.stochastic_sim`.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,16 +154,22 @@ class RateKernel:
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
         t = [(k + 0.5) * params.dt for k in range(n_steps)]
+        self._midpoints, self._params = t, params
         self.submitter = np.array([_submitter_rate(x, story, params) for x in t])
         self.unpromoted = np.array([_queue_rate(x, params) for x in t]) + self.submitter
-        # t is the age since promotion here: promotions happen at step ends.
-        self.front = np.array([_front_rate(x, params) for x in t])
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
-        in_friends = sum(x <= params.friends_window for x in t)
+        # the midpoints increase, so this counts those inside the window
+        in_friends = bisect.bisect_right(t, params.friends_window)
         self.voter_steps = in_friends if has_voters else 0
         self.alpha = params.sm_alpha
         self.beta = params.sm_beta
         self.log_base = math.log(params.sm_log_base)
+
+    @functools.cached_property
+    def front(self) -> np.ndarray:
+        """Built on first use: only the Monte Carlo path reads it."""
+        # t is the age since promotion here: promotions happen at step ends.
+        return np.array([_front_rate(x, self._params) for x in self._midpoints])
 
     def __call__(self, k: int, m: np.ndarray, promo_step: np.ndarray) -> np.ndarray:
         rate = np.full(m.shape, self.unpromoted[k])

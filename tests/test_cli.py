@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from frontpage import FixedThreshold, StoryConfig, VoteModelParams
+from frontpage import FixedThreshold, StoryConfig, VoteModelParams, cli
 from frontpage.cli import (
     ComparisonReport,
     ConfigError,
@@ -293,6 +293,37 @@ class TestExitCodes:
             ["simulate", "votes", "--config", str(votes_ini), "--out", str(blocker)]
         )
         assert code == 4
+
+    def test_failed_write_leaves_no_tmp_files(self, votes_ini, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        code = main(
+            ["simulate", "votes", "--config", str(votes_ini), "--out", str(out)]
+        )
+        assert code == 4
+        assert f"cannot write {out / 'summary.json'}" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp"))
+
+    def test_render_error_leaves_outputs_unchanged(
+        self, votes_ini, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        argv = ["simulate", "votes", "--config", str(votes_ini), "--out", str(out)]
+        assert main(argv) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+        def render_then_fail(stream, doc):
+            stream.write("{\n")
+            raise RuntimeError("render failed")
+
+        # votes.csv renders in full before summary.json fails part-way
+        monkeypatch.setattr(cli, "_write_json", render_then_fail)
+        other = write_ini(
+            tmp_path / "other.ini", {"story": {"interestingness_r": "0.9"}}
+        )
+        with pytest.raises(RuntimeError, match="render failed"):
+            main(["simulate", "votes", "--config", str(other), "--out", str(out)])
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_bad_usage_exits_two(self, tmp_path):
         users = str(tmp_path / "users.csv")

@@ -24,9 +24,15 @@ from frontpage.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _BASELINE = (CONFIGS / "votes_baseline.ini").read_text()
+_RANK = (CONFIGS / "rank_active_user.ini").read_text()
+
+# A trace file name that JSON must escape: "input" in summary.json is
+# written as ``\u`` escapes, a surrogate pair for the astral character.
+_UNICODE_TRACE = "tr\u00e2ce-\u03a9-\U0001f4c8.csv"
 
 # name -> (argv before the options, config file or text or None, extra argv).
-# "{trace}", "{users}" and "{observations}" name the generated input CSVs.
+# "{trace}", "{users}" and "{observations}" name the generated input CSVs,
+# "{trace_unicode}" the trace again under a non-ASCII name.
 CASES = {
     "votes_baseline": (["simulate", "votes"], "votes_baseline.ini", []),
     "votes_network_sweep": (
@@ -38,6 +44,12 @@ CASES = {
         ],
     ),
     "rank_active_user": (["simulate", "rank"], "rank_active_user.ini", []),
+    # F = 0 at week 0: an empty rank_proxy cell in csv, null in json
+    "rank_unranked": (
+        ["simulate", "rank"],
+        _RANK.replace("front_page_F = 5\n", "front_page_F = 0\n"),
+        [],
+    ),
     "ensemble_mean_one_run": (
         ["ensemble"],
         _BASELINE + "\n[ensemble]\nruns = 1\nseed = 3\narrival_mode = mean\n",
@@ -54,6 +66,7 @@ CASES = {
         ["fit", "linear", "{trace}"], None, ["--through-origin"]
     ),
     "fit_log": (["fit", "log", "{trace}"], None, ["--log-base", "10"]),
+    "fit_linear_unicode_name": (["fit", "linear", "{trace_unicode}"], None, []),
     "compare": (["compare", "{trace}"], "votes_baseline.ini", []),
     "fit_success": (
         ["fit", "success", "{users}"], None, ["--bins", "7", "--min-submissions", "20"]
@@ -109,6 +122,8 @@ def _write_inputs(work: Path) -> dict[str, str]:
     ):
         paths[name] = str(work / f"{name}.csv")
         Path(paths[name]).write_text("\n".join(lines) + "\n")
+    paths["trace_unicode"] = str(work / _UNICODE_TRACE)
+    Path(paths["trace_unicode"]).write_text("\n".join(trace) + "\n")
     return paths
 
 
@@ -158,6 +173,16 @@ GOLDEN = {
     "rank_active_user-json": {
         "summary.json":
             "bb02adf1b71273bae8949848192d559fc2f4b8c7a100f08dfcd3ad949413f715",
+    },
+    "rank_unranked-csv": {
+        "rank.csv":
+            "fc9c2ed64772f0c77d60c32539f752b43e5436e6ec8920a90eb223351f6bd889",
+        "summary.json":
+            "5ab69f58a7f473ed46f0ee9a7bb00611480f73a91aee4aad3f8475fcca6d122b",
+    },
+    "rank_unranked-json": {
+        "summary.json":
+            "d73f2bb7ba5f15c1d00a750894bb87a810630a2cf2e0f9a5791b5e93e32de4f1",
     },
     "ensemble_mean_one_run-csv": {
         "ensemble_mean.csv":
@@ -218,6 +243,16 @@ GOLDEN = {
     "fit_log-json": {
         "summary.json":
             "c3aae1f4b063ba60c63276e7fcee587b70d93bfe7df6919cee3f7fcc41607b13",
+    },
+    "fit_linear_unicode_name-csv": {
+        "fits.csv":
+            "21767aee9afbda25aefacc43333c04bda5cc31068fd898b8ad3318e4cd7253ba",
+        "summary.json":
+            "3f7de80880bbbc275a7faab739cb674f4f9e8fc76d924a4ad5559524df19272d",
+    },
+    "fit_linear_unicode_name-json": {
+        "summary.json":
+            "8cadb28dfec9905242c18cd791c078451b1a8fdaa45f0f5b995f016f0c8e3aa6",
     },
     "compare-csv": {
         "compare.csv":

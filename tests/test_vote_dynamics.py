@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,30 @@ def test_kernel_tables_equal_visibility_exactly(params, horizon):
         # promoted at t = 0, so the age since promotion is t itself
         assert kernel.front[k] == visibility(t, 7.0, story, 0.0, params).v_front
     assert kernel.voter_steps == 0
+
+
+@pytest.mark.parametrize(
+    "dt, horizon, upcoming_window, friends_window",
+    [
+        (1.0, 2880.0, 1440.0, 2880.0),  # defaults: every midpoint inside
+        (1.0, 2880.0, 1000.0, 1000.5),  # exactly on the midpoint of step 1000
+        (0.3, 900.0, 20.0, (100 + 0.5) * 0.3),  # on an inexact midpoint
+        (0.3, 900.0, 100.0, 700.0),  # between two midpoints
+        (1.0, 600.0, 1440.0, 2880.0),  # window past the horizon
+    ],
+)
+def test_voter_steps_count_the_midpoints_inside_the_window(
+    dt, horizon, upcoming_window, friends_window
+):
+    params = VoteModelParams(
+        dt=dt, upcoming_window=upcoming_window, friends_window=friends_window
+    )
+    n_steps = step_count(horizon, dt)
+    kernel = RateKernel(StoryConfig(0.5, 80), params, n_steps)
+    midpoints = [(k + 0.5) * dt for k in range(n_steps)]
+    assert kernel.voter_steps == sum(x <= friends_window for x in midpoints)
+    no_voters = dataclasses.replace(params, sm_alpha=0.0, sm_beta=0.0)
+    assert RateKernel(StoryConfig(0.5, 80), no_voters, n_steps).voter_steps == 0
 
 
 def _reference_integrate(story, params, policy, horizon):
