@@ -409,6 +409,9 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
+        # RFC 4180 minimal quoting: only a cell that needs it is quoted
+        if "," in value or '"' in value or "\r" in value or "\n" in value:
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))

@@ -14,10 +14,14 @@ All runs of an ensemble step together on the
 :class:`~frontpage.vote_dynamics.RateKernel` that the mean-field
 integrator also reads: its time-only tables (upcoming queue, submitter's
 friends, front-page decay by age since promotion) are built once per
-config, and per step only the voter-network term is evaluated on the
-vector of vote counts.  The summary's mean and spread are taken across
-runs at each step, so memory is O(horizon + runs) plus a bounded buffer of
-uniforms.
+config.  The runs advance through segments of steps.  While the
+voter-network term reads the vote counts, a step is drawn on its own;
+once no rate depends on them (the friends window has closed, or every
+run has promoted), the rest of a segment is one block of draws, a
+fixed-tau leap over many steps at once.  The summary's mean and spread
+are taken across runs once per segment, over its ``steps x runs`` block,
+so memory is O(horizon + runs) plus a bounded buffer of uniforms and one
+block of at most ``_SEGMENT_RUN_STEPS`` run-steps.
 
 Reproducibility contract: run ``i`` of an ensemble draws from a generator
 seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))``, one uniform
@@ -73,6 +77,10 @@ _INVERSION_MAX_MEAN = 30.0
 # Steps of uniforms drawn per run at a time: the buffer holds at most
 # this many doubles per run, whatever the horizon.
 _UNIFORM_BLOCK = 128
+
+# Most run-steps in one segment: bounds the per-segment blocks of rates,
+# counts and votes, whatever the number of runs.
+_SEGMENT_RUN_STEPS = 16384
 
 
 @dataclass(frozen=True)
@@ -174,10 +182,23 @@ def _lockstep(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Step the given runs of ``config`` together over the horizon.
 
-    Yields the vote counts and the promotion steps of the runs after each
-    step (the same arrays, updated in place).  A promotion step is the
-    step at whose end the run reached the threshold, ``n_steps`` while it
-    has not.
+    Yields one ``(width x runs)`` block of vote counts per segment of
+    steps, row ``i`` holding the counts after the segment's ``i``-th step,
+    with the promotion steps of the runs (one array, updated in place).  A
+    promotion step is the step at whose end the run reached the threshold,
+    ``n_steps`` while it has not.
+
+    A segment lies inside one chunk of uniforms and spans at most
+    ``_SEGMENT_RUN_STEPS`` run-steps.  Its steps are drawn one at a time
+    while the voter-network term reads the vote counts, that is while
+    ``k < voter_steps`` and some run is still unpromoted.  After that every
+    rate is a function of time and promotion step alone, and the rest of
+    the segment is drawn as one block: each run that crosses the threshold
+    inside it is drawn again from the same uniforms at its post-promotion
+    rates, which leaves its steps up to the crossing as they were.  A
+    block with a mean past the inversion range is redone one step at a
+    time, so that the second streams are read in step order; those draws
+    add in Python ints, so a count past int64 raises OverflowError.
     """
     story, params = config.story, config.params
     n_steps = step_count(config.horizon, params.dt)
@@ -187,30 +208,76 @@ def _lockstep(
 
     streams = [_rng_for_run(config.seed, i) for i in runs]
     large_streams: dict[int, np.random.Generator] = {}
-    uniforms = np.empty((len(runs), min(n_steps, _UNIFORM_BLOCK)))
+    chunk = min(n_steps, _UNIFORM_BLOCK)
+    uniforms = np.empty((len(runs), chunk))
+    widest = max(1, min(chunk, _SEGMENT_RUN_STEPS // len(runs)))
     m = np.ones(len(runs), dtype=np.int64)
     promo_step = np.full(len(runs), n_steps, dtype=np.int64)
+    bar = np.full(len(runs), threshold)  # +inf once a run has promoted
+    waiting = len(runs)
 
-    for k in range(n_steps):
-        col = k % uniforms.shape[1]
-        if col == 0:
-            width = min(uniforms.shape[1], n_steps - k)
-            for stream, row in zip(streams, uniforms):
-                stream.random(out=row[:width])
-        mean = scale * rate(k, m, promo_step)
+    def segment(k0: int, k1: int) -> np.ndarray | None:
+        """Vote counts after steps ``k0 .. k1 - 1``; None, with nothing
+        changed, if a segment wider than one step has a large mean."""
+        nonlocal m, waiting
+        col = k0 % chunk
+        u = uniforms[:, col : col + k1 - k0].T
+        mean = scale * rate(k0, k1, m, promo_step)
         large = mean > _INVERSION_MAX_MEAN
-        if large.any():
-            small = ~large
-            m[small] += _poisson_by_inversion(mean[small], uniforms[small, col])
-            for j in np.flatnonzero(large):
+        if not large.any():
+            block = _poisson_by_inversion(mean.ravel(), u.ravel()).reshape(mean.shape)
+            np.cumsum(block, axis=0, out=block)
+            block += m
+        elif k1 - k0 > 1:
+            return None
+        else:
+            small = ~large[0]
+            block = m[None].copy()
+            block[0, small] += _poisson_by_inversion(mean[0, small], u[0, small])
+            for j in np.flatnonzero(large[0]):
                 if j not in large_streams:
                     large_streams[j] = _rng_for_run(config.seed, runs[j], 0)
                 # in Python ints, so a count past int64 raises, not wraps
-                m[j] = int(m[j]) + int(large_streams[j].poisson(mean[j]))
-        else:
-            m += _poisson_by_inversion(mean, uniforms[:, col])
-        promo_step[(promo_step == n_steps) & (m >= threshold)] = k
-        yield m, promo_step
+                block[0, j] = int(m[j]) + int(large_streams[j].poisson(mean[0, j]))
+        if waiting:
+            crossed = np.flatnonzero(block[-1] >= bar)
+            if crossed.size:
+                first = k0 + np.argmax(block[:, crossed] >= threshold, axis=0)
+                late = first < k1 - 1
+                if late.any():
+                    # a run promotes once, so one redraw settles its segment
+                    cols = crossed[late]
+                    mean = scale * rate(k0, k1, m[cols], first[late])
+                    if (mean > _INVERSION_MAX_MEAN).any():
+                        return None
+                    counts = _poisson_by_inversion(mean.ravel(), u[:, cols].ravel())
+                    counts = np.cumsum(counts.reshape(mean.shape), axis=0)
+                    block[:, cols] = counts + m[cols]
+                promo_step[crossed] = first
+                bar[crossed] = np.inf
+                waiting -= crossed.size
+        m = block[-1]
+        return block
+
+    k = 0
+    while k < n_steps:
+        col = k % chunk
+        if col == 0:
+            width = min(chunk, n_steps - k)
+            for stream, row in zip(streams, uniforms):
+                stream.random(out=row[:width])
+        end = min(n_steps, k - col + chunk, k + widest)
+        blocks = []
+        while k < end:
+            if waiting and k < rate.voter_steps:
+                block = segment(k, k + 1)
+            else:
+                block = segment(k, end)
+                if block is None:
+                    block = np.concatenate([segment(j, j + 1) for j in range(k, end)])
+            blocks.append(block)
+            k += len(block)
+        yield np.concatenate(blocks) if len(blocks) > 1 else blocks[0], promo_step
 
 
 def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajectory:
@@ -232,8 +299,10 @@ def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajec
     times = np.arange(n_steps + 1, dtype=float) * config.params.dt
     votes = np.empty(n_steps + 1, dtype=np.int64)
     votes[0] = 1
-    for k, (m, promo_step) in enumerate(_lockstep(config, [run_index]), 1):
-        votes[k] = m[0]
+    k = 1
+    for block, promo_step in _lockstep(config, [run_index]):
+        votes[k : k + len(block)] = block[:, 0]
+        k += len(block)
     step = int(promo_step[0])
     return VoteTrajectory(
         times=times,
@@ -263,11 +332,14 @@ def ensemble(config: StochasticRunConfig) -> EnsembleSummary:
         mean = np.empty(n_steps + 1)
         std = np.zeros(n_steps + 1)
         mean[0] = 1.0
-        for k, (m, promo_step) in enumerate(_lockstep(config, range(runs)), 1):
-            mean[k] = m.mean()
+        k = 1
+        for block, promo_step in _lockstep(config, range(runs)):
+            rows = slice(k, k + len(block))
+            mean[rows] = block.mean(axis=1)
             if runs > 1:
-                std[k] = m.std(ddof=1)
-        final = m.astype(float)
+                std[rows] = block.std(axis=1, ddof=1)
+            k += len(block)
+        final = block[-1].astype(float)
         promo = np.full(runs, np.nan)
         hit = promo_step < n_steps
         promo[hit] = times[promo_step[hit] + 1]

@@ -140,23 +140,33 @@ def visibility(
 
 
 class RateKernel:
-    """Total visibility rate at step ``k``, shared by both solution paths.
+    """Total visibility rate over a segment of steps, shared by both
+    solution paths.
 
     The time-only terms are tables built from the channel functions of
     :func:`visibility`, so each entry equals its ``visibility`` term bit for
     bit at the step midpoint ``t = (k + 0.5) * dt``: ``unpromoted`` (queue
     plus submitter), ``submitter``, and ``front[a]``, the front page
     ``a + 0.5`` steps after promotion.  The voter-network term is added
-    while ``k < voter_steps``.  Called on vectors, it gives the rates of
-    runs with ``m`` votes promoted at the end of step ``promo_step``
-    (``>= n_steps``: not promoted).
+    while ``k < voter_steps``.  Called on vectors, it gives the
+    ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs promoted
+    at the end of step ``promo_step`` (``>= n_steps``: not promoted).  The
+    voter term reads ``m``, the vote counts before step ``k0``, so a
+    segment wider than one step is exact only where that term is off.
     """
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
-        t = [(k + 0.5) * params.dt for k in range(n_steps)]
+        t = ((np.arange(n_steps) + 0.5) * params.dt).tolist()
         self._midpoints, self._params = t, params
-        self.submitter = np.array([_submitter_rate(x, story, params) for x in t])
-        self.unpromoted = np.array([_queue_rate(x, params) for x in t]) + self.submitter
+        # Both conditions of _submitter_rate are monotone in t, so it is
+        # its constant rate on a prefix of the midpoints and 0.0 after it.
+        n_pool = bisect.bisect_left(
+            t, True, key=lambda x: _submitter_rate(x, story, params) == 0.0
+        )
+        self.submitter = np.zeros(n_steps)
+        self.submitter[:n_pool] = _submitter_rate(t[0], story, params)
+        queue = [_queue_rate(x, params) for x in t]
+        self.unpromoted = np.array(queue) + self.submitter
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
         # the midpoints increase, so this counts those inside the window
         in_friends = bisect.bisect_right(t, params.friends_window)
@@ -171,17 +181,20 @@ class RateKernel:
         # t is the age since promotion here: promotions happen at step ends.
         return np.array([_front_rate(x, self._params) for x in self._midpoints])
 
-    def __call__(self, k: int, m: np.ndarray, promo_step: np.ndarray) -> np.ndarray:
-        rate = np.full(m.shape, self.unpromoted[k])
-        if k < self.voter_steps:
+    def __call__(
+        self, k0: int, k1: int, m: np.ndarray, promo_step: np.ndarray
+    ) -> np.ndarray:
+        rate = np.repeat(self.unpromoted[k0:k1, None], m.size, axis=1)
+        if k0 < self.voter_steps:
             # _voter_rate on a vector: np.log and math.log differ in the
             # last bit on a few inputs, so the Monte Carlo path keeps its own.
             network = self.alpha * (np.log(m) / self.log_base) + self.beta
-            rate += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
-        age = k - 1 - promo_step
+            rate[: self.voter_steps - k0] += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
+        age = np.arange(k0 - 1, k1 - 1)[:, None] - promo_step
         promoted = age >= 0
         if promoted.any():
-            rate[promoted] = self.front[age[promoted]] + self.submitter[k]
+            steps = np.nonzero(promoted)[0]
+            rate[promoted] = self.front[age[promoted]] + self.submitter[k0 + steps]
         return rate
 
 

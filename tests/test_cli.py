@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -694,6 +695,57 @@ class TestSignificanceCommand:
         )
         code = main(["significance", str(obs), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+# Ids that need RFC 4180 quoting in a CSV cell: comma, quote, newline.
+AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", 'all,"of\nthem"']
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        csv.writer(stream).writerows(rows)
+
+
+def _read_rows(path):
+    with open(path, encoding="utf-8", newline="") as stream:
+        return list(csv.reader(stream))
+
+
+class TestCsvQuoting:
+    @pytest.mark.parametrize("argv, table", [
+        (["fit", "linear"], "fits.csv"),
+        (["compare"], "compare.csv"),
+    ])
+    def test_trace_ids_read_back(self, argv, table, votes_ini, tmp_path):
+        trace = tmp_path / "trace.csv"
+        _write_rows(trace, [("id", "t", "value")] + [
+            (sid, t, 1.0 + t * (i + 1)) for i, sid in enumerate(AWKWARD_IDS)
+            for t in (0.0, 60.0, 120.0)
+        ])
+        out = tmp_path / "out"
+        extra = ["--config", str(votes_ini)] if argv == ["compare"] else []
+        assert main([*argv, str(trace), *extra, "--out", str(out)]) == 0
+        header, *rows = _read_rows(out / table)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == AWKWARD_IDS
+
+    def test_observation_ids_read_back(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        _write_rows(obs, [("id", "pool_N", "sample_n", "group_K", "overlap_k")] + [
+            (sid, 15742, 215, 120, 4) for sid in AWKWARD_IDS
+        ])
+        out = tmp_path / "out"
+        assert main(["significance", str(obs), "--out", str(out)]) == 0
+        header, *rows = _read_rows(out / "significance.csv")
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == AWKWARD_IDS
+
+    def test_only_cells_that_need_it_are_quoted(self):
+        assert cli._fmt("plain id") == "plain id"
+        assert cli._fmt("a,b") == '"a,b"'
+        assert cli._fmt('say "hi"') == '"say ""hi"""'
+        assert cli._fmt("a\rb") == '"a\rb"'
+        assert cli._fmt("a\nb") == '"a\nb"'
 
 
 def test_sweep_parsing_helpers():

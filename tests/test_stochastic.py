@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontpage import (
     FixedThreshold,
@@ -10,8 +13,18 @@ from frontpage import (
     StoryConfig,
     VoteModelParams,
 )
-from frontpage.stochastic_sim import ensemble, simulate_once
+from frontpage.stochastic_sim import (
+    _INVERSION_MAX_MEAN,
+    _SEGMENT_RUN_STEPS,
+    _UNIFORM_BLOCK,
+    PROMOTION_QUANTILES,
+    EnsembleSummary,
+    _poisson_by_inversion,
+    ensemble,
+    simulate_once,
+)
 from frontpage.vote_dynamics import (
+    _FRIENDS_RATE_UNIT,
     RateKernel,
     analytic_upcoming_saturation,
     integrate_votes,
@@ -338,9 +351,243 @@ def test_rate_kernel_matches_visibility(params, horizon):
         rng.random(steps.size) < 0.5, n_steps, rng.integers(0, n_steps, steps.size)
     )
     for k, votes, p in zip(steps, m, promo):
-        got = kernel(int(k), np.array([votes]), np.array([p]))[0]
+        got = kernel(int(k), int(k) + 1, np.array([votes]), np.array([p]))[0, 0]
         promotion_time = None if p == n_steps else (p + 1) * params.dt
         want = visibility(
             (k + 0.5) * params.dt, float(votes), story, promotion_time, params
         ).total
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+
+def test_rate_kernel_block_rows_equal_single_steps():
+    params = VoteModelParams(friends_window=2000.0)
+    n_steps = 2880
+    kernel = RateKernel(StoryConfig(0.5, 80), params, n_steps)
+    rng = np.random.default_rng(78)
+    m = rng.integers(1, 5000, 50)
+    promo = np.where(rng.random(50) < 0.5, n_steps, rng.integers(0, n_steps, 50))
+    for k0, k1 in [(0, 128), (1990, 2030), (2700, 2880), (5, 6)]:
+        block = kernel(k0, k1, m, promo)
+        assert block.shape == (k1 - k0, m.size)
+        for i, k in enumerate(range(k0, k1)):
+            assert np.array_equal(block[i], kernel(k, k + 1, m, promo)[0])
+
+def _reference_lockstep(config, runs):
+    """The per-step lockstep the segment-stepped one replaced.
+
+    Yields the vote counts and promotion steps of the runs after every
+    step, drawing each step on its own; kept as the bit-for-bit reference
+    of the segments.
+    """
+    story, params = config.story, config.params
+    n_steps = step_count(config.horizon, params.dt)
+    kernel = RateKernel(story, params, n_steps)
+    threshold = promotion_threshold_for(config.policy, story)
+    scale = story.interestingness_r * params.dt
+
+    def rng(*key):
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=key)
+        )
+
+    streams = [rng(i) for i in runs]
+    large_streams = {}
+    uniforms = np.empty((len(runs), min(n_steps, _UNIFORM_BLOCK)))
+    m = np.ones(len(runs), dtype=np.int64)
+    promo_step = np.full(len(runs), n_steps, dtype=np.int64)
+    for k in range(n_steps):
+        col = k % uniforms.shape[1]
+        if col == 0:
+            width = min(uniforms.shape[1], n_steps - k)
+            for stream, row in zip(streams, uniforms):
+                stream.random(out=row[:width])
+        rate = np.full(m.shape, kernel.unpromoted[k])
+        if k < kernel.voter_steps:
+            network = kernel.alpha * (np.log(m) / kernel.log_base) + kernel.beta
+            rate += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
+        age = k - 1 - promo_step
+        promoted = age >= 0
+        if promoted.any():
+            rate[promoted] = kernel.front[age[promoted]] + kernel.submitter[k]
+        mean = scale * rate
+        large = mean > _INVERSION_MAX_MEAN
+        small = ~large
+        m[small] += _poisson_by_inversion(mean[small], uniforms[small, col])
+        for j in np.flatnonzero(large):
+            if j not in large_streams:
+                large_streams[j] = rng(runs[j], 0)
+            m[j] = int(m[j]) + int(large_streams[j].poisson(mean[j]))
+        promo_step[(promo_step == n_steps) & (m >= threshold)] = k
+        yield m, promo_step
+
+
+def _reference_summary(config):
+    """Every ``EnsembleSummary`` field of a Poisson-mode ensemble, with the
+    mean and spread taken across runs one step at a time."""
+    runs, dt = config.runs, config.params.dt
+    n_steps = step_count(config.horizon, dt)
+    times = np.arange(n_steps + 1, dtype=float) * dt
+    mean = np.empty(n_steps + 1)
+    std = np.zeros(n_steps + 1)
+    mean[0] = 1.0
+    for k, (m, promo_step) in enumerate(_reference_lockstep(config, range(runs)), 1):
+        mean[k] = m.mean()
+        if runs > 1:
+            std[k] = m.std(ddof=1)
+    promo = np.full(runs, np.nan)
+    hit = promo_step < n_steps
+    promo[hit] = times[promo_step[hit] + 1]
+    promoted = promo[hit]
+    return dict(
+        times=times,
+        mean_votes=mean,
+        std_votes=std,
+        final_votes=m.astype(float),
+        promotion_times=promo,
+        promotion_probability=promoted.size / runs,
+        promotion_time_quantiles=(
+            {q: float(np.quantile(promoted, q)) for q in PROMOTION_QUANTILES}
+            if promoted.size
+            else {}
+        ),
+        n_runs=runs,
+        promo_step=promo_step,
+    )
+
+
+def _assert_matches_reference(config):
+    want = _reference_summary(config)
+    got = ensemble(config)
+    for field in dataclasses.fields(EnsembleSummary):
+        a, b = getattr(got, field.name), want[field.name]
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+    last = config.runs - 1
+    run = simulate_once(config, run_index=last)
+    ref = [1] + [int(m[0]) for m, _ in _reference_lockstep(config, [last])]
+    assert run.votes_m.tolist() == ref
+    th = want["promotion_times"][last]
+    assert (run.promotion_time_Th is None) == bool(np.isnan(th))
+    return want["promo_step"]
+
+
+def _segment_edges(config):
+    """First and last steps of the segments a run of ``config`` can have."""
+    n_steps = step_count(config.horizon, config.params.dt)
+    chunk = min(n_steps, _UNIFORM_BLOCK)
+    widest = max(1, min(chunk, _SEGMENT_RUN_STEPS // config.runs))
+    steps = np.arange(n_steps)
+    row = (steps % chunk) % widest
+    first = row == 0
+    last = (row == widest - 1) | (steps % chunk == chunk - 1) | (steps == n_steps - 1)
+    return first, last
+
+
+NO_VOTERS = VoteModelParams(sm_alpha=0.0, sm_beta=0.0)
+
+# The three ensembles of the benchmark: configs/ensemble_discrete_voters.ini,
+# the near-threshold four-channel story and the queue-only story.
+SEGMENT_CASES = {
+    "committed": dict(
+        story=StoryConfig(interestingness_r=0.5, submitter_network_S=80),
+        params=NO_VOTERS, policy=FixedThreshold(h=40), horizon=1440.0, runs=500,
+    ),
+    "near_threshold": dict(**{**NEAR_THRESHOLD, "story": StoryConfig(
+        interestingness_r=0.0917, submitter_network_S=80)}, runs=100),
+    "queue_only": dict(
+        story=StoryConfig(interestingness_r=0.6, submitter_network_S=0),
+        params=NO_VOTERS, policy=FixedThreshold(h=1000000), horizon=1440.0,
+        runs=100,
+    ),
+    # voter channel on; every run promotes early, so the later segments are wide
+    "voters_early_promotion": dict(
+        story=StoryConfig(interestingness_r=0.5, submitter_network_S=80),
+        params=VoteModelParams(), policy=FixedThreshold(h=10), horizon=1440.0,
+        runs=60,
+    ),
+    # 1554 steps: the last chunk of uniforms is 18 steps wide
+    "dt_0.5": dict(
+        story=StoryConfig(interestingness_r=0.5, submitter_network_S=80),
+        params=VoteModelParams(dt=0.5), policy=FixedThreshold(h=40),
+        horizon=777.0, runs=2,
+    ),
+    "one_run": dict(
+        story=StoryConfig(interestingness_r=0.5, submitter_network_S=80),
+        params=NO_VOTERS, policy=FixedThreshold(h=40), horizon=1440.0, runs=1,
+    ),
+    # 300 runs: segments of 54 steps, capped inside each chunk of 128
+    "capped": dict(
+        story=StoryConfig(interestingness_r=0.3, submitter_network_S=300),
+        params=NO_VOTERS, policy=FixedThreshold(h=40), horizon=600.0, runs=300,
+    ),
+    # the large-mean fallback: means past the inversion range everywhere
+    "huge_rate": dict(**HUGE_RATE, runs=20),
+    # past the inversion range only once promoted, so a redraw falls back
+    "large_after_promotion": dict(
+        story=StoryConfig(interestingness_r=0.5, submitter_network_S=80),
+        params=VoteModelParams(sm_alpha=0.0, sm_beta=0.0, visit_rate_N=100.0),
+        policy=FixedThreshold(h=40), horizon=300.0, runs=40,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SEGMENT_CASES))
+def test_segments_equal_the_per_step_reference(name):
+    _assert_matches_reference(_config(**SEGMENT_CASES[name], seed=1))
+
+
+def _edge_config(r, network, h, runs, seed):
+    return _config(
+        story=StoryConfig(interestingness_r=r, submitter_network_S=network),
+        params=NO_VOTERS, policy=FixedThreshold(h=h), horizon=400.0,
+        runs=runs, seed=seed,
+    )
+
+
+@pytest.mark.parametrize(
+    "config, edge",
+    [
+        # one run: segments are the 128-step chunks of uniforms
+        (_edge_config(1.0, 0, 2, runs=1, seed=1), "first"),  # promotes at step 0
+        (_edge_config(0.5, 300, 30, runs=1, seed=12), "first"),  # at step 128
+        (_edge_config(0.5, 300, 40, runs=1, seed=44), "last"),  # at step 127
+        # 200 runs: segments of 81 and 47 steps in each chunk
+        (_edge_config(0.2, 300, 20, runs=200, seed=3), "first"),
+        (_edge_config(0.2, 300, 20, runs=200, seed=3), "last"),
+    ],
+)
+def test_promotion_on_the_edges_of_a_segment(config, edge):
+    # A crossing on a segment's first step redraws all of its later steps;
+    # one on its last step redraws none.
+    promo_step = _assert_matches_reference(config)
+    first, last = _segment_edges(config)
+    hit = promo_step[promo_step < first.size]
+    assert (first if edge == "first" else last)[hit].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.integers(1, 40),
+    n_steps=st.integers(1, 300),
+    dt=st.sampled_from([1.0, 0.5]),
+    r=st.floats(0.0, 1.0),
+    network=st.integers(0, 400),
+    h=st.integers(2, 60),
+    voters=st.booleans(),
+    visit_rate=st.sampled_from([10.0, 100.0, 1000.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segments_equal_the_reference_on_random_configs(
+    runs, n_steps, dt, r, network, h, voters, visit_rate, seed
+):
+    params = VoteModelParams(dt=dt, visit_rate_N=visit_rate,
+                             **({} if voters else {"sm_alpha": 0.0, "sm_beta": 0.0}))
+    _assert_matches_reference(_config(
+        story=StoryConfig(interestingness_r=r, submitter_network_S=network),
+        params=params, policy=FixedThreshold(h=h), horizon=n_steps * dt,
+        runs=runs, seed=seed,
+    ))

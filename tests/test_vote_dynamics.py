@@ -12,6 +12,7 @@ from frontpage import (
 )
 from frontpage.vote_dynamics import (
     RateKernel,
+    _submitter_rate,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,
@@ -280,6 +281,31 @@ def test_kernel_tables_equal_visibility_exactly(params, horizon):
         # promoted at t = 0, so the age since promotion is t itself
         assert kernel.front[k] == visibility(t, 7.0, story, 0.0, params).v_front
     assert kernel.voter_steps == 0
+
+
+@pytest.mark.parametrize(
+    "network, dt, horizon",
+    [
+        (0, 1.0, 2880.0),  # no pool: 0.0 everywhere
+        (10**300, 1.0, 2880.0),  # a pool that never drains inside the window
+        (80, 1.0, 2880.0),  # drains at t = 1440, between two midpoints
+        # the midpoint of step 22 is t = 1440, where s - pool_rate * t is
+        # exactly 0.0: the last step of the prefix
+        (80, 64.0, 2560.0),
+        (80, 0.3, 900.0),
+    ],
+    ids=["S=0", "huge_S", "drains", "drains_on_a_midpoint", "dt_0.3"],
+)
+def test_submitter_table_equals_the_scalar_rate(network, dt, horizon):
+    story = StoryConfig(0.5, network)
+    params = VoteModelParams(dt=dt)
+    n_steps = step_count(horizon, dt)
+    want = [_submitter_rate((k + 0.5) * dt, story, params) for k in range(n_steps)]
+    assert RateKernel(story, params, n_steps).submitter.tolist() == want
+    if dt == 64.0:
+        pool_rate = want[0]
+        assert network - pool_rate * ((22 + 0.5) * dt) == 0.0
+        assert want[22] == pool_rate and want[23] == 0.0
 
 
 @pytest.mark.parametrize(
