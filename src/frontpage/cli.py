@@ -213,17 +213,28 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, str, list[str]]]:
     return sweeps
 
 
+# Most points in one sweep grid: each gets its own copy of the config and
+# its own output, so the grid's size bounds the command's time and memory.
+_MAX_SWEEP_POINTS = 10_000
+
+
 def expand_sweeps(
     cfg: dict[str, dict[str, str]],
     sweeps: list[tuple[str, str, list[str]]],
 ) -> list[tuple[dict[str, str], dict[str, dict[str, str]]]]:
     """Cross product of sweep values; yields (overrides, patched config).
 
-    Each point must get its own output name, so two points whose values
-    read the same once ``/`` becomes ``-`` are rejected.
+    A grid of more than ``_MAX_SWEEP_POINTS`` points is rejected before any
+    point is made.  Each point must get its own output name, so two points
+    whose values read the same once ``/`` becomes ``-`` are rejected.
     """
     if not sweeps:
         return [({}, cfg)]
+    points = math.prod(len(values) for _, _, values in sweeps)
+    if points > _MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep: the grid has {points} points, more than {_MAX_SWEEP_POINTS}"
+        )
     combos = []
     suffixes = set()
     for values in itertools.product(*(vals for _, _, vals in sweeps)):
@@ -431,13 +442,49 @@ def _is_float_vector(value) -> bool:
     )
 
 
+# Float vectors rendered lately, by content: (dtype, bytes) -> their reprs,
+# least recently used first.  Every point of a sweep shares its time column.
+_REPRS: dict[tuple[str, bytes], list[str]] = {}
+_REPRS_KEPT = 2
+
+
+def _float_reprs(vector: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each cell of a float vector, formatted once for
+    a vector whose dtype and bytes equal one of the last few rendered, and
+    once per run of equal cells.  The list is shared: callers must not
+    change it."""
+    key = (vector.dtype.str, vector.tobytes())
+    reprs = _REPRS.pop(key, None)
+    if reprs is None:
+        if len(_REPRS) >= _REPRS_KEPT:
+            del _REPRS[next(iter(_REPRS))]
+        # a run of cells with equal bits, as a vote count that has stopped
+        # growing, is formatted once
+        bits = vector.view(f"u{vector.itemsize}")
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if 2 * starts.size >= vector.size:
+            reprs = list(map(float.__repr__, vector.tolist()))
+        else:
+            starts = np.concatenate(([0], starts))
+            runs = np.diff(starts, append=vector.size).tolist()
+            firsts = map(float.__repr__, vector[starts].tolist())
+            reprs = list(
+                itertools.chain.from_iterable(map(itertools.repeat, firsts, runs))
+            )
+    _REPRS[key] = reprs
+    return reprs
+
+
 def _cells(column) -> list[str]:
     """``_fmt`` of every cell of a column, typed arrays without the per-cell
     dispatch: floats as ``repr`` (NaN as ""), integers as ``str``."""
     if _is_float_vector(column):
-        cells = list(map(float.__repr__, column.tolist()))
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            cells[i] = ""
+        cells = _float_reprs(column)
+        nan = np.flatnonzero(np.isnan(column)).tolist()
+        if nan:
+            cells = cells.copy()
+            for i in nan:
+                cells[i] = ""
         return cells
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         return list(map(int.__repr__, column.tolist()))
@@ -481,10 +528,10 @@ def _write_json(stream, value, pad: str = "\n") -> None:
             _write_json(stream, list(value.tolist()), pad)
             return
         inner = pad + "  "
-        text = map(
-            float.__repr__ if np.isfinite(value).all() else _json_float,
-            value.tolist(),
-        )
+        if np.isfinite(value).all():
+            text = _float_reprs(value)
+        else:
+            text = map(_json_float, value.tolist())
         write("[" + inner + ("," + inner).join(text) + pad + "]")
     elif isinstance(value, dict):
         items = {str(k): v for k, v in value.items()}

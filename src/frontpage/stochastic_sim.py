@@ -14,7 +14,8 @@ All runs of an ensemble step together on the
 :class:`~frontpage.vote_dynamics.RateKernel` that the mean-field
 integrator also reads: its time-only tables (upcoming queue, submitter's
 friends, front-page decay by age since promotion) are built once per
-config.  The runs advance through segments of steps.  While the
+config, and the queue and front-page ones once per ``[vote]`` record and
+horizon.  The runs advance through segments of steps.  While the
 voter-network term reads the vote counts, a step is drawn on its own;
 once no rate depends on them (the friends window has closed, or every
 run has promoted), the rest of a segment is one block of draws, a
@@ -34,6 +35,7 @@ how many runs share the ensemble or on the order they are reported in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -145,6 +147,22 @@ class EnsembleSummary:
             bad.append("mean_votes must be nondecreasing")
         if bad:
             raise ParameterError("; ".join(bad))
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(values, q)`` of the finite values sorted in ``ordered``,
+    by its default linear method: numpy's ``_lerp`` between the neighbours
+    of the virtual index ``(n - 1) * q``.  It leaves out ``np.quantile``'s
+    partition bookkeeping, whose ``np.unique`` imports ``numpy.ma``.
+    """
+    index = (len(ordered) - 1) * q
+    below = math.floor(index)
+    if index >= len(ordered) - 1:
+        below = -1  # numpy takes the last value for both neighbours
+    lo, hi = ordered[below], ordered[below + 1 if below >= 0 else -1]
+    t = index - below
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
 
 
 def _rng_for_run(seed: int, run_index: int, *stream: int) -> np.random.Generator:
@@ -344,20 +362,17 @@ def ensemble(config: StochasticRunConfig) -> EnsembleSummary:
         hit = promo_step < n_steps
         promo[hit] = times[promo_step[hit] + 1]
 
-    promoted = promo[~np.isnan(promo)]
-    if promoted.size:
-        quantiles = {
-            q: float(np.quantile(promoted, q)) for q in PROMOTION_QUANTILES
-        }
-    else:
-        quantiles = {}
+    promoted = np.sort(promo[~np.isnan(promo)]).tolist()
+    quantiles = (
+        {q: _quantile(promoted, q) for q in PROMOTION_QUANTILES} if promoted else {}
+    )
     return EnsembleSummary(
         times=times,
         mean_votes=mean,
         std_votes=std,
         final_votes=final,
         promotion_times=promo,
-        promotion_probability=promoted.size / runs,
+        promotion_probability=len(promoted) / runs,
         promotion_time_quantiles=quantiles,
         n_runs=runs,
     )

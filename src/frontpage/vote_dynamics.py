@@ -8,11 +8,21 @@ times its interestingness.  The deterministic trajectory is the minute-by-
 minute integral of the combined rate, with promotion to the front page
 switching the story from the upcoming channels to the front-page channel.
 
-Each channel's rate is written once, as a scalar function.
-:func:`visibility` reports them per instant; :class:`RateKernel` tabulates
-their time-only parts over a horizon and is the one kernel of both
-solution paths: :func:`integrate_votes` (mean-field) and the Monte Carlo
-ensemble in :mod:`frontpage.stochastic_sim`.
+Each channel's rate is written once.  The page channels (queue, front
+page) take a time or an array of times, and raise their page factors to a
+power through :func:`_pow`, which maps Python's float pow over an array so
+that a table entry equals the scalar rate bit for bit.  :func:`visibility`
+reports the channels per instant; :class:`RateKernel` tabulates their
+time-only parts over a horizon and is the one kernel of both solution
+paths: :func:`integrate_votes` (mean-field) and the Monte Carlo ensemble
+in :mod:`frontpage.stochastic_sim`.  The tables that depend on ``[vote]``
+and the step count alone are built once and shared by every kernel of a
+command.
+
+Both paths follow one segment rule: a step is taken on its own only while
+the voter-network term reads the vote count, that is inside the friends
+window before promotion.  Every later rate is a function of time and the
+promotion step, so the rest of the horizon is one block of array work.
 """
 
 from __future__ import annotations
@@ -76,20 +86,43 @@ class VisibilityBreakdown:
         )
 
 
-def _queue_rate(t: float, params: VoteModelParams) -> float:
+def _pow(base: float, exponent):
+    """``base ** exponent`` by Python's float pow, for one exponent or a
+    1-d array of them.
+
+    Every power of the model goes through here.  ``np.power`` differs from
+    the C library's ``pow`` in the last bit on about 5% of inputs, so an
+    array is mapped through ``float.__pow__`` instead, which keeps each
+    table entry bit-equal to the scalar rate.
+    """
+    if isinstance(exponent, np.ndarray):
+        power = float(base).__pow__
+        return np.fromiter(map(power, exponent.tolist()), float, exponent.size)
+    return base ** exponent
+
+
+def _queue_rate(t, params: VoteModelParams):
     """Upcoming-queue viewers per minute; the story starts on page 1 at t=0
-    and drifts down ``k_u`` pages per minute until ``upcoming_window``."""
-    if t <= params.upcoming_window:
+    and drifts down ``k_u`` pages per minute until ``upcoming_window``.
+    On an array of times the formula sees only those inside the window."""
+
+    def on_page(t):
         page = params.k_u * t + 1.0
-        return params.c * params.c_u ** (page - 1.0) * params.visit_rate_N
-    return 0.0
+        return params.c * _pow(params.c_u, page - 1.0) * params.visit_rate_N
+
+    if not isinstance(t, np.ndarray):
+        return on_page(t) if t <= params.upcoming_window else 0.0
+    rate = np.zeros(t.shape)
+    inside = t <= params.upcoming_window
+    rate[inside] = on_page(t[inside])
+    return rate
 
 
-def _front_rate(age: float, params: VoteModelParams) -> float:
-    """Front-page viewers per minute ``age`` minutes after promotion; the
-    front page turns over slowly (``k_f`` << ``k_u``)."""
+def _front_rate(age, params: VoteModelParams):
+    """Front-page viewers per minute ``age`` minutes after promotion (a float
+    or an array); the front page turns over slowly (``k_f`` << ``k_u``)."""
     page = params.k_f * age + 1.0
-    return params.c_f ** (page - 1.0) * params.visit_rate_N
+    return _pow(params.c_f, page - 1.0) * params.visit_rate_N
 
 
 def _submitter_rate(t: float, story: StoryConfig, params: VoteModelParams) -> float:
@@ -139,6 +172,22 @@ def visibility(
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
+    """``rate(t, params)`` at the step midpoints ``t = (k + 0.5) * dt``.
+
+    Read-only and cached per ``[vote]`` record and step count, so the
+    points of a sweep that share them share one table.
+    """
+    t = (np.arange(n_steps) + 0.5) * params.dt
+    # the scalar rates are Python floats, which overflow to inf or nan
+    # where numpy would raise; the caller checks what comes of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = rate(t, params)
+    table.flags.writeable = False
+    return table
+
+
 class RateKernel:
     """Total visibility rate over a segment of steps, shared by both
     solution paths.
@@ -147,17 +196,21 @@ class RateKernel:
     :func:`visibility`, so each entry equals its ``visibility`` term bit for
     bit at the step midpoint ``t = (k + 0.5) * dt``: ``unpromoted`` (queue
     plus submitter), ``submitter``, and ``front[a]``, the front page
-    ``a + 0.5`` steps after promotion.  The voter-network term is added
-    while ``k < voter_steps``.  Called on vectors, it gives the
-    ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs promoted
-    at the end of step ``promo_step`` (``>= n_steps``: not promoted).  The
-    voter term reads ``m``, the vote counts before step ``k0``, so a
-    segment wider than one step is exact only where that term is off.
+    ``a + 0.5`` steps after promotion.  The queue and front-page tables
+    are evaluated on the array of midpoints, with no Python call per step,
+    their powers by Python's float pow (:func:`_pow`, not ``np.power``),
+    and are cached per ``[vote]`` record and step count.  The voter-network
+    term is added while ``k < voter_steps``.  Called on vectors, it gives
+    the ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs
+    promoted at the end of step ``promo_step`` (``>= n_steps``: not
+    promoted).  The voter term reads ``m``, the vote counts before step
+    ``k0``, so a segment wider than one step is exact only where that term
+    is off.
     """
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
         t = ((np.arange(n_steps) + 0.5) * params.dt).tolist()
-        self._midpoints, self._params = t, params
+        self._params, self._n_steps = params, n_steps
         # Both conditions of _submitter_rate are monotone in t, so it is
         # its constant rate on a prefix of the midpoints and 0.0 after it.
         n_pool = bisect.bisect_left(
@@ -165,8 +218,7 @@ class RateKernel:
         )
         self.submitter = np.zeros(n_steps)
         self.submitter[:n_pool] = _submitter_rate(t[0], story, params)
-        queue = [_queue_rate(x, params) for x in t]
-        self.unpromoted = np.array(queue) + self.submitter
+        self.unpromoted = _time_table(_queue_rate, params, n_steps) + self.submitter
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
         # the midpoints increase, so this counts those inside the window
         in_friends = bisect.bisect_right(t, params.friends_window)
@@ -179,7 +231,7 @@ class RateKernel:
     def front(self) -> np.ndarray:
         """Built on first use: only the Monte Carlo path reads it."""
         # t is the age since promotion here: promotions happen at step ends.
-        return np.array([_front_rate(x, self._params) for x in self._midpoints])
+        return _time_table(_front_rate, self._params, self._n_steps)
 
     def __call__(
         self, k0: int, k1: int, m: np.ndarray, promo_step: np.ndarray
@@ -240,32 +292,53 @@ def integrate_votes(
 
     The promotion rule is checked after each step; crossing the bar marks
     the story promoted from the end of that step onward.  The front-page
-    term is taken at the exact age ``t - promotion_time``, not from the
-    kernel's table, so each step equals ``visibility(...).total`` bit for
-    bit at any ``dt``.  OverflowError if the vote count overflows.
+    term is taken at the exact age ``t - promotion_time``, so each step
+    equals ``visibility(...).total`` bit for bit at any ``dt``.
+
+    Steps are taken one at a time only while the voter-network term reads
+    the vote count: inside the friends window, before promotion.  The rest
+    is at most two blocks, each one ``np.add.accumulate`` of the step
+    increments seeded with the count before it: the unpromoted stretch,
+    whose first entry at the bar is the promotion step, and the promoted
+    stretch.  The accumulation adds from left to right, so every entry is
+    bit-equal to ``m = m + r * rate * dt`` in a loop.  The block arithmetic
+    lets a count overflow to inf or nan as Python floats do;
+    OverflowError if the final count is not finite.
     """
     dt = params.dt
     n_steps = step_count(horizon, dt)
     threshold = promotion_threshold_for(policy, story)
     kernel = RateKernel(story, params, n_steps)
-    unpromoted, submitter = kernel.unpromoted.tolist(), kernel.submitter.tolist()
     r = story.interestingness_r
 
-    promotion_time: float | None = None
-    m = 1.0
-    votes = [m]
-    for k in range(n_steps):
-        if promotion_time is None:
-            rate = unpromoted[k]
-            if k < kernel.voter_steps:
-                rate += _voter_rate(m, params)
-        else:
-            rate = _front_rate((k + 0.5) * dt - promotion_time, params) + submitter[k]
-        m = m + r * rate * dt
-        votes.append(m)
-        if promotion_time is None and m >= threshold:
-            promotion_time = (k + 1) * dt
+    votes = np.empty(n_steps + 1)
+    m = votes[0] = 1.0
+    done = 0  # steps integrated so far
+    promo: int | None = None  # the step at whose end the story promoted
+    for rate in kernel.unpromoted[: kernel.voter_steps].tolist():
+        m = m + r * (rate + _voter_rate(m, params)) * dt
+        done += 1
+        votes[done] = m
+        if m >= threshold:
+            promo = done - 1
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        if promo is None and done < n_steps:
+            block = votes[done:]
+            block[1:] = r * kernel.unpromoted[done:] * dt
+            np.add.accumulate(block, out=block)
+            crossed = block[1:] >= threshold
+            if crossed.any():
+                promo = done + int(crossed.argmax())
+            done = n_steps if promo is None else promo + 1
+        if promo is not None and done < n_steps:
+            age = (np.arange(done, n_steps) + 0.5) * dt - (promo + 1) * dt
+            rate = _front_rate(age, params) + kernel.submitter[done:]
+            block = votes[done:]
+            block[1:] = r * rate * dt
+            np.add.accumulate(block, out=block)
     # m never decreases, so a final finite count means every step was finite
+    m = float(votes[-1])
     if not math.isfinite(m):
         raise OverflowError(
             f"vote count is {m} after {horizon} minutes: the vote rate "
@@ -274,8 +347,8 @@ def integrate_votes(
 
     return VoteTrajectory(
         times=np.arange(n_steps + 1) * dt,
-        votes_m=np.array(votes),
-        promotion_time_Th=promotion_time,
+        votes_m=votes,
+        promotion_time_Th=None if promo is None else (promo + 1) * dt,
     )
 
 

@@ -758,6 +758,27 @@ def test_sweep_parsing_helpers():
         expand_sweeps({}, [("ensemble", "arrival_mode", ["a/b", "a-b"])])
 
 
+def test_oversized_sweep_is_rejected_before_expanding(
+    votes_ini, tmp_path, capsys, monkeypatch
+):
+    def no_copy(value):
+        raise AssertionError("the grid was expanded")
+
+    monkeypatch.setattr(cli.copy, "deepcopy", no_copy)
+    values = ",".join(str(i) for i in range(30))
+    out = tmp_path / "o"
+    argv = ["simulate", "votes", "--config", str(votes_ini), "--out", str(out)]
+    for key in ("story.submitter_network_S", "policy.h", "vote.c"):
+        argv += ["--sweep", f"{key}={values}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep: the grid has 27000 points, more than 10000\n"
+    assert not out.exists()
+    bound = [("story", "submitter_network_S", [str(i) for i in range(10_000)])]
+    monkeypatch.undo()
+    assert len(expand_sweeps({}, bound)) == cli._MAX_SWEEP_POINTS == 10_000
+
+
 def test_load_config_comments_and_errors(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("# header\n[vote]\nc = 0.3  # inline\n\nk_u = 0.06\n")

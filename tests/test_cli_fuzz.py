@@ -7,17 +7,22 @@ the double limits included) or integer; ``compare`` runs each such story against
 trace.  The analysis commands read
 random trace, users and observations CSVs with blank lines, wrong field
 counts, non-numeric text, ``nan``/``inf``, negative or backwards times,
-huge integers and stray bytes that are not UTF-8.  Every command must
-exit 0, 2, 3 or 4 with no exception escaping ``main`` and no
-RuntimeWarning (which the test configuration turns into an error).
+huge integers and stray bytes that are not UTF-8.  Random ``--sweep``
+grids repeat keys, collide output names, leave values out and multiply
+to huge point counts.  Every command must exit 0, 2, 3 or 4 with no
+exception escaping ``main`` and no RuntimeWarning (which the test
+configuration turns into an error).
 """
 
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from frontpage import cli
 from frontpage.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -261,3 +266,90 @@ def test_analysis_commands_exit_with_documented_codes(
             ]
         ):
             _assert_documented_exit(argv, Path(work) / f"out{i}", capsys)
+
+
+# Swept keys with values they accept, then keys no config has.
+_SWEEP_KEYS = {
+    "story.interestingness_r": ["0", "0.1", "0.5", "1"],
+    "story.submitter_network_S": ["0", "80", "400"],
+    "policy.h": ["2", "10", "40"],
+    "vote.dt": ["0.5", "1", "2"],
+    "run.horizon_minutes": ["10", "30", "60"],
+    "ensemble.arrival_mode": ["mean", "poisson"],
+    "vote.no_such_key": ["1"],
+    "no_such.section": ["1"],
+    "story": ["0.5"],
+    " story.interestingness_r ": ["0.5"],
+}
+# "a/b" and "a-b" name the same output file
+_HOSTILE_VALUES = st.sampled_from(["", " ", "a/b", "a-b", "nan", "1e400", "-1"])
+
+
+@st.composite
+def _small_grid(draw):
+    """Up to three flags of up to four values: at most 64 points, some of
+    them malformed, repeated or colliding."""
+    specs = []
+    keys = st.sampled_from(list(_SWEEP_KEYS)[:6]) | st.sampled_from(list(_SWEEP_KEYS))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(keys)
+        value = st.sampled_from(_SWEEP_KEYS[key])
+        if draw(st.integers(0, 3)) == 3:
+            value = value | _HOSTILE_VALUES
+        unique = draw(st.integers(0, 3)) < 3
+        values = draw(st.lists(value, min_size=1, max_size=4, unique=unique))
+        sep = "" if draw(st.integers(0, 9)) == 9 else "="
+        specs.append(f"{key}{sep}{','.join(values)}")
+    return specs
+
+
+@st.composite
+def _huge_grid(draw):
+    """Two to four flags of 101-400 distinct values each, usually on
+    distinct keys: more points than a sweep may have."""
+    keys = st.sampled_from(list(_SWEEP_KEYS))
+    return [
+        f"{key}=" + ",".join(map(str, range(draw(st.integers(101, 400)))))
+        for key in draw(st.lists(keys, min_size=2, max_size=4, unique=draw(st.booleans())))
+    ]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    grid=st.one_of(_small_grid(), _small_grid(), _huge_grid()),
+    command=st.sampled_from([["simulate", "votes"], ["ensemble"]]),
+)
+def test_sweep_grids_exit_with_documented_codes(grid, command, capsys):
+    # every point made gets an output name, once while expanding the grid
+    # and once more for its CSV file
+    named = []
+
+    def suffix_for(overrides):
+        named.append(overrides)
+        return suffix(overrides)
+
+    sweeps = [arg for spec in grid for arg in ("--sweep", spec)]
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        suffix = cli._suffix_for
+        mp.setattr(cli, "_suffix_for", suffix_for)
+        config = Path(work) / "fuzz.ini"
+        config.write_text(
+            _ini(
+                {
+                    "story": {"interestingness_r": "0.5", "submitter_network_S": "80"},
+                    "run": {"horizon_minutes": "30"},
+                    "ensemble": {"runs": "2"},
+                }
+            )
+        )
+        argv = [*command, "--config", str(config), *sweeps]
+        _assert_documented_exit(argv, Path(work) / "out", capsys)
+        event("ran" if (Path(work) / "out").exists() else "rejected")
+    counts = [len(spec.partition("=")[2].split(",")) for spec in grid]
+    if math.prod(counts) > cli._MAX_SWEEP_POINTS:
+        assert not named  # rejected before a single point was made
+    assert len(named) <= 2 * 64

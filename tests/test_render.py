@@ -4,7 +4,9 @@ The reference functions below are the earlier ``cli`` renderers, kept
 verbatim: ``_fmt`` per cell and a full ``_jsonify`` copy fed to
 ``json.dumps(..., sort_keys=True, indent=2)``.  Every drawn document and
 table must render to the same text, and a value the reference rejects
-with TypeError must be rejected with TypeError.
+with TypeError must be rejected with TypeError.  Float vectors are formatted once per content, so the
+last tests render the same bytes again, under another sign of zero, with
+NaN cells and under another dtype.
 """
 
 import io
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from frontpage import cli
 from frontpage.cli import _write_csv, _write_json, _write_summary
 
 
@@ -172,3 +175,79 @@ def test_csv_rows_stop_at_the_shortest_column():
     assert _rendered(_write_csv, "a,b", columns) == _ref_csv_text(
         "a,b", zip(*columns)
     ) == "a,b\n0.0,1\n1.0,\n2.0,2\n"
+
+
+def _csv_and_json(column):
+    """``column`` as one CSV table and as one JSON value, each against its
+    reference rendering."""
+    csv_text = _rendered(_write_csv, "c", [column])
+    assert csv_text == _ref_csv_text("c", zip(column))
+    json_text = _rendered(_write_json, column)
+    assert json_text == _ref_json_text(column)
+    return csv_text, json_text
+
+
+def test_repeated_columns_render_like_the_reference():
+    t = np.arange(6) * 0.1
+    columns = [t, t, t.copy(), np.arange(6) * 0.1 + 1.0, t]
+    for _ in range(3):
+        assert _rendered(_write_csv, "a,b,c,d,e", columns) == _ref_csv_text(
+            "a,b,c,d,e", zip(*columns)
+        )
+        doc = {"t": t, "u": t.copy(), "points": [{"t": t, "m": columns[3]}] * 2}
+        assert _rendered(_write_json, doc) == _ref_json_text(doc)
+    assert len(cli._REPRS) <= cli._REPRS_KEPT
+    assert cli._float_reprs(t) is cli._float_reprs(t.copy())
+
+
+def test_signed_zeros_are_told_apart():
+    plus = np.array([0.0, 1.0])
+    minus = np.array([-0.0, 1.0])
+    assert plus.tolist() == minus.tolist()  # equal as values, not as bytes
+    for column in (plus, minus, plus, minus):
+        csv_text, json_text = _csv_and_json(column)
+        sign = "-" if np.signbit(column[0]) else ""
+        assert csv_text == f"c\n{sign}0.0\n1.0\n"
+        assert f"{sign}0.0," in json_text
+
+
+def test_nan_cells_of_a_remembered_vector():
+    column = np.array([1.5, math.nan, -math.inf, 2.5])
+    for _ in range(2):
+        csv_text, json_text = _csv_and_json(column)
+        assert csv_text == "c\n1.5\n\n-inf\n2.5\n"
+        assert json_text.split() == ["[", "1.5,", "null,", "null,", "2.5", "]"]
+    # blanking the NaN cells left the remembered reprs untouched
+    finite = np.array([1.5, 7.0, 2.5])
+    _csv_and_json(finite)
+    assert cli._float_reprs(column) == ["1.5", "nan", "-inf", "2.5"]
+
+
+def test_same_bytes_under_float32_and_float64():
+    wide = np.array([1.0, -2.5e-300])
+    narrow = wide.view(np.float32)
+    assert narrow.tobytes() == wide.tobytes()
+    for column in (wide, narrow, wide, narrow):
+        _csv_and_json(column)
+    assert _csv_and_json(wide)[0] == "c\n1.0\n-2.5e-300\n"
+    assert _csv_and_json(narrow)[0].count("\n") == narrow.size + 1
+
+
+_RUN_CELLS = [0.0, -0.0, 1.0, 1e16, 0.1, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32]),
+        st.integers(0, 30),
+        elements=st.sampled_from(_RUN_CELLS),
+    )
+)
+@example(np.array([-0.0, 0.0, 0.0, math.nan, math.nan, 1.0, 1.0, 1.0]))
+@example(np.array([2.5] * 7, dtype=np.float32))
+@example(np.array([3.0]))
+def test_runs_of_equal_cells_render_like_the_reference(column):
+    _csv_and_json(column)
+    strided = np.repeat(column, 2)[::2]  # not contiguous, same cells
+    assert _rendered(_write_csv, "c", [strided]) == _ref_csv_text("c", zip(column))

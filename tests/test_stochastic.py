@@ -20,6 +20,7 @@ from frontpage.stochastic_sim import (
     PROMOTION_QUANTILES,
     EnsembleSummary,
     _poisson_by_inversion,
+    _quantile,
     ensemble,
     simulate_once,
 )
@@ -591,3 +592,31 @@ def test_segments_equal_the_reference_on_random_configs(
         params=params, policy=FixedThreshold(h=h), horizon=n_steps * dt,
         runs=runs, seed=seed,
     ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(0.0, 1e6) | st.sampled_from([1.0, 2.0, 0.1, 0.3, 1e-300]),
+        min_size=1,
+        max_size=40,
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_quantile_equals_np_quantile(values, q):
+    values = np.array(values)
+    ordered = np.sort(values).tolist()
+    for p in (*PROMOTION_QUANTILES, q, 0.0, 1.0):
+        got, want = _quantile(ordered, p), float(np.quantile(values, p))
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[42.0], [3.0, 3.0, 3.0], [1.0, 2.0, 2.0, 2.0, 9.0], [0.3, 0.1, 0.7, 0.1]],
+    ids=["one", "all_tied", "ties", "unsorted"],
+)
+def test_quantile_equals_np_quantile_on_small_samples(values):
+    ordered = sorted(values)
+    for q in PROMOTION_QUANTILES:
+        assert _quantile(ordered, q) == float(np.quantile(values, q))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from frontpage import (
     FixedThreshold,
@@ -12,7 +14,11 @@ from frontpage import (
 )
 from frontpage.vote_dynamics import (
     RateKernel,
+    _front_rate,
+    _pow,
+    _queue_rate,
     _submitter_rate,
+    _time_table,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,
@@ -375,3 +381,131 @@ def test_overflowing_vote_count_raises():
     params = VoteModelParams(visit_rate_N=1e307)
     with pytest.raises(OverflowError):
         integrate_votes(StoryConfig(0.5, 80), params, FixedThreshold(h=40), 60.0)
+
+
+def _block_case(dt, n_steps, r, network, voters, policy, friends_steps=None):
+    """The integrator and the reference loop on one story, which must agree
+    bit for bit; returns the promotion step (None: never promoted)."""
+    windows = {}
+    if friends_steps is not None:
+        # the voter window closes after friends_steps midpoints
+        windows = dict(
+            friends_window=friends_steps * dt,
+            upcoming_window=friends_steps * dt / 2,
+        )
+    network_off = {} if voters else {"sm_alpha": 0.0, "sm_beta": 0.0}
+    params = VoteModelParams(dt=dt, **windows, **network_off)
+    story = StoryConfig(r, network)
+    horizon = n_steps * dt
+    traj = integrate_votes(story, params, policy, horizon)
+    times, votes, promotion_time = _reference_integrate(story, params, policy, horizon)
+    assert traj.votes_m.dtype == votes.dtype
+    assert np.array_equal(traj.votes_m, votes)
+    assert traj.promotion_time_Th == promotion_time
+    assert traj.times.tobytes() == times.tobytes()
+    if promotion_time is None:
+        return None
+    return int(np.searchsorted(times, promotion_time)) - 1
+
+
+_DYADIC_DTS = [1.0, 0.5, 0.25, 2.0]
+_NON_DYADIC_DTS = [0.3, 0.1, 0.7]
+_POLICIES = st.one_of(
+    st.builds(FixedThreshold, h=st.integers(2, 25) | st.just(10**9)),
+    st.builds(NetworkProportional, factor=st.floats(0.001, 0.1)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dt=st.sampled_from(_DYADIC_DTS + _NON_DYADIC_DTS),
+    n_steps=st.integers(1, 150),
+    r=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    network=st.sampled_from([0, 10**300]) | st.integers(0, 3000),
+    voters=st.booleans(),
+    policy=_POLICIES,
+    friends_steps=st.none() | st.integers(1, 300),
+)
+def test_block_integrator_bit_equal_to_reference_loop(
+    dt, n_steps, r, network, voters, policy, friends_steps
+):
+    step = _block_case(dt, n_steps, r, network, voters, policy, friends_steps)
+    if step is None:
+        event("never promoted")
+    else:
+        event("promoted on the first step" if step == 0 else "promoted later")
+        event("promoted on the last step" if step == n_steps - 1 else "not last")
+
+
+# (dt, n_steps, r, S, voters, policy, friends_steps) -> promotion step
+_PROMOTION_CASES = {
+    "first_step": ((1.0, 100, 1.0, 10**300, True, FixedThreshold(h=40), None), 0),
+    "first_step_no_voters": (
+        (0.3, 100, 1.0, 10**300, False, NetworkProportional(1e-303), None),
+        0,
+    ),
+    # long promoted stretches at a dt where the exact age since promotion
+    # and the front-page table's (a + 0.5) * dt differ in the last bit
+    "early_dt_0.7": ((0.7, 1000, 1.0, 80, False, FixedThreshold(h=2), None), 0),
+    "early_dt_0.1": ((0.1, 1000, 1.0, 0, False, FixedThreshold(h=2), None), 3),
+    "last_step": ((1.0, 15, 0.5, 80, False, FixedThreshold(h=15), None), 14),
+    "last_step_dt_0.3": ((0.3, 30, 0.5, 80, False, FixedThreshold(h=11), None), 29),
+    # the voter window closes after 120 steps
+    "inside_voter_window": ((1.0, 200, 0.9, 80, True, FixedThreshold(h=40), 120), 25),
+    "never": ((0.1, 150, 0.5, 80, True, FixedThreshold(h=40), None), None),
+    "never_r_0": ((2.0, 100, 0.0, 10**300, True, NetworkProportional(0.5), 30), None),
+}
+
+
+@pytest.mark.parametrize(
+    "case, step", _PROMOTION_CASES.values(), ids=list(_PROMOTION_CASES)
+)
+def test_block_integrator_promotes_where_the_reference_does(case, step):
+    assert _block_case(*case) == step
+
+
+def test_time_tables_are_shared_and_read_only():
+    params = VoteModelParams(dt=0.3)
+    a = RateKernel(StoryConfig(0.5, 80), params, 3000)
+    b = RateKernel(StoryConfig(0.9, 0), VoteModelParams(dt=0.3), 3000)
+    assert a.front is b.front
+    queue = _time_table(_queue_rate, params, 3000)
+    assert queue is _time_table(_queue_rate, VoteModelParams(dt=0.3), 3000)
+    assert not queue.flags.writeable and not a.front.flags.writeable
+    assert RateKernel(StoryConfig(0.5, 80), params, 2999).front is not a.front
+
+
+def test_page_channels_on_arrays_equal_the_scalar_rates():
+    params = VoteModelParams(k_u=0.037, k_f=0.0041, upcoming_window=500.3)
+    t = np.random.default_rng(5).uniform(0.0, 1000.0, 500)
+    t[:3] = [0.0, 500.3, np.nextafter(500.3, 1e9)]  # on and just past the edge
+    queue = _queue_rate(t, params)
+    front = _front_rate(t, params)
+    assert queue.tolist() == [_queue_rate(x, params) for x in t.tolist()]
+    assert front.tolist() == [_front_rate(x, params) for x in t.tolist()]
+    assert queue[1] > 0.0 and queue[2] == 0.0
+    exponents = t / 7.0
+    assert _pow(0.3, exponents).tolist() == [0.3**x for x in exponents.tolist()]
+    assert _pow(0.3, exponents[:0]).shape == (0,)
+
+
+def test_tables_overflow_as_python_floats_do():
+    # k_u * t and k_f * age overflow to inf, whose page factor is 0.0; the
+    # scalar rates never raise, and the tables must not either
+    params = VoteModelParams(k_u=1e308, k_f=1e308, visit_rate_N=1e300)
+    story = StoryConfig(1.0, 80)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        traj = integrate_votes(story, params, FixedThreshold(h=2), 60.0)
+        assert RateKernel(story, params, 60).front[-1] == 0.0
+    _, votes, promotion_time = _reference_integrate(
+        story, params, FixedThreshold(h=2), 60.0
+    )
+    assert np.array_equal(traj.votes_m, votes)
+    assert traj.promotion_time_Th == promotion_time == 9.0
+
+
+def test_overflow_message_under_raising_errstate():
+    params = VoteModelParams(visit_rate_N=1e307)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(OverflowError, match="vote count is inf after 60.0 minutes"):
+            integrate_votes(StoryConfig(0.5, 80), params, FixedThreshold(h=40), 60.0)
