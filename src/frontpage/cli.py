@@ -10,9 +10,11 @@ Subcommands
 
 Scenario configs are INI-style: sections ``[vote] [story] [policy] [rank]
 [user] [ensemble] [run]`` whose keys mirror the parameter-record field
-names exactly.  ``--sweep SECTION.KEY=V1,V2,...`` (repeatable, once per
-key; cross product) fans one scenario out over a parameter grid; outputs
-are keyed by the swept values.
+names exactly; every section in the file is checked, read or not.
+``--sweep SECTION.KEY=V1,V2,...`` (repeatable, once per key; cross
+product) fans a ``simulate`` or ``ensemble`` run out over a parameter
+grid of keys the command reads; outputs are keyed by the swept values.
+``compare`` takes no ``--sweep``.
 
 Every command writes a ``summary.json`` embedding the fully resolved
 parameters and tool version, so a run is reproducible from its outputs.
@@ -37,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +79,6 @@ __all__ = [
     "ConfigError",
     "InputError",
     "OutputError",
-    "Scenario",
     "ComparisonReport",
     "ingest_traces",
     "compare_model_to_trace",
@@ -90,7 +91,6 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_OUTPUT = 4
 
-_SECTIONS = ("vote", "story", "policy", "rank", "user", "ensemble", "run")
 _TRACE_HEADER = ["id", "t", "value"]
 _USERS_HEADER = ["id", "submissions", "front_page_F", "network_S"]
 _OBS_HEADER = ["id", "pool_N", "sample_n", "group_K", "overlap_k"]
@@ -118,8 +118,40 @@ class OutputError(CliError):
 
 # --- config loading --------------------------------------------------------
 
+# Config section -> its record; [policy]'s ``kind`` key picks one of two.
+_RECORDS = {
+    "vote": VoteModelParams,
+    "story": StoryConfig,
+    "policy": {"fixed": FixedThreshold, "network_proportional": NetworkProportional},
+    "rank": RankModelParams,
+    "user": UserState,
+    "ensemble": EnsembleOptions,
+    "run": RunOptions,
+}
+
+
+def _record(cfg: dict[str, dict[str, str]], section: str):
+    """The record of one config section, its defaults where it is absent."""
+    mapping = dict(cfg.get(section, {}))
+    cls = _RECORDS[section]
+    if section == "policy":
+        kind = mapping.pop("kind", "fixed")
+        if kind not in cls:
+            kinds = " or ".join(map(repr, cls))
+            raise ConfigError(f"[policy] kind must be {kinds}, got {kind!r}")
+        cls = cls[kind]
+    try:
+        return record_from_mapping(cls, mapping)
+    except ParameterError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def load_config(path: Path) -> dict[str, dict[str, str]]:
-    """Read an INI scenario file into {section: {key: raw value}}."""
+    """Read an INI scenario file into {section: {key: raw value}}.
+
+    Every section in the file is checked by building its record, whether
+    or not the command reads it, so no key is silently ignored.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -138,23 +170,17 @@ def load_config(path: Path) -> dict[str, dict[str, str]]:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config {path}: {exc}") from None
-    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    unknown = sorted(set(parser.sections()) - set(_RECORDS))
     if unknown:
         raise ConfigError(
             f"config {path}: unknown section(s) {', '.join(unknown)}; "
-            f"expected {', '.join(_SECTIONS)}"
+            f"expected {', '.join(_RECORDS)}"
         )
-    return {s: dict(parser.items(s)) for s in parser.sections()}
-
-
-def _build_record(cls, cfg: dict[str, dict[str, str]], section: str):
-    try:
-        return record_from_mapping(cls, cfg.get(section, {}))
-    except ParameterError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-
-
-_POLICIES = {"fixed": FixedThreshold, "network_proportional": NetworkProportional}
+    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    for section in _RECORDS:
+        if section in cfg:
+            _record(cfg, section)
+    return cfg
 
 
 def _story_records(cfg: dict[str, dict[str, str]]):
@@ -162,20 +188,14 @@ def _story_records(cfg: dict[str, dict[str, str]]):
 
     Returns them with their resolved-parameter doc for ``summary.json``.
     """
-    params = _build_record(VoteModelParams, cfg, "vote")
-    story = _build_record(StoryConfig, cfg, "story")
-    section = dict(cfg.get("policy", {}))
-    kind = section.pop("kind", "fixed")
-    if kind not in _POLICIES:
-        raise ConfigError(
-            f"[policy] kind must be 'fixed' or 'network_proportional', got {kind!r}"
-        )
-    policy = _build_record(_POLICIES[kind], {"policy": section}, "policy")
-    run = _build_record(RunOptions, cfg, "run")
+    params, story, policy, run = (
+        _record(cfg, section) for section in ("vote", "story", "policy", "run")
+    )
     try:
         step_count(run.horizon_minutes, params.dt)
     except ValueError as exc:
         raise ConfigError(f"[run] {exc}") from None
+    kind = cfg.get("policy", {}).get("kind", "fixed")
     doc = {
         "vote": dataclasses.asdict(params),
         "story": dataclasses.asdict(story),
@@ -199,10 +219,10 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, str, list[str]]]:
             raise ConfigError(
                 f"sweep {spec!r}: key must be qualified as SECTION.KEY"
             )
-        if section not in _SECTIONS:
+        if section not in _RECORDS:
             raise ConfigError(
                 f"sweep {spec!r}: unknown section {section!r}; "
-                f"expected one of {', '.join(_SECTIONS)}"
+                f"expected one of {', '.join(_RECORDS)}"
             )
         if any((section, key) == swept[:2] for swept in sweeps):
             raise ConfigError(f"sweep {spec!r}: {section}.{key} is already swept")
@@ -600,35 +620,37 @@ def _write_outputs(out_dir: Path, outputs) -> None:
                 tmp.unlink()
 
 
-# --- scenario orchestration ------------------------------------------------
+# --- command runners -------------------------------------------------------
+#
+# Each runner takes the parsed command line and returns (tables, results,
+# extra): the CSV tables as (file name, header, columns), the ``results``
+# list of ``summary.json`` and any further top-level keys of it.
 
-@dataclass(frozen=True)
-class Scenario:
-    """A fully parsed command: what to run, on what, where to put it."""
-
-    kind: str
-    config: dict[str, dict[str, str]] = field(default_factory=dict)
-    sweeps: tuple = ()
-    out_dir: Path = Path(".")
-    output_format: str = "csv"
-    seed_override: int | None = None
-    input_path: Path | None = None
-    options: dict = field(default_factory=dict)
-
-
-def _run_model(scenario: Scenario, stem: str, plan):
+def _run_model(args: argparse.Namespace, stem: str, plan):
     """Run a model at every sweep point; one ``{stem}*.csv`` table each.
 
-    ``plan(cfg, scenario)`` validates one point and returns its resolved
+    ``plan(cfg, args)`` validates one point and returns its resolved
     parameters and a closure computing (summary fields, CSV columns, JSON
     trajectory).  Every point is planned before any is computed, so an
-    invalid point fails the command before any work is done.  A point that
-    overflows the model at run time is a config error naming the point.
+    invalid point, or a sweep over a key the command does not read, fails
+    the command before any work is done.  A point that overflows the model
+    at run time is a config error naming the point.
     """
+    cfg, sweeps = load_config(args.config), parse_sweeps(args.sweep)
     planned = [
-        (overrides, *plan(cfg, scenario))
-        for overrides, cfg in expand_sweeps(scenario.config, list(scenario.sweeps))
+        (overrides, *plan(point, args))
+        for overrides, point in expand_sweeps(cfg, sweeps)
     ]
+    read = planned[0][1]
+    for section, key, _ in sweeps:
+        if key not in read.get(section, {}):
+            raise ConfigError(
+                f"sweep {section}.{key}: "
+                f"{args.kind.replace('-', ' ')} does not read it"
+            )
+        # only ``ensemble`` reads [ensemble], and only it has --seed
+        if (section, key) == ("ensemble", "seed") and args.seed is not None:
+            raise ConfigError("sweep ensemble.seed: --seed sets every point's seed")
     tables, results = [], []
     for overrides, params, compute in planned:
         try:
@@ -637,7 +659,7 @@ def _run_model(scenario: Scenario, stem: str, plan):
             point = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"{point or 'config'}: {exc}") from None
         entry = {"overrides": overrides, "params": params, **fields}
-        if scenario.output_format == "csv":
+        if args.output_format == "csv":
             entry["file"] = f"{stem}{_suffix_for(overrides)}.csv"
             tables.append((entry["file"], ",".join(columns), list(columns.values())))
         else:
@@ -647,7 +669,7 @@ def _run_model(scenario: Scenario, stem: str, plan):
     return tables, results, {}
 
 
-def _plan_votes(cfg, scenario: Scenario):
+def _plan_votes(cfg, args: argparse.Namespace):
     params, story, policy, run, doc = _story_records(cfg)
 
     def compute():
@@ -663,10 +685,8 @@ def _plan_votes(cfg, scenario: Scenario):
     return doc, compute
 
 
-def _plan_rank(cfg, scenario: Scenario):
-    params = _build_record(RankModelParams, cfg, "rank")
-    user = _build_record(UserState, cfg, "user")
-    run = _build_record(RunOptions, cfg, "run")
+def _plan_rank(cfg, args: argparse.Namespace):
+    params, user, run = (_record(cfg, section) for section in ("rank", "user", "run"))
     doc = {
         "rank": dataclasses.asdict(params),
         "user": dataclasses.asdict(user),
@@ -697,18 +717,14 @@ def _plan_rank(cfg, scenario: Scenario):
     return doc, compute
 
 
-def _plan_ensemble(cfg, scenario: Scenario):
+def _plan_ensemble(cfg, args: argparse.Namespace):
+    if args.seed is not None:
+        cfg = {**cfg, "ensemble": {**cfg.get("ensemble", {}), "seed": args.seed}}
     params, story, policy, run, doc = _story_records(cfg)
-    opts = _build_record(EnsembleOptions, cfg, "ensemble")
-    if scenario.seed_override is not None:
-        opts = dataclasses.replace(opts, seed=scenario.seed_override)
-    doc["ensemble"] = dataclasses.asdict(opts)
-    try:
-        config = StochasticRunConfig(
-            story, params, policy, run.horizon_minutes, **doc["ensemble"]
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"[ensemble] {exc}") from None
+    doc["ensemble"] = dataclasses.asdict(_record(cfg, "ensemble"))
+    config = StochasticRunConfig(
+        story, params, policy, run.horizon_minutes, **doc["ensemble"]
+    )
 
     def compute():
         summary = ensemble(config)
@@ -735,10 +751,10 @@ def _record_table(name: str, records: list[dict]):
     return name, ",".join(records[0]), list(zip(*(r.values() for r in records)))
 
 
-def _per_id(scenario: Scenario, name: str, analyse, extra: dict):
+def _per_id(args: argparse.Namespace, name: str, analyse, extra: dict):
     """Apply ``analyse(t, value)`` to each series of the input trace."""
     results = []
-    for sid, (t, v) in ingest_traces(scenario.input_path).items():
+    for sid, (t, v) in ingest_traces(args.input).items():
         try:
             results.append({"id": sid, **dataclasses.asdict(analyse(t, v))})
         except (ValueError, ArithmeticError) as exc:
@@ -746,59 +762,52 @@ def _per_id(scenario: Scenario, name: str, analyse, extra: dict):
     return [_record_table(name, results)], results, extra
 
 
-def _run_fit_linear(scenario: Scenario):
-    through_origin = bool(scenario.options.get("through_origin", False))
+def _run_fit(args: argparse.Namespace):
+    """``fit linear`` and ``fit log``: one fit per id, its flags as keywords."""
+    if args.kind == "fit-linear":
+        fit, options = fit_linear, {"through_origin": args.through_origin}
+    else:
+        fit, options = fit_log, {"log_base": args.log_base}
     return _per_id(
-        scenario,
+        args,
         "fits.csv",
-        lambda x, y: fit_linear(np.column_stack([x, y]), through_origin=through_origin),
-        {"options": {"through_origin": through_origin}},
+        lambda x, y: fit(np.column_stack([x, y]), **options),
+        {"options": options},
     )
 
 
-def _run_fit_log(scenario: Scenario):
-    log_base = float(scenario.options.get("log_base", math.e))
-    return _per_id(
-        scenario,
-        "fits.csv",
-        lambda x, y: fit_log(np.column_stack([x, y]), log_base=log_base),
-        {"options": {"log_base": log_base}},
-    )
-
-
-def _run_compare(scenario: Scenario):
-    params, story, policy, run, doc = _story_records(scenario.config)
+def _run_compare(args: argparse.Namespace):
+    params, story, policy, run, doc = _story_records(load_config(args.config))
     try:
         trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config: {exc}") from None
     threshold = promotion_threshold_for(policy, story)
     return _per_id(
-        scenario,
+        args,
         "compare.csv",
         lambda t, v: compare_model_to_trace(t, v, trajectory, threshold=threshold),
         {"params": doc},
     )
 
 
-def _run_fit_success(scenario: Scenario):
-    bins = int(scenario.options.get("bins", 10))
-    min_submissions = int(scenario.options.get("min_submissions", 50))
-
+def _run_fit_success(args: argparse.Namespace):
     def cast(lineno: int, row: list[str]) -> tuple[float, float, float]:
         try:
             return float(row[1]), float(row[2]), float(row[3])
         except ValueError:
             raise InputError(
-                f"{scenario.input_path}: line {lineno}: numeric fields required"
+                f"{args.input}: line {lineno}: numeric fields required"
             ) from None
 
-    triples = _read_rows(scenario.input_path, _USERS_HEADER, cast)
+    triples = _read_rows(args.input, _USERS_HEADER, cast)
     try:
-        binned = success_rate_series(triples, bins=bins, min_submissions=min_submissions)
+        binned = success_rate_series(
+            triples, bins=args.bins, min_submissions=args.min_submissions
+        )
         fit = fit_linear(binned.points)
     except (ValueError, ArithmeticError) as exc:
-        raise InputError(f"{scenario.input_path}: {exc}") from None
+        raise InputError(f"{args.input}: {exc}") from None
     columns = [binned.bin_centers, binned.mean_rate, binned.stderr, binned.counts]
     results = [
         {
@@ -813,11 +822,11 @@ def _run_fit_success(scenario: Scenario):
     ]
     table = ("success_bins.csv", "bin_center_S,mean_success,stderr,count", columns)
     return [table], results, {
-        "options": {"bins": bins, "min_submissions": min_submissions}
+        "options": {"bins": args.bins, "min_submissions": args.min_submissions}
     }
 
 
-def _run_significance(scenario: Scenario):
+def _run_significance(args: argparse.Namespace):
     def cast(lineno: int, row: list[str]) -> tuple[str, FriendVoteObservation]:
         try:
             return row[0].strip(), FriendVoteObservation(
@@ -827,9 +836,7 @@ def _run_significance(scenario: Scenario):
                 overlap_k=int(row[4]),
             )
         except (ValueError, ParameterError) as exc:
-            raise InputError(
-                f"{scenario.input_path}: line {lineno}: {exc}"
-            ) from None
+            raise InputError(f"{args.input}: line {lineno}: {exc}") from None
 
     results = [
         {
@@ -837,7 +844,7 @@ def _run_significance(scenario: Scenario):
             "exact_k": chance_probability(obs, mode="exact"),
             "tail_at_least_k": chance_probability(obs, mode="tail"),
         }
-        for sid, obs in _read_rows(scenario.input_path, _OBS_HEADER, cast)
+        for sid, obs in _read_rows(args.input, _OBS_HEADER, cast)
     ]
     extra = {
         f"mean_{key}": float(np.mean([r[key] for r in results]))
@@ -846,54 +853,72 @@ def _run_significance(scenario: Scenario):
     return [_record_table("significance.csv", results)], results, extra
 
 
-# Each runner returns (tables, results, extra): the CSV tables as
-# (file name, header, columns), the ``results`` list of ``summary.json`` and
-# any further top-level keys of it.
-_RUNNERS = {
-    "simulate-votes": functools.partial(_run_model, stem="votes", plan=_plan_votes),
-    "simulate-rank": functools.partial(_run_model, stem="rank", plan=_plan_rank),
-    "ensemble": functools.partial(
-        _run_model, stem="ensemble_mean", plan=_plan_ensemble
+# Command kind -> (help, help for the input CSV argument, the config flags it
+# takes, runner).  A kind "GROUP-NAME" is the command ``GROUP NAME``.
+_COMMANDS = {
+    "simulate-votes": (
+        "story vote trajectory (CSV t,m)", None, ("--config", "--sweep"),
+        functools.partial(_run_model, stem="votes", plan=_plan_votes),
     ),
-    "fit-linear": _run_fit_linear,
-    "fit-log": _run_fit_log,
-    "fit-success": _run_fit_success,
-    "significance": _run_significance,
-    "compare": _run_compare,
+    "simulate-rank": (
+        "weekly user rank model (CSV week,F,S,rank_proxy)", None,
+        ("--config", "--sweep"),
+        functools.partial(_run_model, stem="rank", plan=_plan_rank),
+    ),
+    "ensemble": (
+        "stochastic vote-model ensemble", None, ("--config", "--sweep"),
+        functools.partial(_run_model, stem="ensemble_mean", plan=_plan_ensemble),
+    ),
+    "fit-linear": (
+        "y = slope*x + intercept per id", "trace CSV (id,t,value)", (), _run_fit
+    ),
+    "fit-log": (
+        "y = alpha*log(x) + beta per id", "trace CSV (id,t,value), t >= 1", (),
+        _run_fit,
+    ),
+    "fit-success": (
+        "binned success rate vs. network size",
+        f"users CSV ({','.join(_USERS_HEADER)})", (), _run_fit_success,
+    ),
+    "significance": (
+        "friend-voting chance probabilities",
+        f"observations CSV ({','.join(_OBS_HEADER)})", (), _run_significance,
+    ),
+    "compare": (
+        "model trajectory vs. observed trace", "trace CSV (id,t,value)",
+        ("--config",), _run_compare,
+    ),
 }
 
 
-def run_scenario(scenario: Scenario) -> int:
-    """Execute a scenario: compute every result, then write the outputs.
+def run_scenario(args: argparse.Namespace) -> int:
+    """Run a parsed command: compute every result, then write the outputs.
 
     Every output is streamed to its ``.tmp`` file and only then are all
     renamed into place, so a failure while computing or rendering leaves
     the output directory untouched.
     """
-    runner = _RUNNERS.get(scenario.kind)
-    if runner is None:
-        raise ConfigError(f"unknown scenario kind {scenario.kind!r}")
     # A float overflow or NaN in a model or a fit raises FloatingPointError,
     # which the runners report as bad config or input instead of writing it.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        tables, results, extra = runner(scenario)
+        tables, results, extra = _COMMANDS[args.kind][-1](args)
     doc = {
-        "command": scenario.kind.replace("-", " "),
-        "format": scenario.output_format,
+        "command": args.kind.replace("-", " "),
+        "format": args.output_format,
         "results": results,
         "tool_version": __version__,
         **extra,
     }
-    if scenario.input_path is not None:
-        doc["input"] = Path(scenario.input_path).name
+    if "input" in args:
+        doc["input"] = args.input.name
     outputs = []
-    if scenario.output_format == "csv":
+    if args.output_format == "csv":
         outputs = [
             (name, functools.partial(_write_csv, header=header, columns=columns))
             for name, header, columns in tables
         ]
     outputs.append(("summary.json", functools.partial(_write_summary, doc=doc)))
-    _write_outputs(scenario.out_dir, outputs)
+    _write_outputs(args.out, outputs)
     return EXIT_OK
 
 
@@ -910,32 +935,6 @@ def _checked(cast, ok, bound: str):
 
     parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
     return parse
-
-
-# Scenario kind -> (help, help for the input CSV argument, takes --config).
-# A kind "GROUP-NAME" is the command ``GROUP NAME``.
-_COMMANDS = {
-    "simulate-votes": ("story vote trajectory (CSV t,m)", None, True),
-    "simulate-rank": ("weekly user rank model (CSV week,F,S,rank_proxy)", None, True),
-    "ensemble": ("stochastic vote-model ensemble", None, True),
-    "fit-linear": ("y = slope*x + intercept per id", "trace CSV (id,t,value)", False),
-    "fit-log": (
-        "y = alpha*log(x) + beta per id",
-        "trace CSV (id,t,value), t >= 1",
-        False,
-    ),
-    "fit-success": (
-        "binned success rate vs. network size",
-        f"users CSV ({','.join(_USERS_HEADER)})",
-        False,
-    ),
-    "significance": (
-        "friend-voting chance probabilities",
-        f"observations CSV ({','.join(_OBS_HEADER)})",
-        False,
-    ),
-    "compare": ("model trajectory vs. observed trace", "trace CSV (id,t,value)", True),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -957,13 +956,13 @@ def build_parser() -> argparse.ArgumentParser:
             dest="target", required=True, metavar=metavar
         )
     cmd = {}
-    for kind, (help_text, input_help, configured) in _COMMANDS.items():
+    for kind, (help_text, input_help, config_flags, _) in _COMMANDS.items():
         group, _, name = kind.rpartition("-")
         cmd[kind] = groups[group].add_parser(name, help=help_text)
         cmd[kind].set_defaults(kind=kind)
         if input_help:
             cmd[kind].add_argument("input", type=Path, help=input_help)
-        if configured:
+        if "--config" in config_flags:
             cmd[kind].add_argument(
                 "--config",
                 type=Path,
@@ -972,6 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="INI scenario config (sections [vote] [story] [policy] "
                 "[rank] [user] [ensemble] [run])",
             )
+        if "--sweep" in config_flags:
             cmd[kind].add_argument(
                 "--sweep",
                 action="append",
@@ -1027,32 +1027,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Arguments every command shares; the rest are the command's own options.
-_SCENARIO_ARGS = {
-    "command", "target", "kind", "config", "sweep", "out", "output_format",
-    "seed", "input",
-}
-
-
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    given = vars(args)
-    configured = "config" in given
-    return Scenario(
-        kind=args.kind,
-        config=load_config(args.config) if configured else {},
-        sweeps=tuple(parse_sweeps(args.sweep)) if configured else (),
-        out_dir=args.out,
-        output_format=args.output_format,
-        seed_override=given.get("seed"),
-        input_path=given.get("input"),
-        options={k: v for k, v in given.items() if k not in _SCENARIO_ARGS},
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run_scenario(_scenario_from_args(args))
+        return run_scenario(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

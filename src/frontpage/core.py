@@ -34,6 +34,7 @@ __all__ = [
     "UserState",
     "FriendVoteObservation",
     "RunOptions",
+    "ARRIVAL_MODES",
     "EnsembleOptions",
     "record_from_mapping",
 ]
@@ -373,17 +374,33 @@ class RunOptions:
         return bad
 
 
+ARRIVAL_MODES = ("poisson", "mean")
+
+
 @dataclass(frozen=True)
 class EnsembleOptions:
-    """Size, seed and arrival mode of a stochastic ensemble.
-
-    Unchecked here: :class:`frontpage.stochastic_sim.StochasticRunConfig`
-    validates them when the ensemble is configured.
-    """
+    """Size, seed and arrival mode of a stochastic ensemble."""
 
     runs: int = 100
     seed: int = 0
     arrival_mode: str = "poisson"
+
+    def __post_init__(self) -> None:
+        _raise_if(self._violations())
+
+    def _violations(self) -> list[str]:
+        # also the checks of StochasticRunConfig, which has these fields
+        bad: list[str] = []
+        if not _is_integral(self.seed) or self.seed < 0:
+            bad.append(f"seed must be a nonnegative integer, got {self.seed}")
+        if not _is_integral(self.runs) or self.runs < 1:
+            bad.append(f"runs must be a positive integer, got {self.runs}")
+        if self.arrival_mode not in ARRIVAL_MODES:
+            bad.append(
+                f"arrival_mode must be one of {ARRIVAL_MODES}, "
+                f"got {self.arrival_mode!r}"
+            )
+        return bad
 
 
 # --- building records from config strings -----------------------------------

@@ -42,13 +42,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    ARRIVAL_MODES,
+    EnsembleOptions,
     ParameterError,
     PromotionPolicy,
     StoryConfig,
     VoteModelParams,
     VoteTrajectory,
     _finite,
-    _is_integral,
 )
 from .vote_dynamics import (
     RateKernel,
@@ -65,8 +66,6 @@ __all__ = [
     "simulate_once",
     "ensemble",
 ]
-
-ARRIVAL_MODES = ("poisson", "mean")
 
 # Quantiles of the promotion-time distribution reported by ensembles.
 PROMOTION_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -106,15 +105,8 @@ class StochasticRunConfig:
         bad: list[str] = []
         if not (_finite(self.horizon) and self.horizon > 0):
             bad.append(f"horizon must be a positive finite number, got {self.horizon}")
-        if not _is_integral(self.seed) or self.seed < 0:
-            bad.append(f"seed must be a nonnegative integer, got {self.seed}")
-        if not _is_integral(self.runs) or self.runs < 1:
-            bad.append(f"runs must be a positive integer, got {self.runs}")
-        if self.arrival_mode not in ARRIVAL_MODES:
-            bad.append(
-                f"arrival_mode must be one of {ARRIVAL_MODES}, "
-                f"got {self.arrival_mode!r}"
-            )
+        # seed, runs and arrival_mode are checked as in the [ensemble] record
+        bad += EnsembleOptions._violations(self)
         if bad:
             raise ParameterError("; ".join(bad))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -652,6 +653,8 @@ class TestFitCommands:
         result = json.loads((out / "summary.json").read_text())["results"][0]
         assert result["alpha"] == pytest.approx(112.0, rel=1e-9)
         assert result["beta"] == pytest.approx(47.0, rel=1e-9)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["options"] == {"log_base": math.e}
 
     def test_fit_success_cli(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -666,6 +669,7 @@ class TestFitCommands:
         out = tmp_path / "out"
         assert main(["fit", "success", str(users), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["options"] == {"bins": 10, "min_submissions": 50}
         assert summary["results"][0]["fit"]["slope"] == pytest.approx(0.002, rel=0.25)
         bins_csv = (out / "success_bins.csv").read_text().splitlines()
         assert bins_csv[0] == "bin_center_S,mean_success,stderr,count"
@@ -796,3 +800,106 @@ def test_non_utf8_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.ini: not UTF-8 text" in err
     assert not out.exists()
+
+
+class TestNothingGivenIsIgnored:
+    """Every config section, sweep key and flag a command accepts is read."""
+
+    @pytest.fixture
+    def rank_ini(self, tmp_path):
+        return write_ini(
+            tmp_path / "rank.ini",
+            {"user": {"front_page_F": "5", "network_S": "50",
+                      "submission_rate_M": "2"}},
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "linear", "t.csv", "--seed", "3"],
+            ["fit", "log", "t.csv", "--bins", "3"],
+            ["fit", "success", "u.csv", "--log-base", "2"],
+            ["significance", "o.csv", "--config", "c.ini"],
+            ["simulate", "votes", "--config", "c.ini", "--seed", "3"],
+            ["simulate", "rank", "--config", "c.ini", "--through-origin"],
+            ["ensemble", "--config", "c.ini", "--min-submissions", "3"],
+            ["compare", "t.csv", "--config", "c.ini", "--sweep", "story.h=1"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_own_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,spec",
+        [
+            ("simulate votes", "ensemble.runs=1,2"),
+            ("simulate votes", "run.weeks=3,4"),
+            ("simulate rank", "vote.c=0.1,0.2"),
+        ],
+    )
+    def test_sweep_over_a_key_the_command_does_not_read(
+        self, command, spec, votes_ini, rank_ini, tmp_path, capsys, monkeypatch
+    ):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "integrate_votes", no_model)
+        monkeypatch.setattr(cli, "integrate_rank", no_model)
+        ini = votes_ini if command == "simulate votes" else rank_ini
+        out = tmp_path / "o"
+        argv = [*command.split(), "--config", str(ini), "--sweep", spec]
+        assert main([*argv, "--out", str(out)]) == 2
+        key = spec.partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: sweep {key}: {command} does not read it\n"
+        )
+        assert not out.exists()
+
+    def test_seed_flag_and_seed_sweep_conflict(self, tmp_path, capsys):
+        ini = TestEnsembleCommand()._ini(tmp_path)
+        out = tmp_path / "o"
+        argv = ["ensemble", "--config", str(ini), "--seed", "5",
+                "--sweep", "ensemble.seed=1,2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "sweep ensemble.seed: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        ini = TestEnsembleCommand()._ini(tmp_path)
+        out = tmp_path / "o"
+        argv = ["ensemble", "--config", str(ini), "--seed", "-3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: [ensemble] seed must be a nonnegative integer, got -3\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ensemble,message",
+        [
+            ({"runs": "-5"}, "[ensemble] runs must be a positive integer, got -5"),
+            ({"bogus": "1"}, "[ensemble] unknown key(s) for EnsembleOptions: bogus"),
+        ],
+    )
+    def test_an_unread_section_is_still_checked(
+        self, ensemble, message, votes_ini, tmp_path, capsys
+    ):
+        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini),
+                                              "ensemble": ensemble})
+        with pytest.raises(ConfigError) as exc:
+            load_config(ini)
+        assert str(exc.value) == message
+        out = tmp_path / "o"
+        for argv in (["simulate", "votes"], ["compare", str(tmp_path / "t.csv")]):
+            assert main([*argv, "--config", str(ini), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_valid_unread_section_passes(self, votes_ini, tmp_path):
+        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini),
+                                              "ensemble": {"runs": "5"}})
+        out = tmp_path / "o"
+        assert main(["simulate", "votes", "--config", str(ini), "--out", str(out)]) == 0

@@ -199,3 +199,16 @@ def test_run_and_ensemble_options_from_strings():
     assert opts == EnsembleOptions(runs=3, seed=7, arrival_mode="mean")
     with pytest.raises(ParameterError, match="unknown key.*for EnsembleOptions: speed"):
         record_from_mapping(EnsembleOptions, {"speed": "1"})
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"runs": 0}, "runs"),
+        ({"seed": -1}, "seed"),
+        ({"arrival_mode": "x"}, "arrival_mode"),
+    ],
+)
+def test_ensemble_options_check_themselves(kwargs, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        EnsembleOptions(**kwargs)

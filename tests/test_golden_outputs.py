@@ -55,6 +55,12 @@ CASES = {
         _BASELINE + "\n[ensemble]\nruns = 1\nseed = 3\narrival_mode = mean\n",
         [],
     ),
+    # --seed replaces the config's seed before the [ensemble] record is built
+    "ensemble_mean_seed_override": (
+        ["ensemble"],
+        _BASELINE + "\n[ensemble]\nruns = 2\nseed = 3\narrival_mode = mean\n",
+        ["--seed", "9"],
+    ),
     "votes_dt_0.1": (
         ["simulate", "votes"], _BASELINE.replace("[vote]\n", "[vote]\ndt = 0.1\n"), []
     ),
@@ -66,11 +72,13 @@ CASES = {
         ["fit", "linear", "{trace}"], None, ["--through-origin"]
     ),
     "fit_log": (["fit", "log", "{trace}"], None, ["--log-base", "10"]),
+    "fit_log_defaults": (["fit", "log", "{trace}"], None, []),
     "fit_linear_unicode_name": (["fit", "linear", "{trace_unicode}"], None, []),
     "compare": (["compare", "{trace}"], "votes_baseline.ini", []),
     "fit_success": (
         ["fit", "success", "{users}"], None, ["--bins", "7", "--min-submissions", "20"]
     ),
+    "fit_success_defaults": (["fit", "success", "{users}"], None, []),
     "significance": (["significance", "{observations}"], None, []),
 }
 
@@ -194,6 +202,16 @@ GOLDEN = {
         "summary.json":
             "1bb228de697b9e534fad3397167df799bcbd8e46ae6877ebe6aa2ebabfaaddf4",
     },
+    "ensemble_mean_seed_override-csv": {
+        "ensemble_mean.csv":
+            "54024a8005bed3920d18a1eb5b147aecb52191f93dddfb260077712ddd9acbdc",
+        "summary.json":
+            "dcad32cffa5242f4c6a64c1a2c84e9290c33a94db8c9232cc30c8cdbe3a02fe5",
+    },
+    "ensemble_mean_seed_override-json": {
+        "summary.json":
+            "f54b797164f1bb04e1052b811d534655f53f60d868a03787a0c616b9c0e5eff3",
+    },
     "votes_dt_0.1-csv": {
         "summary.json":
             "75ee2cef026ceadd12bdbbde1cdbbbdd647c0d6694f01b6547b562454fe00989",
@@ -244,6 +262,16 @@ GOLDEN = {
         "summary.json":
             "c3aae1f4b063ba60c63276e7fcee587b70d93bfe7df6919cee3f7fcc41607b13",
     },
+    "fit_log_defaults-csv": {
+        "fits.csv":
+            "66ae63151a6268cff888c0b98ba6d59038a2951f11a8be681aba2d9affabd301",
+        "summary.json":
+            "7d844fa157e969f72d62ed1b7eb215472e721aebb9f6162cde1eff27f9122977",
+    },
+    "fit_log_defaults-json": {
+        "summary.json":
+            "8e83102002eef042b696ca7f2345d6ef05d6cc0ec1ca95487ebef5c5ddb66913",
+    },
     "fit_linear_unicode_name-csv": {
         "fits.csv":
             "21767aee9afbda25aefacc43333c04bda5cc31068fd898b8ad3318e4cd7253ba",
@@ -273,6 +301,16 @@ GOLDEN = {
     "fit_success-json": {
         "summary.json":
             "9f4b2cabf8e19876437a75d29ed9f5171eae7498fcb7bfe608b8081593c1dffd",
+    },
+    "fit_success_defaults-csv": {
+        "success_bins.csv":
+            "63a263cc19945272d77df73601eb73aebc34a195399583fc7d1b06d04ebc99e5",
+        "summary.json":
+            "ed7afc8114f7206ca28b1f66bb6f702159461e2ae1f6d9d595fcadd3281213ba",
+    },
+    "fit_success_defaults-json": {
+        "summary.json":
+            "b751cc2f21432b0673ff744ee75acb4f07651c0a90d588ab49789a037d8fdc16",
     },
     "significance-csv": {
         "significance.csv":
