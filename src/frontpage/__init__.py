@@ -45,11 +45,9 @@ from .stochastic_sim import (
     simulate_once,
 )
 from .vote_dynamics import (
-    VisibilityBreakdown,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,
-    visibility,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +66,6 @@ __all__ = [
     "StochasticRunConfig",
     "StoryConfig",
     "UserState",
-    "VisibilityBreakdown",
     "VoteModelParams",
     "VoteTrajectory",
     "analytic_upcoming_saturation",
@@ -84,5 +81,4 @@ __all__ = [
     "simulate_once",
     "step_week",
     "success_rate_series",
-    "visibility",
 ]

@@ -394,13 +394,13 @@ def compare_model_to_trace(
     trace_times: np.ndarray,
     trace_values: np.ndarray,
     trajectory: VoteTrajectory,
-    threshold: float | None = None,
+    threshold: float,
 ) -> ComparisonReport:
     """RMS error on the overlapping time range, plus promotion timing.
 
     The model is linearly interpolated at the trace's time stamps.  The
-    trace's promotion time, when a ``threshold`` is given, is the first
-    stamp at which its value reaches the threshold.
+    trace's promotion time is the first stamp at which its value reaches
+    ``threshold`` (None if it never does).
     """
     tt = np.asarray(trace_times, dtype=float)
     tv = np.asarray(trace_values, dtype=float)
@@ -415,10 +415,9 @@ def compare_model_to_trace(
     rms = float(np.sqrt(np.mean((model_at - tv) ** 2)))
 
     promo_trace: float | None = None
-    if threshold is not None:
-        crossed = np.nonzero(np.asarray(trace_values, float) >= threshold)[0]
-        if crossed.size:
-            promo_trace = float(np.asarray(trace_times, float)[crossed[0]])
+    crossed = np.nonzero(np.asarray(trace_values, float) >= threshold)[0]
+    if crossed.size:
+        promo_trace = float(np.asarray(trace_times, float)[crossed[0]])
     promo_model = trajectory.promotion_time_Th
     difference = None
     if promo_model is not None and promo_trace is not None:
@@ -589,13 +588,20 @@ def _write_outputs(out_dir: Path, outputs) -> None:
     """Write ``(name, render)`` outputs: each ``render(stream)`` writes its
     ``name.tmp``, and once all are written each is renamed into place.
 
-    Any failure, in rendering too, removes every ``.tmp`` not yet renamed.
+    A directory in place of any output fails before anything is written,
+    so no output is replaced.  Any failure, in rendering too, removes every
+    ``.tmp`` not yet renamed.
     """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create output directory {out_dir}: {exc}") from None
+    for name, _ in outputs:
+        target = out_dir / name
+        # a rename replaces a symlink itself, but cannot replace a directory
+        if target.is_dir() and not target.is_symlink():
+            raise OutputError(f"cannot write {target}: it is a directory")
     pending = []  # (tmp, target) written but not yet renamed
     try:
         for name, render in outputs:

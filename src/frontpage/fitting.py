@@ -133,10 +133,21 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
-    log_comb = (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-    return math.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+    return _binomial_terms(n, p)(k)
+
+
+def _binomial_terms(n: int, p: float):
+    """``j -> binomial_pmf(j, n, p)`` for 0 < p < 1: the one expression of
+    the pmf, its logs of n!, p and q taken once for every j."""
+    lgamma_n, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+
+    def term(j: int) -> float:
+        return math.exp(
+            lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * log_p + (n - j) * log_q
+        )
+
+    return term
 
 
 def chance_probability(obs: FriendVoteObservation, mode: str = "exact") -> float:
@@ -162,38 +173,20 @@ def chance_probability(obs: FriendVoteObservation, mode: str = "exact") -> float
         return 1.0
     if p == 0.0:  # group_K / pool_N underflowed; binomial_pmf's terms are 0
         return 0.0
-    # Each term is binomial_pmf's expression in its operation order, so the
-    # terms are bit-equal to it.
-    lgamma_n, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
-
-    def term(j: int) -> float:
-        return math.exp(
-            lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            + j * log_p + (n - j) * log_q
-        )
-
+    term = _binomial_terms(n, p)
     # The pmf is log-concave: it rises up to its mode and falls after it.
     # So the terms that underflow to exactly 0.0 form one run below the
-    # mode and one above it, and adding zeros does not change fsum.  Below
-    # the mode, bisect for the first nonzero term; past it, stop at the
-    # first zero.
-    mode = min(n, math.floor((n + 1) * p))
-    start = k
-    if k < mode and term(k) == 0.0:
-        zero, nonzero = k, mode
-        while nonzero - zero > 1:
-            mid = (zero + nonzero) // 2
-            if term(mid) == 0.0:
-                zero = mid
-            else:
-                nonzero = mid
-        start = nonzero
+    # mode and one above it, and adding zeros does not change fsum, which
+    # is exactly rounded in any order.  Walk out from max(k, mode): up to
+    # n and down to k, each walk stopping at its first zero.
+    start = max(k, min(n, math.floor((n + 1) * p)))
     terms = []
-    for j in range(start, n + 1):
-        t = term(j)
-        if t == 0.0 and j >= mode:
-            break
-        terms.append(t)
+    for walk in (range(start, n + 1), range(start - 1, k - 1, -1)):
+        for j in walk:
+            t = term(j)
+            if t == 0.0:
+                break
+            terms.append(t)
     return min(1.0, math.fsum(terms))
 
 

@@ -113,17 +113,14 @@ def integrate_rank(
 ) -> RankTrajectory:
     """Trajectory over ``weeks`` weekly steps, including the initial state.
 
-    ``M_schedule`` optionally varies the submission rate week by week:
-    either a single number applied every week or a sequence with one
-    entry per week.  When omitted, the initial state's rate is used
-    throughout.
+    ``M_schedule`` optionally varies the submission rate week by week,
+    with one entry per week.  When omitted, the initial state's rate is
+    used throughout.
     """
     if not isinstance(weeks, int) or isinstance(weeks, bool) or weeks < 1:
         raise ValueError(f"weeks must be a positive integer, got {weeks}")
     if M_schedule is None:
         schedule = [initial.submission_rate_M] * weeks
-    elif np.ndim(M_schedule) == 0:
-        schedule = [float(M_schedule)] * weeks
     else:
         schedule = [float(m) for m in M_schedule]
         if len(schedule) != weeks:

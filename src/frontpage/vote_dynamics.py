@@ -8,16 +8,15 @@ times its interestingness.  The deterministic trajectory is the minute-by-
 minute integral of the combined rate, with promotion to the front page
 switching the story from the upcoming channels to the front-page channel.
 
-Each channel's rate is written once.  The page channels (queue, front
-page) take a time or an array of times, and raise their page factors to a
-power through :func:`_pow`, which maps Python's float pow over an array so
-that a table entry equals the scalar rate bit for bit.  :func:`visibility`
-reports the channels per instant; :class:`RateKernel` tabulates their
-time-only parts over a horizon and is the one kernel of both solution
-paths: :func:`integrate_votes` (mean-field) and the Monte Carlo ensemble
-in :mod:`frontpage.stochastic_sim`.  The tables that depend on ``[vote]``
-and the step count alone are built once and shared by every kernel of a
-command.
+Each channel's rate is written once, for an array of times.  The page
+channels (queue, front page) raise their page factors to a power through
+:func:`_pow`, which maps Python's float pow over the array.
+:class:`RateKernel` tabulates the time-only channels over a horizon and
+is the one place the four channels are combined, the kernel of both
+solution paths: :func:`integrate_votes` (mean-field) and the Monte Carlo
+ensemble in :mod:`frontpage.stochastic_sim`.  The tables that depend on
+``[vote]`` and the step count alone are built once and shared by every
+kernel of a command.
 
 Both paths follow one segment rule: a step is taken on its own only while
 the voter-network term reads the vote count, that is inside the friends
@@ -30,7 +29,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +42,6 @@ from .core import (
 )
 
 __all__ = [
-    "VisibilityBreakdown",
-    "visibility",
     "RateKernel",
     "promotion_threshold_for",
     "step_count",
@@ -66,61 +62,36 @@ _PROPORTIONAL_FLOOR = 2.0
 # Most steps in one run (about two years of minutes): bounds its time and memory.
 _MAX_STEPS = 1_000_000
 
-
-@dataclass(frozen=True)
-class VisibilityBreakdown:
-    """Per-channel potential viewers per minute at one instant."""
-
-    v_front: float
-    v_upcoming: float
-    v_submitter_friends: float
-    v_voter_friends: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.v_front
-            + self.v_upcoming
-            + self.v_submitter_friends
-            + self.v_voter_friends
-        )
+# A story has saturated once its vote rate stays this low this many steps.
+_SATURATION_RATE = 1e-6
+_SATURATION_STEPS = 60
 
 
-def _pow(base: float, exponent):
-    """``base ** exponent`` by Python's float pow, for one exponent or a
-    1-d array of them.
+def _pow(base: float, exponent: np.ndarray) -> np.ndarray:
+    """``base ** exponent`` by Python's float pow, over a 1-d array.
 
     Every power of the model goes through here.  ``np.power`` differs from
-    the C library's ``pow`` in the last bit on about 5% of inputs, so an
-    array is mapped through ``float.__pow__`` instead, which keeps each
-    table entry bit-equal to the scalar rate.
+    the C library's ``pow`` in the last bit on about 5% of inputs, so each
+    exponent is mapped through ``float.__pow__`` instead.
     """
-    if isinstance(exponent, np.ndarray):
-        power = float(base).__pow__
-        return np.fromiter(map(power, exponent.tolist()), float, exponent.size)
-    return base ** exponent
+    power = float(base).__pow__
+    return np.fromiter(map(power, exponent.tolist()), float, exponent.size)
 
 
-def _queue_rate(t, params: VoteModelParams):
-    """Upcoming-queue viewers per minute; the story starts on page 1 at t=0
-    and drifts down ``k_u`` pages per minute until ``upcoming_window``.
-    On an array of times the formula sees only those inside the window."""
-
-    def on_page(t):
-        page = params.k_u * t + 1.0
-        return params.c * _pow(params.c_u, page - 1.0) * params.visit_rate_N
-
-    if not isinstance(t, np.ndarray):
-        return on_page(t) if t <= params.upcoming_window else 0.0
+def _queue_rate(t: np.ndarray, params: VoteModelParams) -> np.ndarray:
+    """Upcoming-queue viewers per minute at the times ``t``; the story
+    starts on page 1 at t=0 and drifts down ``k_u`` pages per minute until
+    ``upcoming_window`` (inclusive), after which the rate is 0.0."""
     rate = np.zeros(t.shape)
     inside = t <= params.upcoming_window
-    rate[inside] = on_page(t[inside])
+    page = params.k_u * t[inside] + 1.0
+    rate[inside] = params.c * _pow(params.c_u, page - 1.0) * params.visit_rate_N
     return rate
 
 
-def _front_rate(age, params: VoteModelParams):
-    """Front-page viewers per minute ``age`` minutes after promotion (a float
-    or an array); the front page turns over slowly (``k_f`` << ``k_u``)."""
+def _front_rate(age: np.ndarray, params: VoteModelParams) -> np.ndarray:
+    """Front-page viewers per minute at the ``age``s since promotion; the
+    front page turns over slowly (``k_f`` << ``k_u``)."""
     page = params.k_f * age + 1.0
     return _pow(params.c_f, page - 1.0) * params.visit_rate_N
 
@@ -142,36 +113,6 @@ def _voter_rate(m: float, params: VoteModelParams) -> float:
     return _FRIENDS_RATE_UNIT * max(0.0, network)
 
 
-def visibility(
-    t: float,
-    m: float,
-    story: StoryConfig,
-    promotion_time: float | None,
-    params: VoteModelParams,
-) -> VisibilityBreakdown:
-    """Potential viewers per minute through each channel at time t.
-
-    ``promotion_time`` of None means the story is still in the upcoming
-    queue.  Window edges count as inside (a story aged exactly
-    ``upcoming_window`` minutes is still in the queue).
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    promoted = promotion_time is not None and t >= promotion_time
-    return VisibilityBreakdown(
-        v_front=_front_rate(t - promotion_time, params) if promoted else 0.0,
-        v_upcoming=0.0 if promoted else _queue_rate(t, params),
-        v_submitter_friends=_submitter_rate(t, story, params),
-        v_voter_friends=(
-            _voter_rate(m, params)
-            if not promoted and t <= params.friends_window
-            else 0.0
-        ),
-    )
-
-
 @functools.lru_cache(maxsize=4)
 def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
     """``rate(t, params)`` at the step midpoints ``t = (k + 0.5) * dt``.
@@ -180,8 +121,8 @@ def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
     points of a sweep that share them share one table.
     """
     t = (np.arange(n_steps) + 0.5) * params.dt
-    # the scalar rates are Python floats, which overflow to inf or nan
-    # where numpy would raise; the caller checks what comes of them
+    # overflow to inf or nan as Python floats do, where numpy would warn
+    # or raise; the caller checks what comes of them
     with np.errstate(over="ignore", invalid="ignore"):
         table = rate(t, params)
     table.flags.writeable = False
@@ -189,17 +130,16 @@ def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
 
 
 class RateKernel:
-    """Total visibility rate over a segment of steps, shared by both
-    solution paths.
+    """Total visibility rate over a segment of steps: the one composition
+    of the four channels, shared by both solution paths.
 
-    The time-only terms are tables built from the channel functions of
-    :func:`visibility`, so each entry equals its ``visibility`` term bit for
-    bit at the step midpoint ``t = (k + 0.5) * dt``: ``unpromoted`` (queue
-    plus submitter), ``submitter``, and ``front[a]``, the front page
-    ``a + 0.5`` steps after promotion.  The queue and front-page tables
-    are evaluated on the array of midpoints, with no Python call per step,
-    their powers by Python's float pow (:func:`_pow`, not ``np.power``),
-    and are cached per ``[vote]`` record and step count.  The voter-network
+    The time-only terms are tables of the channel functions at the step
+    midpoints ``t = (k + 0.5) * dt``: ``unpromoted`` (queue plus
+    submitter), ``submitter``, and ``front[a]``, the front page ``a + 0.5``
+    steps after promotion.  The queue and front-page tables are evaluated
+    on the array of midpoints, with no Python call per step, their powers
+    by Python's float pow (:func:`_pow`, not ``np.power``), and are cached
+    per ``[vote]`` record and step count.  The voter-network
     term is added while ``k < voter_steps``.  Called on vectors, it gives
     the ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs
     promoted at the end of step ``promo_step`` (``>= n_steps``: not
@@ -291,9 +231,10 @@ def integrate_votes(
     queue-decay integral by several percent.
 
     The promotion rule is checked after each step; crossing the bar marks
-    the story promoted from the end of that step onward.  The front-page
-    term is taken at the exact age ``t - promotion_time``, so each step
-    equals ``visibility(...).total`` bit for bit at any ``dt``.
+    the story promoted from the end of that step onward.  After it the
+    rate is the front page at the exact age ``t - promotion_time`` plus
+    the submitter's friends; before it, the kernel's ``unpromoted`` table
+    plus the voter network inside the friends window.
 
     Steps are taken one at a time only while the voter-network term reads
     the vote count: inside the friends window, before promotion.  The rest
@@ -366,24 +307,20 @@ def analytic_upcoming_saturation(r: float, params: VoteModelParams) -> float:
     )
 
 
-def saturation_time(
-    trajectory: VoteTrajectory,
-    rate_tol: float = 1e-6,
-    run_length: int = 60,
-) -> float | None:
-    """First time the vote rate stays below ``rate_tol`` for ``run_length`` steps.
+def saturation_time(trajectory: VoteTrajectory) -> float | None:
+    """First time the vote rate stays below ``_SATURATION_RATE`` votes per
+    minute for ``_SATURATION_STEPS`` steps.
 
     Returns None when the trajectory never settles within its horizon.
     """
-    if run_length < 1:
-        raise ValueError(f"run_length must be >= 1, got {run_length}")
     dm = np.diff(trajectory.votes_m)
     dt = np.diff(trajectory.times)
-    slow = (dm / dt) < rate_tol
-    if slow.size < run_length:
+    slow = (dm / dt) < _SATURATION_RATE
+    if slow.size < _SATURATION_STEPS:
         return None
-    window = np.convolve(slow.astype(int), np.ones(run_length, dtype=int), "valid")
-    hits = np.nonzero(window == run_length)[0]
+    run = np.ones(_SATURATION_STEPS, dtype=int)
+    window = np.convolve(slow.astype(int), run, "valid")
+    hits = np.nonzero(window == _SATURATION_STEPS)[0]
     if hits.size == 0:
         return None
     return float(trajectory.times[hits[0]])

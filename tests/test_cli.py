@@ -304,7 +304,8 @@ class TestExitCodes:
         )
         assert code == 4
         assert f"cannot write {out / 'summary.json'}" in capsys.readouterr().err
-        assert not list(out.glob("*.tmp"))
+        # no .tmp left, and no votes.csv written beside the directory
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json"]
 
     def test_render_error_leaves_outputs_unchanged(
         self, votes_ini, tmp_path, monkeypatch
@@ -567,7 +568,7 @@ class TestCompare:
         traj = self._model()
         idx = np.arange(0, 1441, 60)
         report = compare_model_to_trace(
-            traj.times[idx], traj.votes_m[idx] + 5.0, traj, threshold=None
+            traj.times[idx], traj.votes_m[idx] + 5.0, traj, threshold=40.0
         )
         assert report.rms_error == pytest.approx(5.0)
 
@@ -586,7 +587,7 @@ class TestCompare:
         traj = self._model()
         with pytest.raises(ValueError, match="overlap"):
             compare_model_to_trace(
-                np.array([2000.0, 3000.0]), np.array([1.0, 2.0]), traj
+                np.array([2000.0, 3000.0]), np.array([1.0, 2.0]), traj, 40.0
             )
 
     def test_cli_no_overlap_exit_code(self, votes_ini, tmp_path):

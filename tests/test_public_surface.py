@@ -1,0 +1,37 @@
+"""The package's public surface: README's examples run as written, and
+every exported name resolves."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import frontpage
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ["frontpage"] + [
+    f"frontpage.{info.name}" for info in pkgutil.iter_modules(frontpage.__path__)
+]
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:  # later blocks use the names earlier ones define
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["traj"].promotion_time_Th is not None
+    assert namespace["summary"].n_runs == 500
+    assert capsys.readouterr().out.count("\n") == len(blocks)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), "a name is exported twice"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names what it does not define"

@@ -59,7 +59,7 @@ def test_stagnation_is_exact_arithmetic_progression():
 
 def test_zero_schedule_decouples_growth():
     state = UserState(front_page_F=10.0, network_S=20.0, submission_rate_M=8.0)
-    traj = integrate_rank(state, RankModelParams(), weeks=10, M_schedule=0.0)
+    traj = integrate_rank(state, RankModelParams(), weeks=10, M_schedule=[0.0] * 10)
     np.testing.assert_allclose(
         traj.network_S, 20.0 + 0.03 * 10.0 * traj.weeks, rtol=1e-12
     )

@@ -31,8 +31,9 @@ from frontpage.vote_dynamics import (
     integrate_votes,
     promotion_threshold_for,
     step_count,
-    visibility,
 )
+
+from channel_rates import channel_rates, total_rate
 
 
 def _config(**overrides):
@@ -206,13 +207,8 @@ def _reference_run(config, run_index):
     promotion_time = None
     m = 1
     for k in range(step_count(config.horizon, dt)):
-        vis = visibility((k + 0.5) * dt, float(m), story, promotion_time, params)
-        for rate in (
-            vis.v_front,
-            vis.v_upcoming,
-            vis.v_submitter_friends,
-            vis.v_voter_friends,
-        ):
+        t = (k + 0.5) * dt
+        for rate in channel_rates(t, float(m), story, promotion_time, params):
             lam = rate * dt
             if lam <= 0.0:
                 continue
@@ -354,9 +350,9 @@ def test_rate_kernel_matches_visibility(params, horizon):
     for k, votes, p in zip(steps, m, promo):
         got = kernel(int(k), int(k) + 1, np.array([votes]), np.array([p]))[0, 0]
         promotion_time = None if p == n_steps else (p + 1) * params.dt
-        want = visibility(
+        want = total_rate(
             (k + 0.5) * params.dt, float(votes), story, promotion_time, params
-        ).total
+        )
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

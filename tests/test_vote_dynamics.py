@@ -19,49 +19,42 @@ from frontpage.vote_dynamics import (
     _queue_rate,
     _submitter_rate,
     _time_table,
+    _voter_rate,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,
     saturation_time,
     step_count,
-    visibility,
 )
+
+from channel_rates import channel_rates, total_rate
 
 
 class TestPagePositions:
     def test_upcoming_initial_and_drift(self, default_params):
-        story = StoryConfig(0.5, 0)
         p = default_params
-
-        def v_upcoming(t):
-            return visibility(t, 1.0, story, None, p).v_upcoming
-
         # queue page 1 at submission, 4.6 after an hour, 61 after 1000 min
-        assert v_upcoming(0.0) == p.c * p.visit_rate_N
-        assert v_upcoming(60.0) == pytest.approx(p.c * p.c_u**3.6 * p.visit_rate_N)
-        assert v_upcoming(1000.0) == pytest.approx(p.c * p.c_u**60 * p.visit_rate_N)
+        at_0, at_60, at_1000 = _queue_rate(np.array([0.0, 60.0, 1000.0]), p)
+        assert at_0 == p.c * p.visit_rate_N
+        assert at_60 == pytest.approx(p.c * p.c_u**3.6 * p.visit_rate_N)
+        assert at_1000 == pytest.approx(p.c * p.c_u**60 * p.visit_rate_N)
 
     def test_front_zero_before_promotion(self, default_params):
-        story = StoryConfig(0.5, 0)
         p = default_params
-
-        def v_front(t, promotion_time):
-            return visibility(t, 45.0, story, promotion_time, p).v_front
-
-        assert v_front(50.0, 100.0) == 0.0
-        assert v_front(100.0, 100.0) == p.visit_rate_N  # front page 1
-        assert v_front(1100.0, 100.0) == pytest.approx(p.c_f**3 * p.visit_rate_N)
-
-    def test_negative_time_rejected(self, default_params):
-        story = StoryConfig(0.5, 0)
-        with pytest.raises(ValueError):
-            visibility(-1.0, 1.0, story, None, default_params)
-        with pytest.raises(ValueError):
-            visibility(-1.0, 1.0, story, 0.0, default_params)
+        at_0, at_1000 = _front_rate(np.array([0.0, 1000.0]), p)
+        assert at_0 == p.visit_rate_N  # front page 1
+        assert at_1000 == pytest.approx(p.c_f**3 * p.visit_rate_N)
+        # promoted at the end of step 99 (t = 100): the front page reaches
+        # the story from step 100 on, at its age since promotion
+        kernel = RateKernel(StoryConfig(0.5, 0), p, 2880)
+        rate = kernel(0, 2880, np.array([45]), np.array([99]))[:, 0]
+        waiting = kernel(0, 2880, np.array([45]), np.array([2880]))[:, 0]
+        assert np.array_equal(rate[:100], waiting[:100])
+        assert rate[100:].tolist() == kernel.front[:2780].tolist()
 
 
 def _v_voters(m, **params):
-    return visibility(0.0, m, StoryConfig(0.5, 0), None, VoteModelParams(**params))
+    return _voter_rate(m, VoteModelParams(**params))
 
 
 class TestCombinedVoterNetwork:
@@ -69,69 +62,70 @@ class TestCombinedVoterNetwork:
 
     def test_intercept_at_single_vote(self):
         v = _v_voters(1.0, sm_alpha=112.0, sm_beta=47.0)
-        assert v.v_voter_friends * 1440.0 == pytest.approx(47.0)
+        assert v * 1440.0 == pytest.approx(47.0)
 
     def test_natural_log_growth(self):
         # 112 * ln(10) + 47
         v = _v_voters(10.0, sm_alpha=112.0, sm_beta=47.0)
-        assert v.v_voter_friends * 1440.0 == pytest.approx(304.88953041533315)
+        assert v * 1440.0 == pytest.approx(304.88953041533315)
 
     def test_disabled_channel(self):
         for m in (1.0, 5.0, 1e6):
-            assert _v_voters(m, sm_alpha=0.0, sm_beta=0.0).v_voter_friends == 0.0
+            assert _v_voters(m, sm_alpha=0.0, sm_beta=0.0) == 0.0
 
     def test_alternate_base(self):
         v = _v_voters(100.0, sm_alpha=112.0, sm_beta=47.0, sm_log_base=10.0)
-        assert v.v_voter_friends * 1440.0 == pytest.approx(112.0 * 2 + 47.0)
-
-    def test_m_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            _v_voters(0.5, sm_alpha=112.0, sm_beta=47.0)
+        assert v * 1440.0 == pytest.approx(112.0 * 2 + 47.0)
 
 
 class TestVisibility:
     def test_fresh_story_channels(self, default_params):
-        v = visibility(0.0, 1.0, StoryConfig(0.5, 0), None, default_params)
-        assert v.v_upcoming == pytest.approx(3.0)  # c * N on queue page 1
-        assert v.v_front == 0.0
-        assert v.v_submitter_friends == 0.0
-        assert v.v_voter_friends == pytest.approx(47.0 / 1440.0)
+        p = default_params
+        assert _queue_rate(np.array([0.0]), p)[0] == pytest.approx(3.0)  # c * N
+        assert _submitter_rate(0.0, StoryConfig(0.5, 0), p) == 0.0
+        assert _voter_rate(1.0, p) == pytest.approx(47.0 / 1440.0)
 
     def test_friends_windows_close(self, default_params):
         story = StoryConfig(0.5, 300)
-        v = visibility(2881.0, 5.0, story, None, default_params)
-        assert v.v_submitter_friends == 0.0
-        assert v.v_voter_friends == 0.0
+        assert _submitter_rate(2881.0, story, default_params) == 0.0
+        # the last midpoint inside the 2880-minute window is 2879.5
+        kernel = RateKernel(story, default_params, 2882)
+        assert kernel.voter_steps == 2880
+        rate = kernel(2880, 2882, np.array([5]), np.array([2882]))
+        assert rate.tolist() == [[0.0], [0.0]]
 
     def test_submitter_pool_drains_after_a_day(self, default_params):
         story = StoryConfig(0.5, 300)
-        before = visibility(1000.0, 5.0, story, None, default_params)
-        assert before.v_submitter_friends == pytest.approx(300.0 / 1440.0)
-        after = visibility(1500.0, 5.0, story, None, default_params)
-        assert after.v_submitter_friends == 0.0
+        before = _submitter_rate(1000.0, story, default_params)
+        assert before == pytest.approx(300.0 / 1440.0)
+        assert _submitter_rate(1500.0, story, default_params) == 0.0
 
     def test_promotion_switches_page_channels(self, default_params):
-        story = StoryConfig(0.5, 0)
-        promoted = visibility(100.0, 45.0, story, 100.0, default_params)
-        assert promoted.v_upcoming == 0.0
-        assert promoted.v_front == pytest.approx(10.0)  # front page 1
-        assert promoted.v_voter_friends == 0.0
-        waiting = visibility(100.0, 45.0, story, None, default_params)
-        assert waiting.v_front == 0.0
-        assert waiting.v_upcoming > 0.0
+        p = default_params
+        kernel = RateKernel(StoryConfig(0.5, 0), p, 2880)
+        # step 100 of a story promoted at t = 100 and of one still waiting
+        rate = kernel(100, 101, np.array([45, 45]), np.array([99, 2880]))
+        promoted, waiting = rate[0].tolist()
+        # front page 1, half a step old: no queue and no voters' friends
+        assert promoted == _front_rate(np.array([0.5]), p)[0]
+        assert promoted == pytest.approx(10.0, rel=1e-2)
+        queue = _queue_rate(np.array([100.5]), p)[0]
+        assert queue > 0.0
+        assert waiting == pytest.approx(queue + _voter_rate(45.0, p), rel=1e-12)
 
     def test_queue_expires_after_a_day(self, default_params):
-        story = StoryConfig(0.5, 0)
-        edge = visibility(1440.0, 2.0, story, None, default_params)
-        assert edge.v_upcoming > 0.0  # window edge counts as inside
-        gone = visibility(1441.0, 2.0, story, None, default_params)
-        assert gone.v_upcoming == 0.0
+        edge, gone = _queue_rate(np.array([1440.0, 1441.0]), default_params)
+        assert edge > 0.0  # window edge counts as inside
+        assert gone == 0.0
 
     def test_total_sums_channels(self, default_params):
-        v = visibility(10.0, 3.0, StoryConfig(0.5, 50), None, default_params)
-        assert v.total == pytest.approx(
-            v.v_front + v.v_upcoming + v.v_submitter_friends + v.v_voter_friends
-        )
+        p = default_params
+        story = StoryConfig(0.5, 50)
+        kernel = RateKernel(story, p, 2880)
+        total = kernel(10, 11, np.array([3]), np.array([2880]))[0, 0]
+        _, queue, submitter, voters = channel_rates(10.5, 3.0, story, None, p)
+        assert submitter > 0.0 and voters > 0.0
+        assert total == pytest.approx(queue + submitter + voters, rel=1e-12)
 
 
 def test_promotion_threshold_for():
@@ -220,14 +214,14 @@ class TestIntegrateVotes:
         story = StoryConfig(0.9, 80)
         traj = integrate_votes(story, default_params, FixedThreshold(h=40), 2880.0)
         for k, t in enumerate(traj.times[:-1]):
-            v = visibility(
+            front, queue, _, _ = channel_rates(
                 float(t),
                 float(traj.votes_m[k]),
                 story,
                 traj.promotion_time_Th,
                 default_params,
             )
-            assert not (v.v_front > 0.0 and v.v_upcoming > 0.0)
+            assert not (front > 0.0 and queue > 0.0)
 
     def test_reproducible(self, default_params):
         story = StoryConfig(0.5, 80)
@@ -281,11 +275,10 @@ def test_kernel_tables_equal_visibility_exactly(params, horizon):
     kernel = RateKernel(story, params, n_steps)
     for k in range(n_steps):
         t = (k + 0.5) * params.dt
-        waiting = visibility(t, 7.0, story, None, params)
-        assert kernel.unpromoted[k] == waiting.total
-        assert kernel.submitter[k] == waiting.v_submitter_friends
+        assert kernel.unpromoted[k] == total_rate(t, 7.0, story, None, params)
+        assert kernel.submitter[k] == channel_rates(t, 7.0, story, None, params)[2]
         # promoted at t = 0, so the age since promotion is t itself
-        assert kernel.front[k] == visibility(t, 7.0, story, 0.0, params).v_front
+        assert kernel.front[k] == channel_rates(t, 7.0, story, 0.0, params)[0]
     assert kernel.voter_steps == 0
 
 
@@ -339,7 +332,8 @@ def test_voter_steps_count_the_midpoints_inside_the_window(
 
 
 def _reference_integrate(story, params, policy, horizon):
-    """The per-step ``visibility()`` integrator the kernel path replaced."""
+    """The per-step integrator the kernel path replaced: the channels
+    summed at each step midpoint."""
     dt = params.dt
     n_steps = step_count(horizon, dt)
     threshold = promotion_threshold_for(policy, story)
@@ -351,8 +345,8 @@ def _reference_integrate(story, params, policy, horizon):
     m = 1.0
     for k in range(n_steps):
         t_mid = (k + 0.5) * dt
-        vis = visibility(t_mid, m, story, promotion_time, params)
-        m = m + story.interestingness_r * vis.total * dt
+        rate = total_rate(t_mid, m, story, promotion_time, params)
+        m = m + story.interestingness_r * rate * dt
         times[k + 1] = (k + 1) * dt
         votes[k + 1] = m
         if promotion_time is None and m >= threshold:
@@ -481,8 +475,17 @@ def test_page_channels_on_arrays_equal_the_scalar_rates():
     t[:3] = [0.0, 500.3, np.nextafter(500.3, 1e9)]  # on and just past the edge
     queue = _queue_rate(t, params)
     front = _front_rate(t, params)
-    assert queue.tolist() == [_queue_rate(x, params) for x in t.tolist()]
-    assert front.tolist() == [_front_rate(x, params) for x in t.tolist()]
+    # each entry is the rate in Python float arithmetic and float pow
+    p = params
+    assert queue.tolist() == [
+        p.c * p.c_u ** (p.k_u * x + 1.0 - 1.0) * p.visit_rate_N
+        if x <= p.upcoming_window
+        else 0.0
+        for x in t.tolist()
+    ]
+    assert front.tolist() == [
+        p.c_f ** (p.k_f * x + 1.0 - 1.0) * p.visit_rate_N for x in t.tolist()
+    ]
     assert queue[1] > 0.0 and queue[2] == 0.0
     exponents = t / 7.0
     assert _pow(0.3, exponents).tolist() == [0.3**x for x in exponents.tolist()]
