@@ -13,8 +13,8 @@ Scenario configs are INI-style: sections ``[vote] [story] [policy] [rank]
 names exactly; every section in the file is checked, read or not.
 ``--sweep SECTION.KEY=V1,V2,...`` (repeatable, once per key; cross
 product) fans a ``simulate`` or ``ensemble`` run out over a parameter
-grid of keys the command reads; outputs are keyed by the swept values.
-``compare`` takes no ``--sweep``.
+grid of keys the command reads (the ``_READS`` table); outputs are keyed
+by the swept values.  ``compare`` takes no ``--sweep``.
 
 Every command writes a ``summary.json`` embedding the fully resolved
 parameters and tool version, so a run is reproducible from its outputs.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import copy
 import csv
 import dataclasses
 import functools
@@ -39,7 +38,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +54,12 @@ from .core import (
     StoryConfig,
     UserState,
     VoteModelParams,
-    VoteTrajectory,
     record_from_mapping,
 )
 from .fitting import (
+    _MAX_BINS,
     chance_probability,
+    compare_model_to_trace,
     fit_linear,
     fit_log,
     success_rate_series,
@@ -79,9 +78,7 @@ __all__ = [
     "ConfigError",
     "InputError",
     "OutputError",
-    "ComparisonReport",
     "ingest_traces",
-    "compare_model_to_trace",
     "run_scenario",
     "main",
 ]
@@ -146,8 +143,9 @@ def _record(cfg: dict[str, dict[str, str]], section: str):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def load_config(path: Path) -> dict[str, dict[str, str]]:
-    """Read an INI scenario file into {section: {key: raw value}}.
+def load_config(path: Path):
+    """Read an INI scenario file; return its ``{section: {key: raw value}}``
+    and the record of each section in it.
 
     Every section in the file is checked by building its record, whether
     or not the command reads it, so no key is silently ignored.
@@ -177,32 +175,8 @@ def load_config(path: Path) -> dict[str, dict[str, str]]:
             f"expected {', '.join(_RECORDS)}"
         )
     cfg = {s: dict(parser.items(s)) for s in parser.sections()}
-    for section in _RECORDS:
-        if section in cfg:
-            _record(cfg, section)
-    return cfg
-
-
-def _story_records(cfg: dict[str, dict[str, str]]):
-    """Build the ``[vote] [story] [policy] [run]`` records of one story.
-
-    Returns them with their resolved-parameter doc for ``summary.json``.
-    """
-    params, story, policy, run = (
-        _record(cfg, section) for section in ("vote", "story", "policy", "run")
-    )
-    try:
-        step_count(run.horizon_minutes, params.dt)
-    except ValueError as exc:
-        raise ConfigError(f"[run] {exc}") from None
-    kind = cfg.get("policy", {}).get("kind", "fixed")
-    doc = {
-        "vote": dataclasses.asdict(params),
-        "story": dataclasses.asdict(story),
-        "policy": {"kind": kind, **dataclasses.asdict(policy)},
-        "run": {"horizon_minutes": run.horizon_minutes},
-    }
-    return params, story, policy, run, doc
+    records = {s: _record(cfg, s) for s in _RECORDS if s in cfg}
+    return cfg, records
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -258,10 +232,10 @@ def expand_sweeps(
     combos = []
     suffixes = set()
     for values in itertools.product(*(vals for _, _, vals in sweeps)):
-        patched = copy.deepcopy(cfg)
+        patched = dict(cfg)
         overrides = {}
         for (section, key, _), value in zip(sweeps, values):
-            patched.setdefault(section, {})[key] = value
+            patched[section] = {**patched.get(section, {}), key: value}
             overrides[f"{section}.{key}"] = value
         suffix = _suffix_for(overrides)
         if suffix in suffixes:
@@ -278,6 +252,65 @@ def _suffix_for(overrides: dict[str, str]) -> str:
         f"_{qualified.split('.', 1)[1]}={value.replace('/', '-')}"
         for qualified, value in overrides.items()
     )
+
+
+# Model command kind -> the config sections it reads, in the order their
+# records are built, and the [run] keys it reads.  Its ``summary.json``
+# ``params`` hold these and nothing else, and a sweep may name only these.
+_READS = {
+    "simulate-votes": (("vote", "story", "policy", "run"), ("horizon_minutes",)),
+    "simulate-rank": (("rank", "user", "run"), ("weeks", "rank_kappa", "M_schedule")),
+    "ensemble": (("vote", "story", "policy", "run", "ensemble"), ("horizon_minutes",)),
+    "compare": (("vote", "story", "policy", "run"), ("horizon_minutes",)),
+}
+_POLICY_KINDS = {cls: kind for kind, cls in _RECORDS["policy"].items()}
+
+
+def _points(args: argparse.Namespace):
+    """Load ``--config``; ``(overrides, records, params doc)`` of each point.
+
+    A point's records are those :func:`load_config` built, except that a
+    section the command reads is built from the point's config where the
+    file has none, a sweep sets one of its keys, or ``--seed`` sets its
+    seed.  Every point is built before any is run, so an invalid point, or
+    a sweep over a key the command does not read, fails the command before
+    any work is done.
+    """
+    cfg, records = load_config(args.config)
+    sweeps = parse_sweeps(args.sweep if "sweep" in args else [])
+    sections, run_keys = _READS[args.kind]
+    swept = rebuild = {section for section, _, _ in sweeps}
+    if getattr(args, "seed", None) is not None:
+        cfg = {**cfg, "ensemble": {**cfg.get("ensemble", {}), "seed": args.seed}}
+        rebuild = swept | {"ensemble"}
+    points = []
+    for overrides, point in expand_sweeps(cfg, sweeps):
+        records = dict(records)
+        for section in sections:
+            if section in rebuild or section not in records:
+                records[section] = _record(point, section)
+            if section == "run" and "vote" in sections:
+                try:  # the vote model's horizon is a whole number of dt steps
+                    step_count(records["run"].horizon_minutes, records["vote"].dt)
+                except ValueError as exc:
+                    raise ConfigError(f"[run] {exc}") from None
+        rebuild = swept
+        doc = {section: dataclasses.asdict(records[section]) for section in sections}
+        if "policy" in doc:
+            kind = _POLICY_KINDS[type(records["policy"])]
+            doc["policy"] = {"kind": kind, **doc["policy"]}
+        doc["run"] = {key: doc["run"][key] for key in run_keys}
+        points.append((overrides, records, doc))
+    for section, key, _ in sweeps:
+        if section not in sections or (section == "run" and key not in run_keys):
+            raise ConfigError(
+                f"sweep {section}.{key}: "
+                f"{args.kind.replace('-', ' ')} does not read it"
+            )
+        # only ``ensemble`` reads [ensemble], and only it has --seed
+        if (section, key) == ("ensemble", "seed") and args.seed is not None:
+            raise ConfigError("sweep ensemble.seed: --seed sets every point's seed")
+    return points
 
 
 # --- trace ingestion -------------------------------------------------------
@@ -374,63 +407,6 @@ def ingest_traces(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         sid: (np.array(times), np.array(values))
         for sid, (times, values) in columns.items()
     }
-
-
-# --- model-vs-trace comparison ---------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Goodness of a model trajectory against one observed series."""
-
-    n_overlap: int
-    rms_error: float
-    promotion_time_model: float | None
-    promotion_time_trace: float | None
-    promotion_time_difference: float | None  # model minus trace
-    final_value_ratio: float | None  # model / trace at last overlapping time
-
-
-def compare_model_to_trace(
-    trace_times: np.ndarray,
-    trace_values: np.ndarray,
-    trajectory: VoteTrajectory,
-    threshold: float,
-) -> ComparisonReport:
-    """RMS error on the overlapping time range, plus promotion timing.
-
-    The model is linearly interpolated at the trace's time stamps.  The
-    trace's promotion time is the first stamp at which its value reaches
-    ``threshold`` (None if it never does).
-    """
-    tt = np.asarray(trace_times, dtype=float)
-    tv = np.asarray(trace_values, dtype=float)
-    mask = (tt >= trajectory.times[0]) & (tt <= trajectory.times[-1])
-    if not np.any(mask):
-        raise ValueError(
-            f"no time overlap: trace spans [{tt.min()}, {tt.max()}], "
-            f"model spans [{trajectory.times[0]}, {trajectory.times[-1]}]"
-        )
-    tt, tv = tt[mask], tv[mask]
-    model_at = np.interp(tt, trajectory.times, np.asarray(trajectory.votes_m, float))
-    rms = float(np.sqrt(np.mean((model_at - tv) ** 2)))
-
-    promo_trace: float | None = None
-    crossed = np.nonzero(np.asarray(trace_values, float) >= threshold)[0]
-    if crossed.size:
-        promo_trace = float(np.asarray(trace_times, float)[crossed[0]])
-    promo_model = trajectory.promotion_time_Th
-    difference = None
-    if promo_model is not None and promo_trace is not None:
-        difference = promo_model - promo_trace
-    ratio = float(model_at[-1] / tv[-1]) if tv[-1] != 0 else None
-    return ComparisonReport(
-        n_overlap=int(tt.size),
-        rms_error=rms,
-        promotion_time_model=promo_model,
-        promotion_time_trace=promo_trace,
-        promotion_time_difference=difference,
-        final_value_ratio=ratio,
-    )
 
 
 # --- output rendering ------------------------------------------------------
@@ -632,35 +608,17 @@ def _write_outputs(out_dir: Path, outputs) -> None:
 # extra): the CSV tables as (file name, header, columns), the ``results``
 # list of ``summary.json`` and any further top-level keys of it.
 
-def _run_model(args: argparse.Namespace, stem: str, plan):
+def _run_model(args: argparse.Namespace, stem: str, compute):
     """Run a model at every sweep point; one ``{stem}*.csv`` table each.
 
-    ``plan(cfg, args)`` validates one point and returns its resolved
-    parameters and a closure computing (summary fields, CSV columns, JSON
-    trajectory).  Every point is planned before any is computed, so an
-    invalid point, or a sweep over a key the command does not read, fails
-    the command before any work is done.  A point that overflows the model
-    at run time is a config error naming the point.
+    ``compute(records)`` returns one point's (summary fields, CSV columns,
+    JSON trajectory).  A point that overflows the model at run time is a
+    config error naming the point.
     """
-    cfg, sweeps = load_config(args.config), parse_sweeps(args.sweep)
-    planned = [
-        (overrides, *plan(point, args))
-        for overrides, point in expand_sweeps(cfg, sweeps)
-    ]
-    read = planned[0][1]
-    for section, key, _ in sweeps:
-        if key not in read.get(section, {}):
-            raise ConfigError(
-                f"sweep {section}.{key}: "
-                f"{args.kind.replace('-', ' ')} does not read it"
-            )
-        # only ``ensemble`` reads [ensemble], and only it has --seed
-        if (section, key) == ("ensemble", "seed") and args.seed is not None:
-            raise ConfigError("sweep ensemble.seed: --seed sets every point's seed")
     tables, results = [], []
-    for overrides, params, compute in planned:
+    for overrides, records, params in _points(args):
         try:
-            fields, columns, trajectory = compute()
+            fields, columns, trajectory = compute(records)
         except (ValueError, ArithmeticError) as exc:
             point = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"{point or 'config'}: {exc}") from None
@@ -675,81 +633,63 @@ def _run_model(args: argparse.Namespace, stem: str, plan):
     return tables, results, {}
 
 
-def _plan_votes(cfg, args: argparse.Namespace):
-    params, story, policy, run, doc = _story_records(cfg)
-
-    def compute():
-        trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
-        fields = {
-            "promotion_time_Th": trajectory.promotion_time_Th,
-            "final_votes": trajectory.final_votes,
-            "saturated_at": saturation_time(trajectory),
-        }
-        columns = {"t": trajectory.times, "m": trajectory.votes_m}
-        return fields, columns, columns
-
-    return doc, compute
+def _story(records):
+    """``integrate_votes``'s story, ``[vote]``, ``[policy]`` and horizon."""
+    return (records["story"], records["vote"], records["policy"],
+            records["run"].horizon_minutes)
 
 
-def _plan_rank(cfg, args: argparse.Namespace):
-    params, user, run = (_record(cfg, section) for section in ("rank", "user", "run"))
-    doc = {
-        "rank": dataclasses.asdict(params),
-        "user": dataclasses.asdict(user),
-        "run": {
-            "weeks": run.weeks,
-            "rank_kappa": run.rank_kappa,
-            "M_schedule": run.M_schedule,
-        },
+def _votes(records):
+    trajectory = integrate_votes(*_story(records))
+    fields = {
+        "promotion_time_Th": trajectory.promotion_time_Th,
+        "final_votes": trajectory.final_votes,
+        "saturated_at": saturation_time(trajectory),
     }
-
-    def compute():
-        trajectory = integrate_rank(user, params, run.weeks, run.M_schedule)
-        # None ("unranked") while F = 0
-        proxies = [rank_proxy(f, run.rank_kappa) for f in trajectory.front_page_F]
-        fields = {
-            "final_front_page_F": trajectory.front_page_F[-1],
-            "final_network_S": trajectory.network_S[-1],
-            "final_rank_proxy": proxies[-1],
-        }
-        columns = {
-            "week": trajectory.weeks,
-            "F": trajectory.front_page_F,
-            "S": trajectory.network_S,
-            "rank_proxy": proxies,
-        }
-        return fields, columns, columns
-
-    return doc, compute
+    columns = {"t": trajectory.times, "m": trajectory.votes_m}
+    return fields, columns, columns
 
 
-def _plan_ensemble(cfg, args: argparse.Namespace):
-    if args.seed is not None:
-        cfg = {**cfg, "ensemble": {**cfg.get("ensemble", {}), "seed": args.seed}}
-    params, story, policy, run, doc = _story_records(cfg)
-    doc["ensemble"] = dataclasses.asdict(_record(cfg, "ensemble"))
-    config = StochasticRunConfig(
-        story, params, policy, run.horizon_minutes, **doc["ensemble"]
-    )
+def _rank(records):
+    run = records["run"]
+    trajectory = integrate_rank(records["user"], records["rank"], run.weeks,
+                                run.M_schedule)
+    # None ("unranked") while F = 0
+    proxies = [rank_proxy(f, run.rank_kappa) for f in trajectory.front_page_F]
+    fields = {
+        "final_front_page_F": trajectory.front_page_F[-1],
+        "final_network_S": trajectory.network_S[-1],
+        "final_rank_proxy": proxies[-1],
+    }
+    columns = {
+        "week": trajectory.weeks,
+        "F": trajectory.front_page_F,
+        "S": trajectory.network_S,
+        "rank_proxy": proxies,
+    }
+    return fields, columns, columns
 
-    def compute():
-        summary = ensemble(config)
-        fields = {
-            "promotion_probability": summary.promotion_probability,
-            "promotion_time_quantiles": summary.promotion_time_quantiles,
-            "mean_final_votes": float(summary.final_votes.mean()),
-            "std_final_votes": (
-                float(summary.final_votes.std(ddof=1)) if summary.n_runs > 1 else 0.0
-            ),
-        }
-        trajectory = {
-            "t": summary.times,
-            "mean_m": summary.mean_votes,
-            "std_m": summary.std_votes,
-        }
-        return fields, {"t": summary.times, "m": summary.mean_votes}, trajectory
 
-    return doc, compute
+def _ensemble(records):
+    story, params, policy, horizon = _story(records)
+    summary = ensemble(StochasticRunConfig(
+        story=story, params=params, policy=policy, horizon=horizon,
+        **dataclasses.asdict(records["ensemble"]),
+    ))
+    fields = {
+        "promotion_probability": summary.promotion_probability,
+        "promotion_time_quantiles": summary.promotion_time_quantiles,
+        "mean_final_votes": float(summary.final_votes.mean()),
+        "std_final_votes": (
+            float(summary.final_votes.std(ddof=1)) if summary.n_runs > 1 else 0.0
+        ),
+    }
+    trajectory = {
+        "t": summary.times,
+        "mean_m": summary.mean_votes,
+        "std_m": summary.std_votes,
+    }
+    return fields, {"t": summary.times, "m": summary.mean_votes}, trajectory
 
 
 def _record_table(name: str, records: list[dict]):
@@ -783,12 +723,12 @@ def _run_fit(args: argparse.Namespace):
 
 
 def _run_compare(args: argparse.Namespace):
-    params, story, policy, run, doc = _story_records(load_config(args.config))
+    [(_, records, doc)] = _points(args)
     try:
-        trajectory = integrate_votes(story, params, policy, run.horizon_minutes)
+        trajectory = integrate_votes(*_story(records))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config: {exc}") from None
-    threshold = promotion_threshold_for(policy, story)
+    threshold = promotion_threshold_for(records["policy"], records["story"])
     return _per_id(
         args,
         "compare.csv",
@@ -859,40 +799,40 @@ def _run_significance(args: argparse.Namespace):
     return [_record_table("significance.csv", results)], results, extra
 
 
-# Command kind -> (help, help for the input CSV argument, the config flags it
-# takes, runner).  A kind "GROUP-NAME" is the command ``GROUP NAME``.
+# Command kind -> (help, help for the input CSV argument, whether it takes
+# --sweep, runner).  A kind "GROUP-NAME" is the command ``GROUP NAME``; the
+# kinds in ``_READS`` take --config.
 _COMMANDS = {
     "simulate-votes": (
-        "story vote trajectory (CSV t,m)", None, ("--config", "--sweep"),
-        functools.partial(_run_model, stem="votes", plan=_plan_votes),
+        "story vote trajectory (CSV t,m)", None, True,
+        functools.partial(_run_model, stem="votes", compute=_votes),
     ),
     "simulate-rank": (
-        "weekly user rank model (CSV week,F,S,rank_proxy)", None,
-        ("--config", "--sweep"),
-        functools.partial(_run_model, stem="rank", plan=_plan_rank),
+        "weekly user rank model (CSV week,F,S,rank_proxy)", None, True,
+        functools.partial(_run_model, stem="rank", compute=_rank),
     ),
     "ensemble": (
-        "stochastic vote-model ensemble", None, ("--config", "--sweep"),
-        functools.partial(_run_model, stem="ensemble_mean", plan=_plan_ensemble),
+        "stochastic vote-model ensemble", None, True,
+        functools.partial(_run_model, stem="ensemble_mean", compute=_ensemble),
     ),
     "fit-linear": (
-        "y = slope*x + intercept per id", "trace CSV (id,t,value)", (), _run_fit
+        "y = slope*x + intercept per id", "trace CSV (id,t,value)", False, _run_fit
     ),
     "fit-log": (
-        "y = alpha*log(x) + beta per id", "trace CSV (id,t,value), t >= 1", (),
+        "y = alpha*log(x) + beta per id", "trace CSV (id,t,value), t >= 1", False,
         _run_fit,
     ),
     "fit-success": (
         "binned success rate vs. network size",
-        f"users CSV ({','.join(_USERS_HEADER)})", (), _run_fit_success,
+        f"users CSV ({','.join(_USERS_HEADER)})", False, _run_fit_success,
     ),
     "significance": (
         "friend-voting chance probabilities",
-        f"observations CSV ({','.join(_OBS_HEADER)})", (), _run_significance,
+        f"observations CSV ({','.join(_OBS_HEADER)})", False, _run_significance,
     ),
     "compare": (
         "model trajectory vs. observed trace", "trace CSV (id,t,value)",
-        ("--config",), _run_compare,
+        False, _run_compare,
     ),
 }
 
@@ -962,13 +902,13 @@ def build_parser() -> argparse.ArgumentParser:
             dest="target", required=True, metavar=metavar
         )
     cmd = {}
-    for kind, (help_text, input_help, config_flags, _) in _COMMANDS.items():
+    for kind, (help_text, input_help, sweeps, _) in _COMMANDS.items():
         group, _, name = kind.rpartition("-")
         cmd[kind] = groups[group].add_parser(name, help=help_text)
         cmd[kind].set_defaults(kind=kind)
         if input_help:
             cmd[kind].add_argument("input", type=Path, help=input_help)
-        if "--config" in config_flags:
+        if kind in _READS:
             cmd[kind].add_argument(
                 "--config",
                 type=Path,
@@ -977,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="INI scenario config (sections [vote] [story] [policy] "
                 "[rank] [user] [ensemble] [run])",
             )
-        if "--sweep" in config_flags:
+        if sweeps:
             cmd[kind].add_argument(
                 "--sweep",
                 action="append",
@@ -1020,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd["fit-success"].add_argument(
         "--bins",
-        type=_checked(int, lambda v: v >= 1, ">= 1"),
+        type=_checked(int, lambda v: 1 <= v <= _MAX_BINS, f"in [1, {_MAX_BINS}]"),
         default=10,
         help="equal-width bin count (default 10)",
     )

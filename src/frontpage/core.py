@@ -53,11 +53,22 @@ _MAX_WEEKS = 1_000_000
 # Largest voter sample of the chance-probability test: its binomial tail
 # then sums at most ~4e5 terms (under a second), where 10^30 would never end.
 _MAX_SAMPLE_N = 100_000_000
+# Largest ensemble: each run holds about 1.1 KB and takes ~30 us to seed
+# before its first step, so 10^5 runs set up in about 3 s and 150 MB.
+_MAX_RUNS = 100_000
 
 
 def _raise_if(violations: list[str]) -> None:
     if violations:
         raise ParameterError("; ".join(violations))
+
+
+class _Record:
+    """Base of the self-checking records: constructing one raises
+    :class:`ParameterError` listing every entry of its ``_violations()``."""
+
+    def __post_init__(self) -> None:
+        _raise_if(self._violations())
 
 
 def _is_integral(value) -> bool:
@@ -80,7 +91,7 @@ def _finite(value) -> bool:
 
 
 @dataclass(frozen=True)
-class VoteModelParams:
+class VoteModelParams(_Record):
     """Constants of the story-vote model.
 
     All rates are per minute.  The stock values are the fitted site-wide
@@ -100,9 +111,6 @@ class VoteModelParams:
     upcoming_window: float = 1440.0  # minutes a story stays in the upcoming queue
     friends_window: float = 2880.0   # minutes a story stays in the friends interface
     dt: float = 1.0             # integration step, minutes
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -145,14 +153,11 @@ class VoteModelParams:
 
 
 @dataclass(frozen=True)
-class StoryConfig:
+class StoryConfig(_Record):
     """A single story's inputs: how interesting it is and who submitted it."""
 
     interestingness_r: float      # probability a viewer votes on the story
     submitter_network_S: int = 0  # submitter's reverse friends
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -212,13 +217,10 @@ class VoteTrajectory:
 
 
 @dataclass(frozen=True)
-class FixedThreshold:
+class FixedThreshold(_Record):
     """Promote once the vote count reaches a site-wide constant."""
 
     h: int = 40
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         if not _is_integral(self.h) or self.h < 2:
@@ -229,7 +231,7 @@ class FixedThreshold:
 
 
 @dataclass(frozen=True)
-class NetworkProportional:
+class NetworkProportional(_Record):
     """Promote once votes reach ``factor`` times the submitter's network size.
 
     Scaling the bar with the network keeps low-interest stories off the
@@ -238,9 +240,6 @@ class NetworkProportional:
     """
 
     factor: float = 1.5
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         if not (_finite(self.factor) and self.factor > 0.0):
@@ -252,16 +251,13 @@ PromotionPolicy = Union[FixedThreshold, NetworkProportional]
 
 
 @dataclass(frozen=True)
-class RankModelParams:
+class RankModelParams(_Record):
     """Constants of the weekly front-page / social-network model."""
 
     a: float = 0.03        # reverse friends per front-page story per week (standing)
     b: float = 1.0         # reverse friends gained per newly promoted story
     c_success: float = 0.002  # success rate per reverse friend
     dt_weeks: float = 1.0  # integration step, weeks
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -275,7 +271,7 @@ class RankModelParams:
 
 
 @dataclass(frozen=True)
-class UserState:
+class UserState(_Record):
     """A user's evolving state in the rank model.
 
     Front-page count and network size are real-valued in the model
@@ -285,9 +281,6 @@ class UserState:
     front_page_F: float       # cumulative stories promoted to the front page
     network_S: float          # reverse friends
     submission_rate_M: float  # stories submitted per week
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -299,7 +292,7 @@ class UserState:
 
 
 @dataclass(frozen=True)
-class FriendVoteObservation:
+class FriendVoteObservation(_Record):
     """One story's voter sample for the chance-probability test.
 
     Of ``sample_n`` voters drawn from a pool of ``pool_N`` users,
@@ -311,9 +304,6 @@ class FriendVoteObservation:
     sample_n: int
     group_K: int
     overlap_k: int
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -345,16 +335,13 @@ class FriendVoteObservation:
 
 
 @dataclass(frozen=True)
-class RunOptions:
+class RunOptions(_Record):
     """Run length of the models, and how the rank model reports rank."""
 
     horizon_minutes: float = 2880.0  # vote-model horizon
     weeks: int = 25                  # rank-model horizon
     rank_kappa: float = 1.0          # rank proxy is kappa / F
     M_schedule: tuple[float, ...] | None = None  # per-week submission rates
-
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
@@ -378,23 +365,23 @@ ARRIVAL_MODES = ("poisson", "mean")
 
 
 @dataclass(frozen=True)
-class EnsembleOptions:
-    """Size, seed and arrival mode of a stochastic ensemble."""
+class EnsembleOptions(_Record):
+    """Size, seed and arrival mode of a stochastic ensemble: the
+    ``[ensemble]`` record, and the base of
+    :class:`~frontpage.stochastic_sim.StochasticRunConfig`."""
 
     runs: int = 100
     seed: int = 0
     arrival_mode: str = "poisson"
 
-    def __post_init__(self) -> None:
-        _raise_if(self._violations())
-
     def _violations(self) -> list[str]:
-        # also the checks of StochasticRunConfig, which has these fields
         bad: list[str] = []
         if not _is_integral(self.seed) or self.seed < 0:
             bad.append(f"seed must be a nonnegative integer, got {self.seed}")
         if not _is_integral(self.runs) or self.runs < 1:
             bad.append(f"runs must be a positive integer, got {self.runs}")
+        elif self.runs > _MAX_RUNS:
+            bad.append(f"runs must be at most {_MAX_RUNS}, got {self.runs}")
         if self.arrival_mode not in ARRIVAL_MODES:
             bad.append(
                 f"arrival_mode must be one of {ARRIVAL_MODES}, "

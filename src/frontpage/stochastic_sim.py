@@ -84,31 +84,28 @@ _UNIFORM_BLOCK = 128
 _SEGMENT_RUN_STEPS = 16384
 
 
-@dataclass(frozen=True)
-class StochasticRunConfig:
-    """Everything that determines an ensemble, including the seed.
+@dataclass(frozen=True, kw_only=True)
+class StochasticRunConfig(EnsembleOptions):
+    """An ``[ensemble]`` record with the story it runs: everything that
+    determines an ensemble, including the seed.
 
-    ``arrival_mode`` "poisson" draws vote counts; "mean" degenerately
-    replaces every draw by its expectation, reproducing the deterministic
-    integrator bit for bit (used as a self-test of the harness).
+    ``runs``, ``seed`` and ``arrival_mode`` and their defaults are those of
+    :class:`~frontpage.core.EnsembleOptions`.  ``arrival_mode`` "poisson"
+    draws vote counts; "mean" degenerately replaces every draw by its
+    expectation, reproducing the deterministic integrator bit for bit (used
+    as a self-test of the harness).
     """
 
     story: StoryConfig
     params: VoteModelParams
     policy: PromotionPolicy
     horizon: float
-    seed: int
-    runs: int = 1
-    arrival_mode: str = "poisson"
 
-    def __post_init__(self) -> None:
+    def _violations(self) -> list[str]:
         bad: list[str] = []
         if not (_finite(self.horizon) and self.horizon > 0):
             bad.append(f"horizon must be a positive finite number, got {self.horizon}")
-        # seed, runs and arrival_mode are checked as in the [ensemble] record
-        bad += EnsembleOptions._violations(self)
-        if bad:
-            raise ParameterError("; ".join(bad))
+        return bad + super()._violations()
 
 
 @dataclass(frozen=True)

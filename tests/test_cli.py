@@ -7,16 +7,15 @@ import pytest
 
 from frontpage import FixedThreshold, StoryConfig, VoteModelParams, cli
 from frontpage.cli import (
-    ComparisonReport,
     ConfigError,
     InputError,
-    compare_model_to_trace,
     expand_sweeps,
     ingest_traces,
     load_config,
     main,
     parse_sweeps,
 )
+from frontpage.fitting import ComparisonReport, compare_model_to_trace
 from frontpage.vote_dynamics import integrate_votes
 
 
@@ -335,6 +334,7 @@ class TestExitCodes:
             ["simulate", "sideways"],
             ["fit", "success", users, "--bins", "0"],
             ["fit", "success", users, "--bins", "many"],
+            ["fit", "success", users, "--bins", "100001"],
             ["fit", "success", users, "--min-submissions", "0"],
             ["fit", "log", trace, "--log-base", "1"],
             ["fit", "log", trace, "--log-base", "nan"],
@@ -766,10 +766,10 @@ def test_sweep_parsing_helpers():
 def test_oversized_sweep_is_rejected_before_expanding(
     votes_ini, tmp_path, capsys, monkeypatch
 ):
-    def no_copy(value):
+    def no_point(overrides):
         raise AssertionError("the grid was expanded")
 
-    monkeypatch.setattr(cli.copy, "deepcopy", no_copy)
+    monkeypatch.setattr(cli, "_suffix_for", no_point)
     values = ",".join(str(i) for i in range(30))
     out = tmp_path / "o"
     argv = ["simulate", "votes", "--config", str(votes_ini), "--out", str(out)]
@@ -787,7 +787,9 @@ def test_oversized_sweep_is_rejected_before_expanding(
 def test_load_config_comments_and_errors(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("# header\n[vote]\nc = 0.3  # inline\n\nk_u = 0.06\n")
-    assert load_config(path) == {"vote": {"c": "0.3", "k_u": "0.06"}}
+    cfg, records = load_config(path)
+    assert cfg == {"vote": {"c": "0.3", "k_u": "0.06"}}
+    assert records == {"vote": VoteModelParams(c=0.3, k_u=0.06)}
     path.write_text("[vote]\nc = 0.3\nnot a pair\n")
     with pytest.raises(ConfigError, match=r"line\s+3"):
         load_config(path)
@@ -883,12 +885,13 @@ class TestNothingGivenIsIgnored:
         [
             ({"runs": "-5"}, "[ensemble] runs must be a positive integer, got -5"),
             ({"bogus": "1"}, "[ensemble] unknown key(s) for EnsembleOptions: bogus"),
+            ({"runs": "100001"}, "[ensemble] runs must be at most 100000, got 100001"),
         ],
     )
     def test_an_unread_section_is_still_checked(
         self, ensemble, message, votes_ini, tmp_path, capsys
     ):
-        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini),
+        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini)[0],
                                               "ensemble": ensemble})
         with pytest.raises(ConfigError) as exc:
             load_config(ini)
@@ -900,7 +903,87 @@ class TestNothingGivenIsIgnored:
         assert not out.exists()
 
     def test_a_valid_unread_section_passes(self, votes_ini, tmp_path):
-        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini),
+        ini = write_ini(tmp_path / "v.ini", {**load_config(votes_ini)[0],
                                               "ensemble": {"runs": "5"}})
         out = tmp_path / "o"
         assert main(["simulate", "votes", "--config", str(ini), "--out", str(out)]) == 0
+
+
+# one valid value for one key of each section, and for every [run] key
+_SWEEP_VALUES = {
+    "vote": {"c": "0.25"},
+    "story": {"interestingness_r": "0.4"},
+    "policy": {"h": "30"},
+    "rank": {"a": "0.05"},
+    "user": {"network_S": "40"},
+    "ensemble": {"runs": "4"},
+    "run": {"horizon_minutes": "90", "weeks": "1", "rank_kappa": "2",
+            "M_schedule": "3"},
+}
+
+
+class TestReadsTable:
+    """What each model command reads is ``cli._READS``, and only that."""
+
+    @pytest.fixture
+    def every_section_ini(self, tmp_path):
+        return write_ini(
+            tmp_path / "all.ini",
+            {
+                "vote": {"sm_alpha": "0.0", "sm_beta": "0.0"},
+                "story": {"interestingness_r": "0.5", "submitter_network_S": "80"},
+                "policy": {"kind": "fixed", "h": "40"},
+                "rank": {"a": "0.03"},
+                "user": {"front_page_F": "5", "network_S": "50",
+                         "submission_rate_M": "2"},
+                "ensemble": {"runs": "3", "seed": "1"},
+                "run": {"horizon_minutes": "60", "weeks": "1"},
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "kind,section,key",
+        [
+            (kind, section, key)
+            for kind in ("simulate-votes", "simulate-rank", "ensemble")
+            for section in cli._RECORDS
+            for key in _SWEEP_VALUES[section]
+        ],
+    )
+    def test_a_sweep_names_only_a_key_the_command_reads(
+        self, kind, section, key, every_section_ini, tmp_path, capsys
+    ):
+        sections, run_keys = cli._READS[kind]
+        value = _SWEEP_VALUES[section][key]
+        out = tmp_path / "o"
+        argv = [*kind.split("-"), "--config", str(every_section_ini),
+                "--sweep", f"{section}.{key}={value}", "--out", str(out)]
+        if section in sections and (section != "run" or key in run_keys):
+            assert main(argv) == 0
+            result = json.loads((out / "summary.json").read_text())["results"][0]
+            assert result["overrides"] == {f"{section}.{key}": value}
+            assert key in result["params"][section]
+        else:
+            assert main(argv) == 2
+            command = kind.replace("-", " ")
+            assert capsys.readouterr().err == (
+                f"error: sweep {section}.{key}: {command} does not read it\n"
+            )
+            assert not out.exists()
+
+    def test_params_hold_exactly_what_the_command_reads(
+        self, every_section_ini, tmp_path
+    ):
+        trace = tmp_path / "t.csv"
+        trace.write_text("id,t,value\na,0,1\na,30,8\n")
+        for kind, (sections, run_keys) in cli._READS.items():
+            out = tmp_path / kind
+            argv = [*kind.split("-"), "--config", str(every_section_ini)]
+            if kind == "compare":
+                argv.insert(1, str(trace))
+            assert main([*argv, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            params = summary.get("params") or summary["results"][0]["params"]
+            assert set(params) == set(sections), kind
+            assert set(params["run"]) == set(run_keys), kind
+

@@ -160,8 +160,9 @@ def test_config_text_round_trip(tmp_path):
         )
     )
     assert "c = 0.25" in path.read_text()
-    rebuilt = record_from_mapping(VoteModelParams, load_config(path)["vote"])
-    assert rebuilt == params
+    cfg, records = load_config(path)
+    assert record_from_mapping(VoteModelParams, cfg["vote"]) == params
+    assert records["vote"] == params
 
 
 def test_record_from_mapping_errors():
@@ -212,3 +213,11 @@ def test_run_and_ensemble_options_from_strings():
 def test_ensemble_options_check_themselves(kwargs, field):
     with pytest.raises(ParameterError, match=f"^{field} must be"):
         EnsembleOptions(**kwargs)
+
+
+def test_ensemble_runs_are_capped():
+    assert EnsembleOptions(runs=100_000).runs == 100_000
+    with pytest.raises(
+        ParameterError, match=r"^runs must be at most 100000, got 100001$"
+    ):
+        EnsembleOptions(runs=100_001)

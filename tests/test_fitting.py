@@ -254,6 +254,11 @@ class TestSuccessRateSeries:
         with pytest.raises(ValueError, match="no users"):
             success_rate_series([(10, 1, 5), (49, 0, 7)])
 
+    def test_bins_are_capped(self):
+        users = [(100, i, 10 * i) for i in range(0, 50, 5)]
+        with pytest.raises(ValueError, match=r"^bins must be at most 100000, got"):
+            success_rate_series(users, bins=100_001)
+
     def test_rejects_impossible_counts(self):
         with pytest.raises(ValueError, match="front_page_F"):
             success_rate_series([(50, 60, 10)])

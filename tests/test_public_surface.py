@@ -35,3 +35,25 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "a name is exported twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names what it does not define"
+
+
+def test_readme_states_what_each_command_reads():
+    from frontpage.cli import _READS
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(
+        r"A `--sweep` must name a key the command reads: (.*?)\.(?: |$)", text
+    ).group(1)
+    stated = {
+        command: (tables.split(), run_keys.split())
+        for command, tables, run_keys in re.findall(
+            r"`([a-z ]+)` reads `([^`]*)` and `\[run\] ([^`]*)`", sentence
+        )
+    }
+    assert stated == {
+        kind.replace("-", " "): (
+            [f"[{section}]" for section in sections if section != "run"],
+            list(run_keys),
+        )
+        for kind, (sections, run_keys) in _READS.items()
+    }

@@ -13,6 +13,7 @@ from frontpage import (
     StoryConfig,
     VoteModelParams,
 )
+from frontpage.core import EnsembleOptions
 from frontpage.stochastic_sim import (
     _INVERSION_MAX_MEAN,
     _SEGMENT_RUN_STEPS,
@@ -58,6 +59,21 @@ def test_config_validation():
         _config(arrival_mode="gaussian")
     with pytest.raises(ParameterError, match="horizon"):
         _config(horizon=-5.0)
+
+
+def test_config_is_an_ensemble_record_with_its_story():
+    config = StochasticRunConfig(
+        story=StoryConfig(interestingness_r=0.5), params=VoteModelParams(),
+        policy=FixedThreshold(), horizon=60.0,
+    )
+    assert isinstance(config, EnsembleOptions)
+    assert (config.runs, config.seed, config.arrival_mode) == (100, 0, "poisson")
+    with pytest.raises(
+        ParameterError,
+        match=r"^horizon must be a positive finite number, got 0.0; "
+        r"runs must be at most 100000, got 100001$",
+    ):
+        _config(horizon=0.0, runs=100_001)
 
 
 def test_zero_interest_never_votes():
