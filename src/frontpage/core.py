@@ -358,6 +358,11 @@ class RunOptions(_Record):
                 f"M_schedule has {len(self.M_schedule)} entries "
                 f"but weeks = {self.weeks}"
             )
+        for week, rate in enumerate(self.M_schedule or (), 1):
+            if not (_finite(rate) and rate >= 0):
+                bad.append(
+                    f"M_schedule entry {week} must be finite and >= 0, got {rate}"
+                )
         return bad
 
 

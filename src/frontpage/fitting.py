@@ -33,8 +33,9 @@ __all__ = [
 
 CHANCE_MODES = ("exact", "tail")
 
-# Most bins of a success-rate series: a bin scans the kept users (~8 us for
-# 10^4 users), so 10^5 bins take under a second; 10^9 would need 8 GB of edges.
+# Most bins of a success-rate series: the kept users are sorted by bin once
+# and each non-empty bin reduces its slice, so 10^5 bins take 0.11 s for
+# 10^4 users and 1.9 s for 10^6; 10^9 bins would need 8 GB of edges.
 _MAX_BINS = 100_000
 
 
@@ -264,11 +265,14 @@ def success_rate_series(
         edges = np.linspace(s_min, s_max, bins + 1)
     idx = np.clip(np.searchsorted(edges, s_values, side="right") - 1, 0, len(edges) - 2)
 
+    # a stable sort keeps each bin's members in input order, so every
+    # bin's mean and spread are those of a masked scan of the users
+    grouped = rates[np.argsort(idx, kind="stable")]
+    sizes = np.bincount(idx)
+    ends = np.cumsum(sizes)
     centers, means, errs, counts = [], [], [], []
-    for b in range(len(edges) - 1):
-        members = rates[idx == b]
-        if members.size == 0:
-            continue
+    for b in np.flatnonzero(sizes).tolist():
+        members = grouped[ends[b] - sizes[b] : ends[b]]
         centers.append(0.5 * (edges[b] + edges[b + 1]))
         means.append(float(members.mean()))
         if members.size > 1:

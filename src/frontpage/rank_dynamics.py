@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParameterError, RankModelParams, UserState
+from .core import RankModelParams, UserState, _raise_if
 
 __all__ = [
     "RankTrajectory",
@@ -54,8 +54,7 @@ class RankTrajectory:
                 bad.append("front_page_F must be nonnegative and nondecreasing")
             if np.any(s < 0) or np.any(np.diff(s) < 0):
                 bad.append("network_S must be nonnegative and nondecreasing")
-        if bad:
-            raise ParameterError("; ".join(bad))
+        _raise_if(bad)
 
 
 def success_rate(network_S: float, params: RankModelParams) -> float:

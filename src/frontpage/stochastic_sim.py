@@ -15,14 +15,16 @@ All runs of an ensemble step together on the
 integrator also reads: its time-only tables (upcoming queue, submitter's
 friends, front-page decay by age since promotion) are built once per
 config, and the queue and front-page ones once per ``[vote]`` record and
-horizon.  The runs advance through segments of steps.  While the
+horizon.  Its voter-network term is ``_voter_rate``, the mean field's
+formula, read from a table by vote count of at most ``_VOTER_TABLE_CAP``
+entries.  The runs advance through segments of steps.  While the
 voter-network term reads the vote counts, a step is drawn on its own;
 once no rate depends on them (the friends window has closed, or every
 run has promoted), the rest of a segment is one block of draws, a
 fixed-tau leap over many steps at once.  The summary's mean and spread
 are taken across runs once per segment, over its ``steps x runs`` block,
-so memory is O(horizon + runs) plus a bounded buffer of uniforms and one
-block of at most ``_SEGMENT_RUN_STEPS`` run-steps.
+so memory is O(horizon + runs) plus a bounded buffer of uniforms, one
+block of at most ``_SEGMENT_RUN_STEPS`` run-steps and the voter table.
 
 Reproducibility contract: run ``i`` of an ensemble draws from a generator
 seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))``, one uniform
@@ -44,12 +46,12 @@ import numpy as np
 from .core import (
     ARRIVAL_MODES,
     EnsembleOptions,
-    ParameterError,
     PromotionPolicy,
     StoryConfig,
     VoteModelParams,
     VoteTrajectory,
     _finite,
+    _raise_if,
 )
 from .vote_dynamics import (
     RateKernel,
@@ -134,8 +136,7 @@ class EnsembleSummary:
             )
         if np.any(np.diff(self.mean_votes) < 0):
             bad.append("mean_votes must be nondecreasing")
-        if bad:
-            raise ParameterError("; ".join(bad))
+        _raise_if(bad)
 
 
 def _quantile(ordered: list[float], q: float) -> float:

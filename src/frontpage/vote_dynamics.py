@@ -18,6 +18,11 @@ ensemble in :mod:`frontpage.stochastic_sim`.  The tables that depend on
 ``[vote]`` and the step count alone are built once and shared by every
 kernel of a command.
 
+The voter-network term ``alpha * log_b(m) + beta`` is written once too, in
+:func:`_voter_rate` on a Python float; the kernel reads it from a bounded
+table by vote count.  No rate here goes through numpy's ``log``, ``exp``
+or ``power``, whose last bit can differ from Python's.
+
 Both paths follow one segment rule: a step is taken on its own only while
 the voter-network term reads the vote count, that is inside the friends
 window before promotion.  Every later rate is a function of time and the
@@ -61,6 +66,10 @@ _PROPORTIONAL_FLOOR = 2.0
 
 # Most steps in one run (about two years of minutes): bounds its time and memory.
 _MAX_STEPS = 1_000_000
+
+# Most entries of a kernel's table of voter-network rates by vote count
+# (512 KB): a run's count is bounded only by the promotion bar.
+_VOTER_TABLE_CAP = 1 << 16
 
 # A story has saturated once its vote rate stays this low this many steps.
 _SATURATION_RATE = 1e-6
@@ -139,13 +148,20 @@ class RateKernel:
     steps after promotion.  The queue and front-page tables are evaluated
     on the array of midpoints, with no Python call per step, their powers
     by Python's float pow (:func:`_pow`, not ``np.power``), and are cached
-    per ``[vote]`` record and step count.  The voter-network
-    term is added while ``k < voter_steps``.  Called on vectors, it gives
+    per ``[vote]`` record and step count.  Called on vectors, it gives
     the ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs
     promoted at the end of step ``promo_step`` (``>= n_steps``: not
-    promoted).  The voter term reads ``m``, the vote counts before step
-    ``k0``, so a segment wider than one step is exact only where that term
-    is off.
+    promoted).
+
+    The voter-network term is added while ``k < voter_steps``.  It reads
+    ``m``, the vote counts before step ``k0``, so a segment wider than one
+    step is exact only where that term is off.  Its one formula is
+    :func:`_voter_rate`, which fills a table by vote count as counts
+    reach it.  An unpromoted run's count is bounded only by the bar, so the
+    table doubles only up to ``_VOTER_TABLE_CAP`` entries, and a count at
+    or above the cap calls :func:`_voter_rate` for itself.  A run promoted
+    before ``k0`` has every row overwritten by the front page, so it is
+    looked up as count 1.
     """
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
@@ -163,9 +179,7 @@ class RateKernel:
         # the midpoints increase, so this counts those inside the window
         in_friends = bisect.bisect_right(t, params.friends_window)
         self.voter_steps = in_friends if has_voters else 0
-        self.alpha = params.sm_alpha
-        self.beta = params.sm_beta
-        self.log_base = math.log(params.sm_log_base)
+        self._voter = np.array([np.nan])  # by vote count; no run has 0 votes
 
     @functools.cached_property
     def front(self) -> np.ndarray:
@@ -173,15 +187,31 @@ class RateKernel:
         # t is the age since promotion here: promotions happen at step ends.
         return _time_table(_front_rate, self._params, self._n_steps)
 
+    def _voter_rates(self, m: np.ndarray) -> np.ndarray:
+        """``_voter_rate(float(j), params)`` for each vote count ``j`` in ``m``;
+        a count at or above the cap never grows the table."""
+        top = int(m.max())
+        if top >= self._voter.size:
+            below = m[m < _VOTER_TABLE_CAP]
+            if below.size and int(below.max()) >= self._voter.size:
+                new = range(self._voter.size, 1 << int(below.max()).bit_length())
+                grown = [_voter_rate(float(j), self._params) for j in new]
+                self._voter = np.concatenate([self._voter, grown])
+        if top < _VOTER_TABLE_CAP:
+            return self._voter[m]
+        over = m >= _VOTER_TABLE_CAP
+        rates = self._voter[np.where(over, 0, m)]
+        rates[over] = [_voter_rate(float(j), self._params) for j in m[over].tolist()]
+        return rates
+
     def __call__(
         self, k0: int, k1: int, m: np.ndarray, promo_step: np.ndarray
     ) -> np.ndarray:
         rate = np.repeat(self.unpromoted[k0:k1, None], m.size, axis=1)
         if k0 < self.voter_steps:
-            # _voter_rate on a vector: np.log and math.log differ in the
-            # last bit on a few inputs, so the Monte Carlo path keeps its own.
-            network = self.alpha * (np.log(m) / self.log_base) + self.beta
-            rate[: self.voter_steps - k0] += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
+            # a run promoted before k0 has every row overwritten below
+            counts = np.where(promo_step < k0, 1, m)
+            rate[: self.voter_steps - k0] += self._voter_rates(counts)
         age = np.arange(k0 - 1, k1 - 1)[:, None] - promo_step
         promoted = age >= 0
         if promoted.any():

@@ -252,6 +252,26 @@ class TestExitCodes:
             ["simulate", "votes", "--config", str(ini), "--out", str(tmp_path / "o")]
         ) == 2
 
+    @pytest.mark.parametrize("command", ["votes", "rank"])
+    def test_bad_schedule_entries_are_config_errors(self, tmp_path, capsys, command):
+        ini = write_ini(
+            tmp_path / "bad.ini",
+            {
+                "story": {"interestingness_r": "0.5"},
+                "user": {"front_page_F": "5", "network_S": "50",
+                         "submission_rate_M": "2"},
+                "run": {"weeks": "3", "M_schedule": "-5, nan, 2"},
+            },
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", command, "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [run] M_schedule entry 1 must be finite and >= 0, got -5.0; "
+            "M_schedule entry 2 must be finite and >= 0, got nan\n"
+        )
+        assert not out.exists()
+
     def test_unknown_section_is_config_error(self, tmp_path):
         ini = write_ini(
             tmp_path / "bad.ini",

@@ -280,3 +280,60 @@ class TestSuccessRateSeries:
         series = success_rate_series(users, bins=5, min_submissions=50)
         assert len(series.bin_edges) == 6
         assert series.counts.sum() == len(users)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        users=st.lists(
+            st.tuples(
+                st.integers(1, 200),  # submissions; those below 50 are dropped
+                st.floats(0.0, 1.0),  # promoted share
+                st.integers(0, 40),   # network size: few values, so bins repeat
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        bins=st.integers(1, 60),
+        same_network=st.booleans(),
+    )
+    def test_bins_equal_a_masked_scan(self, users, bins, same_network):
+        # empty bins, one-member bins and a single network size
+        users = [
+            (sub, math.floor(share * sub), 7 if same_network else s)
+            for sub, share, s in users
+        ]
+        assume(any(sub >= 50 for sub, _, _ in users))
+        _assert_bins_equal_a_masked_scan(users, bins)
+
+    @pytest.mark.parametrize("bins", [1, 7, 300])
+    def test_crowded_bins_equal_a_masked_scan(self, rng, bins):
+        # bins of many members, whose sums depend on the members' order
+        sub = rng.integers(50, 300, 3000)
+        promoted = (rng.random(3000) * sub).astype(int)
+        network = rng.integers(0, 1000, 3000)
+        users = list(zip(sub.tolist(), promoted.tolist(), network.tolist()))
+        _assert_bins_equal_a_masked_scan(users, bins)
+
+
+def _assert_bins_equal_a_masked_scan(users, bins):
+    """``success_rate_series`` against the scan its grouping replaced: one
+    mask over the kept users per bin, by ``==``."""
+    series = success_rate_series(users, bins=bins)
+    kept = [(float(sub), float(f), float(s)) for sub, f, s in users if sub >= 50]
+    rates = np.array([f / sub for sub, f, _ in kept])
+    edges = series.bin_edges
+    idx = np.searchsorted(edges, np.array([s for _, _, s in kept]), side="right")
+    idx = np.clip(idx - 1, 0, len(edges) - 2)
+    centers, means, errs, counts = [], [], [], []
+    for b in range(len(edges) - 1):
+        members = rates[idx == b]
+        if members.size == 0:
+            continue
+        centers.append(0.5 * (edges[b] + edges[b + 1]))
+        means.append(float(members.mean()))
+        size = members.size
+        errs.append(float(members.std(ddof=1)) / math.sqrt(size) if size > 1 else 0.0)
+        counts.append(size)
+    assert series.bin_centers.tolist() == centers
+    assert series.mean_rate.tolist() == means
+    assert series.stderr.tolist() == errs
+    assert series.counts.tolist() == counts

@@ -1,6 +1,7 @@
 """The package's public surface: README's examples run as written, and
 every exported name resolves."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -10,7 +11,8 @@ import pytest
 
 import frontpage
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MODULES = ["frontpage"] + [
     f"frontpage.{info.name}" for info in pkgutil.iter_modules(frontpage.__path__)
 ]
@@ -57,3 +59,22 @@ def test_readme_states_what_each_command_reads():
         )
         for kind, (sections, run_keys) in _READS.items()
     }
+
+
+def test_vote_rates_use_no_numpy_transcendentals():
+    # Every rate goes through Python's float functions (_pow, math.log in
+    # _voter_rate), which the mean-field and Monte Carlo paths share; a
+    # numpy copy could differ from them in the last bit.
+    source = ROOT / "src" / "frontpage" / "vote_dynamics.py"
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+    }
+    banned = {
+        name for name in used
+        if name.startswith(("log", "exp")) or name in ("power", "float_power")
+    }
+    assert not banned

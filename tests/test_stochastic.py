@@ -26,8 +26,9 @@ from frontpage.stochastic_sim import (
     simulate_once,
 )
 from frontpage.vote_dynamics import (
-    _FRIENDS_RATE_UNIT,
+    _VOTER_TABLE_CAP,
     RateKernel,
+    _voter_rate,
     analytic_upcoming_saturation,
     integrate_votes,
     promotion_threshold_for,
@@ -369,7 +370,57 @@ def test_rate_kernel_matches_visibility(params, horizon):
         want = total_rate(
             (k + 0.5) * params.dt, float(votes), story, promotion_time, params
         )
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "params", [VoteModelParams(), VoteModelParams(sm_log_base=10.0)],
+    ids=["defaults", "log_base_10"],
+)
+def test_kernel_voter_term_is_voter_rate_for_every_count(params):
+    kernel = RateKernel(StoryConfig(0.5, 80), params, 2880)
+    m = np.arange(1, 100_001)
+    want = [kernel.unpromoted[0] + _voter_rate(float(j), params) for j in m.tolist()]
+    got = kernel(0, 1, m, np.full(m.size, 2880))[0]
+    assert got.tolist() == want
+    assert kernel._voter.size == _VOTER_TABLE_CAP
+    # counts reached a slice at a time grow the table by doubling
+    growing = RateKernel(StoryConfig(0.5, 80), params, 2880)
+    for part in np.array_split(m, 997):
+        got = growing(0, 1, part, np.full(part.size, 2880))[0]
+        assert got.tolist() == want[part[0] - 1 : part[-1]]
+        assert growing._voter.size <= _VOTER_TABLE_CAP
+
+
+def test_counts_past_the_cap_never_grow_the_voter_table():
+    params = VoteModelParams()
+    kernel = RateKernel(StoryConfig(0.5, 80), params, 2880)
+    m = np.array([_VOTER_TABLE_CAP, 2_140_000_000, _VOTER_TABLE_CAP + 1])
+    got = kernel(0, 1, m, np.full(m.size, 2880))[0]
+    assert got.tolist() == [
+        kernel.unpromoted[0] + _voter_rate(float(j), params) for j in m.tolist()
+    ]
+    assert kernel._voter.size == 1
+    # a promoted run is looked up as one vote: its rows are the front page's
+    got = kernel(5, 6, np.array([3, 40_000]), np.array([2880, 2]))[0]
+    assert got.tolist() == [
+        kernel.unpromoted[5] + _voter_rate(3.0, params),
+        kernel.front[2] + kernel.submitter[5],
+    ]
+    assert kernel._voter.size == 4
+
+
+def test_counts_past_the_cap_equal_the_reference():
+    # unpromoted runs whose counts pass 2e9 inside the friends window
+    config = _config(
+        story=StoryConfig(interestingness_r=1.0, submitter_network_S=80),
+        params=VoteModelParams(visit_rate_N=1e9), policy=FixedThreshold(h=10**12),
+        horizon=10.0, runs=2, seed=0,
+    )
+    _assert_matches_reference(config)
+    summary = ensemble(config)
+    assert summary.promotion_probability == 0.0
+    assert summary.final_votes.min() > 2e9
 
 
 
@@ -417,8 +468,7 @@ def _reference_lockstep(config, runs):
                 stream.random(out=row[:width])
         rate = np.full(m.shape, kernel.unpromoted[k])
         if k < kernel.voter_steps:
-            network = kernel.alpha * (np.log(m) / kernel.log_base) + kernel.beta
-            rate += _FRIENDS_RATE_UNIT * np.maximum(0.0, network)
+            rate += [_voter_rate(float(x), params) for x in m.tolist()]
         age = k - 1 - promo_step
         promoted = age >= 0
         if promoted.any():
