@@ -31,7 +31,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -40,38 +39,80 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from . import _MAX_BINS, __version__, _load
 
-from . import __version__
-from .core import (
-    EnsembleOptions,
-    FixedThreshold,
-    FriendVoteObservation,
-    NetworkProportional,
-    ParameterError,
-    RankModelParams,
-    RunOptions,
-    StoryConfig,
-    UserState,
-    VoteModelParams,
-    record_from_mapping,
-)
-from .fitting import (
-    _MAX_BINS,
-    chance_probability,
-    compare_model_to_trace,
-    fit_linear,
-    fit_log,
-    success_rate_series,
-)
-from .rank_dynamics import integrate_rank, rank_proxy
-from .stochastic_sim import StochasticRunConfig, ensemble
-from .vote_dynamics import (
-    integrate_votes,
-    promotion_threshold_for,
-    saturation_time,
-    step_count,
-)
+
+class _LazyModule:
+    """Stands in for a module among this module's globals until the first
+    read of one of its attributes, which imports the module and binds it in
+    this stand-in's place.  The parser reads neither numpy nor dataclasses,
+    so a command line that asks for help or fails to parse loads neither."""
+
+    def __init__(self, alias: str, module: str) -> None:
+        self._alias, self._module = alias, module
+
+    def __getattr__(self, attr: str):
+        module = _load(self._module)
+        globals()[self._alias] = module
+        return getattr(module, attr)
+
+
+np = _LazyModule("np", "numpy")
+dataclasses = _LazyModule("dataclasses", "dataclasses")
+
+# The names this module reads from the model modules: module -> names.  A
+# command binds the names of the modules it runs (:func:`_bind`) once the
+# command line is parsed.  Tests and ``perfbench`` patch some of these names
+# on this module, and binding never replaces a name already bound.
+_MODEL_NAMES = {
+    "core": (
+        "EnsembleOptions",
+        "FixedThreshold",
+        "FriendVoteObservation",
+        "NetworkProportional",
+        "ParameterError",
+        "RankModelParams",
+        "RunOptions",
+        "StoryConfig",
+        "UserState",
+        "VoteModelParams",
+        "record_from_mapping",
+    ),
+    "fitting": (
+        "chance_probability",
+        "compare_model_to_trace",
+        "fit_linear",
+        "fit_log",
+        "success_rate_series",
+    ),
+    "rank_dynamics": ("integrate_rank", "rank_proxy"),
+    "stochastic_sim": ("StochasticRunConfig", "ensemble"),
+    "vote_dynamics": (
+        "integrate_votes",
+        "promotion_threshold_for",
+        "saturation_time",
+        "step_count",
+    ),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind here each of their names not yet bound."""
+    scope = globals()
+    for module in modules:
+        imported = _load(f"{__package__}.{module}")
+        for name in _MODEL_NAMES[module]:
+            scope.setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    """A model name read from outside before a command bound it (PEP 562)."""
+    for module, names in _MODEL_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CliError",
@@ -115,30 +156,31 @@ class OutputError(CliError):
 
 # --- config loading --------------------------------------------------------
 
-# Config section -> its record; [policy]'s ``kind`` key picks one of two.
+# Config section -> the name of its record class in ``core``; [policy]'s
+# ``kind`` key picks one of two.
 _RECORDS = {
-    "vote": VoteModelParams,
-    "story": StoryConfig,
-    "policy": {"fixed": FixedThreshold, "network_proportional": NetworkProportional},
-    "rank": RankModelParams,
-    "user": UserState,
-    "ensemble": EnsembleOptions,
-    "run": RunOptions,
+    "vote": "VoteModelParams",
+    "story": "StoryConfig",
+    "policy": {"fixed": "FixedThreshold", "network_proportional": "NetworkProportional"},
+    "rank": "RankModelParams",
+    "user": "UserState",
+    "ensemble": "EnsembleOptions",
+    "run": "RunOptions",
 }
 
 
 def _record(cfg: dict[str, dict[str, str]], section: str):
     """The record of one config section, its defaults where it is absent."""
     mapping = dict(cfg.get(section, {}))
-    cls = _RECORDS[section]
+    name = _RECORDS[section]
     if section == "policy":
         kind = mapping.pop("kind", "fixed")
-        if kind not in cls:
-            kinds = " or ".join(map(repr, cls))
+        if kind not in name:
+            kinds = " or ".join(map(repr, name))
             raise ConfigError(f"[policy] kind must be {kinds}, got {kind!r}")
-        cls = cls[kind]
+        name = name[kind]
     try:
-        return record_from_mapping(cls, mapping)
+        return record_from_mapping(globals()[name], mapping)
     except ParameterError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
@@ -175,6 +217,7 @@ def load_config(path: Path):
             f"expected {', '.join(_RECORDS)}"
         )
     cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    _bind("core")
     records = {s: _record(cfg, s) for s in _RECORDS if s in cfg}
     return cfg, records
 
@@ -263,7 +306,7 @@ _READS = {
     "ensemble": (("vote", "story", "policy", "run", "ensemble"), ("horizon_minutes",)),
     "compare": (("vote", "story", "policy", "run"), ("horizon_minutes",)),
 }
-_POLICY_KINDS = {cls: kind for kind, cls in _RECORDS["policy"].items()}
+_POLICY_KINDS = {name: kind for kind, name in _RECORDS["policy"].items()}
 
 
 def _points(args: argparse.Namespace):
@@ -297,7 +340,7 @@ def _points(args: argparse.Namespace):
         rebuild = swept
         doc = {section: dataclasses.asdict(records[section]) for section in sections}
         if "policy" in doc:
-            kind = _POLICY_KINDS[type(records["policy"])]
+            kind = _POLICY_KINDS[type(records["policy"]).__name__]
             doc["policy"] = {"kind": kind, **doc["policy"]}
         doc["run"] = {key: doc["run"][key] for key in run_keys}
         points.append((overrides, records, doc))
@@ -800,39 +843,44 @@ def _run_significance(args: argparse.Namespace):
 
 
 # Command kind -> (help, help for the input CSV argument, whether it takes
-# --sweep, runner).  A kind "GROUP-NAME" is the command ``GROUP NAME``; the
-# kinds in ``_READS`` take --config.
+# --sweep, the modules it runs, runner).  A kind "GROUP-NAME" is the command
+# ``GROUP NAME``; the kinds in ``_READS`` take --config.
 _COMMANDS = {
     "simulate-votes": (
-        "story vote trajectory (CSV t,m)", None, True,
+        "story vote trajectory (CSV t,m)", None, True, ("core", "vote_dynamics"),
         functools.partial(_run_model, stem="votes", compute=_votes),
     ),
     "simulate-rank": (
         "weekly user rank model (CSV week,F,S,rank_proxy)", None, True,
+        ("core", "rank_dynamics"),
         functools.partial(_run_model, stem="rank", compute=_rank),
     ),
     "ensemble": (
         "stochastic vote-model ensemble", None, True,
+        ("core", "vote_dynamics", "stochastic_sim"),
         functools.partial(_run_model, stem="ensemble_mean", compute=_ensemble),
     ),
     "fit-linear": (
-        "y = slope*x + intercept per id", "trace CSV (id,t,value)", False, _run_fit
+        "y = slope*x + intercept per id", "trace CSV (id,t,value)", False,
+        ("core", "fitting"), _run_fit,
     ),
     "fit-log": (
         "y = alpha*log(x) + beta per id", "trace CSV (id,t,value), t >= 1", False,
-        _run_fit,
+        ("core", "fitting"), _run_fit,
     ),
     "fit-success": (
         "binned success rate vs. network size",
-        f"users CSV ({','.join(_USERS_HEADER)})", False, _run_fit_success,
+        f"users CSV ({','.join(_USERS_HEADER)})", False, ("core", "fitting"),
+        _run_fit_success,
     ),
     "significance": (
         "friend-voting chance probabilities",
-        f"observations CSV ({','.join(_OBS_HEADER)})", False, _run_significance,
+        f"observations CSV ({','.join(_OBS_HEADER)})", False, ("core", "fitting"),
+        _run_significance,
     ),
     "compare": (
-        "model trajectory vs. observed trace", "trace CSV (id,t,value)",
-        False, _run_compare,
+        "model trajectory vs. observed trace", "trace CSV (id,t,value)", False,
+        ("core", "vote_dynamics", "fitting"), _run_compare,
     ),
 }
 
@@ -844,10 +892,12 @@ def run_scenario(args: argparse.Namespace) -> int:
     renamed into place, so a failure while computing or rendering leaves
     the output directory untouched.
     """
+    *_, modules, runner = _COMMANDS[args.kind]
+    _bind(*modules)
     # A float overflow or NaN in a model or a fit raises FloatingPointError,
     # which the runners report as bad config or input instead of writing it.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        tables, results, extra = _COMMANDS[args.kind][-1](args)
+        tables, results, extra = runner(args)
     doc = {
         "command": args.kind.replace("-", " "),
         "format": args.output_format,
@@ -902,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="target", required=True, metavar=metavar
         )
     cmd = {}
-    for kind, (help_text, input_help, sweeps, _) in _COMMANDS.items():
+    for kind, (help_text, input_help, sweeps, _, _) in _COMMANDS.items():
         group, _, name = kind.rpartition("-")
         cmd[kind] = groups[group].add_parser(name, help=help_text)
         cmd[kind].set_defaults(kind=kind)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _MAX_BINS
 from .core import FriendVoteObservation, VoteTrajectory
 
 __all__ = [
@@ -32,11 +33,6 @@ __all__ = [
 ]
 
 CHANCE_MODES = ("exact", "tail")
-
-# Most bins of a success-rate series: the kept users are sorted by bin once
-# and each non-empty bin reduces its slice, so 10^5 bins take 0.11 s for
-# 10^4 users and 1.9 s for 10^6; 10^9 bins would need 8 GB of edges.
-_MAX_BINS = 100_000
 
 
 @dataclass(frozen=True)

@@ -92,14 +92,22 @@ def step_week(state: UserState, params: RankModelParams) -> UserState:
     made; the network gains its standing per-front-page-story increment
     plus ``b`` reverse friends per new promotion.  Both increments read
     the pre-step state, so the update is synchronous: the order of the
-    two assignments does not matter.
+    two assignments does not matter.  OverflowError if either value grows
+    past floating point.
     """
     dt = params.dt_weeks
     dF = success_rate(state.network_S, params) * state.submission_rate_M * dt
     dS = params.a * state.front_page_F * dt + params.b * dF
+    front_page_F = state.front_page_F + dF
+    network_S = state.network_S + dS
+    if not (math.isfinite(front_page_F) and math.isfinite(network_S)):
+        raise OverflowError(
+            f"front_page_F is {front_page_F} and network_S is {network_S}: "
+            "the rank model overflows floating point"
+        )
     return UserState(
-        front_page_F=state.front_page_F + dF,
-        network_S=state.network_S + dS,
+        front_page_F=front_page_F,
+        network_S=network_S,
         submission_rate_M=state.submission_rate_M,
     )
 
@@ -114,7 +122,8 @@ def integrate_rank(
 
     ``M_schedule`` optionally varies the submission rate week by week,
     with one entry per week.  When omitted, the initial state's rate is
-    used throughout.
+    used throughout.  OverflowError, naming the week, if F or S grows past
+    floating point.
     """
     if not isinstance(weeks, int) or isinstance(weeks, bool) or weeks < 1:
         raise ValueError(f"weeks must be a positive integer, got {weeks}")
@@ -137,7 +146,10 @@ def integrate_rank(
     for k, rate in enumerate(schedule):
         if rate != current.submission_rate_M:
             current = replace(current, submission_rate_M=rate)
-        current = step_week(current, params)
+        try:
+            current = step_week(current, params)
+        except OverflowError as exc:
+            raise OverflowError(f"week {k + 1}: {exc}") from None
         f[k + 1] = current.front_page_F
         s[k + 1] = current.network_S
     return RankTrajectory(weeks=w, front_page_F=f, network_S=s)

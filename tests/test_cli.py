@@ -472,6 +472,26 @@ class TestExitCodes:
         assert "vote count is inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_rank_model_names_the_week(self, tmp_path, capsys):
+        # the committed config, run for two weeks of 1e308 submissions each
+        ini = write_ini(
+            tmp_path / "rank.ini",
+            {
+                "rank": {"a": "0.03", "b": "1.0", "c_success": "0.002"},
+                "user": {"front_page_F": "5", "network_S": "50",
+                         "submission_rate_M": "2.0"},
+                "run": {"weeks": "2", "rank_kappa": "1000.0",
+                        "M_schedule": "1e308, 1e308"},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "rank", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: week 2: front_page_F is inf and network_S is inf: "
+            "the rank model overflows floating point\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,header,rows",
         [

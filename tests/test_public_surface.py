@@ -3,6 +3,7 @@ every exported name resolves."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -37,6 +38,36 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "a name is exported twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names what it does not define"
+
+
+def test_dir_lists_every_export_before_it_is_loaded():
+    spec = importlib.util.find_spec("frontpage")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)  # a copy of the package that loaded nothing
+    assert not set(fresh.__all__) & set(vars(fresh))
+    assert set(fresh.__all__) <= set(dir(fresh))
+
+
+@pytest.mark.parametrize("name", frontpage.__all__)
+def test_a_lazy_export_is_its_module_object(name):
+    [module] = [m for m, names in frontpage._EXPORTS.items() if name in names]
+    defining = importlib.import_module(f"frontpage.{module}")
+    assert getattr(frontpage, name) is getattr(defining, name)
+    assert name in defining.__all__
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from frontpage import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(frontpage.__all__)
+    assert all(namespace[name] is getattr(frontpage, name) for name in frontpage.__all__)
+
+
+def test_submodules_import_from_the_package():
+    from frontpage import cli
+
+    assert cli is importlib.import_module("frontpage.cli")
+    assert callable(cli.main)
 
 
 def test_readme_states_what_each_command_reads():

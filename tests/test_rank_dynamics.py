@@ -120,3 +120,11 @@ def test_weeks_must_be_positive_int():
     state = UserState(front_page_F=1.0, network_S=1.0, submission_rate_M=1.0)
     with pytest.raises(ValueError):
         integrate_rank(state, RankModelParams(), weeks=0)
+
+
+def test_overflow_names_the_week():
+    state = UserState(front_page_F=5.0, network_S=50.0, submission_rate_M=2.0)
+    params = RankModelParams(a=0.03, b=1.0, c_success=0.002)
+    # week 1 reaches F = S = 1e307; week 2 overflows both
+    with pytest.raises(OverflowError, match=r"^week 2: front_page_F is inf "):
+        integrate_rank(state, params, 2, M_schedule=[1e308, 1e308])
