@@ -5,7 +5,9 @@ story-vote model (minute resolution) and of the user-rank model (week
 resolution), plus the observation tuple used by the friend-voting
 significance test.  Every record checks its invariants on construction and
 is frozen afterwards, so validated instances can be shared freely between
-concurrent runs.
+concurrent runs.  A field's interval bound is declared once, on the field,
+as the text its message states (``c: float = _bounded("in (0, 1]", 0.3)``);
+only the integer, cross-field and cap checks are written out by hand.
 
 The run settings of the ``[run]`` and ``[ensemble]`` config sections are
 records too.  :func:`record_from_mapping` builds any record from the raw
@@ -63,12 +65,44 @@ def _raise_if(violations: list[str]) -> None:
         raise ParameterError("; ".join(violations))
 
 
+# Each bound a field may declare, as its message states it, and its test.
+_BOUNDS = {
+    "> 0": lambda x: x > 0.0,
+    ">= 0": lambda x: x >= 0.0,
+    "in (0, 1]": lambda x: 0.0 < x <= 1.0,
+    "in (0, 1)": lambda x: 0.0 < x < 1.0,
+    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+    "positive and != 1": lambda x: x > 0.0 and x != 1.0,
+}
+
+
+def _bounded(bound: str, default=dataclasses.MISSING):
+    """A float field that must be finite and pass ``_BOUNDS[bound]``."""
+    return dataclasses.field(default=default, metadata={"bound": bound})
+
+
 class _Record:
-    """Base of the self-checking records: constructing one raises
-    :class:`ParameterError` listing every entry of its ``_violations()``."""
+    """Base of the self-checking records.
+
+    Constructing one raises :class:`ParameterError` listing every
+    violation: first each field, in order, that is not finite or breaks
+    the bound declared on it with :func:`_bounded`, then every entry of
+    the record's own ``_violations()``.
+    """
 
     def __post_init__(self) -> None:
-        _raise_if(self._violations())
+        bad = []
+        for f in fields(self):
+            bound = f.metadata.get("bound")
+            if bound is None:
+                continue
+            value = getattr(self, f.name)
+            if not (_finite(value) and _BOUNDS[bound](value)):
+                bad.append(f"{f.name} must be {bound}, got {value}")
+        _raise_if(bad + self._violations())
+
+    def _violations(self) -> list[str]:
+        return []
 
 
 def _is_integral(value) -> bool:
@@ -78,7 +112,7 @@ def _is_integral(value) -> bool:
         return True
     return (
         isinstance(value, numbers.Real)
-        and math.isfinite(value)
+        and _finite(value)
         and float(value).is_integer()
     )
 
@@ -86,7 +120,7 @@ def _is_integral(value) -> bool:
 def _finite(value) -> bool:
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):  # not a number, or an int past float range
         return False
 
 
@@ -99,78 +133,45 @@ class VoteModelParams(_Record):
     submitter's network) change from one submission to the next.
     """
 
-    c: float = 0.3              # share of visitors who browse the upcoming section
-    c_u: float = 0.3            # fraction proceeding from one upcoming page to the next
-    c_f: float = 0.3            # fraction proceeding from one front page to the next
-    visit_rate_N: float = 10.0  # site visitors per minute
-    k_u: float = 0.060          # upcoming-queue page drift, pages/minute
-    k_f: float = 0.003          # front-page drift, pages/minute
-    sm_alpha: float = 112.0     # voter-network growth law: alpha * log(m) + beta
-    sm_beta: float = 47.0
-    sm_log_base: float = math.e  # base of the voter-network logarithm
-    upcoming_window: float = 1440.0  # minutes a story stays in the upcoming queue
-    friends_window: float = 2880.0   # minutes a story stays in the friends interface
-    dt: float = 1.0             # integration step, minutes
+    c: float = _bounded("in (0, 1]", 0.3)    # share of visitors browsing upcoming
+    c_u: float = _bounded("in (0, 1)", 0.3)  # share going on to the next upcoming page
+    c_f: float = _bounded("in (0, 1)", 0.3)  # share going on to the next front page
+    visit_rate_N: float = _bounded("> 0", 10.0)  # site visitors per minute
+    k_u: float = _bounded("> 0", 0.060)      # upcoming-queue page drift, pages/minute
+    k_f: float = _bounded(">= 0", 0.003)     # front-page drift, pages/minute
+    # voter-network growth law: alpha * log(m) + beta, logarithm to sm_log_base
+    sm_alpha: float = _bounded(">= 0", 112.0)
+    sm_beta: float = _bounded(">= 0", 47.0)
+    sm_log_base: float = _bounded("positive and != 1", math.e)
+    upcoming_window: float = _bounded("> 0", 1440.0)  # minutes in the upcoming queue
+    friends_window: float = _bounded("> 0", 2880.0)   # minutes in the friends interface
+    dt: float = _bounded("> 0", 1.0)         # integration step, minutes
 
     def _violations(self) -> list[str]:
-        bad: list[str] = []
-        if not (_finite(self.c) and 0.0 < self.c <= 1.0):
-            bad.append(f"c must be in (0, 1], got {self.c}")
-        if not (_finite(self.c_u) and 0.0 < self.c_u < 1.0):
-            bad.append(f"c_u must be in (0, 1), got {self.c_u}")
-        if not (_finite(self.c_f) and 0.0 < self.c_f < 1.0):
-            bad.append(f"c_f must be in (0, 1), got {self.c_f}")
-        if not (_finite(self.visit_rate_N) and self.visit_rate_N > 0.0):
-            bad.append(f"visit_rate_N must be > 0, got {self.visit_rate_N}")
-        if not (_finite(self.k_u) and self.k_u > 0.0):
-            bad.append(f"k_u must be > 0, got {self.k_u}")
-        if not (_finite(self.k_f) and self.k_f >= 0.0):
-            bad.append(f"k_f must be >= 0, got {self.k_f}")
-        if not (_finite(self.sm_alpha) and self.sm_alpha >= 0.0):
-            bad.append(f"sm_alpha must be >= 0, got {self.sm_alpha}")
-        if not (_finite(self.sm_beta) and self.sm_beta >= 0.0):
-            bad.append(f"sm_beta must be >= 0, got {self.sm_beta}")
-        if not (
-            _finite(self.sm_log_base)
-            and self.sm_log_base > 0.0
-            and self.sm_log_base != 1.0
-        ):
-            bad.append(f"sm_log_base must be positive and != 1, got {self.sm_log_base}")
-        if not (_finite(self.upcoming_window) and self.upcoming_window > 0.0):
-            bad.append(f"upcoming_window must be > 0, got {self.upcoming_window}")
-        if not (_finite(self.friends_window) and self.friends_window > 0.0):
-            bad.append(f"friends_window must be > 0, got {self.friends_window}")
-        elif _finite(self.upcoming_window) and not (
-            self.upcoming_window < self.friends_window
-        ):
-            bad.append(
-                f"upcoming_window ({self.upcoming_window}) must be shorter than "
-                f"friends_window ({self.friends_window})"
-            )
-        if not (_finite(self.dt) and self.dt > 0.0):
-            bad.append(f"dt must be > 0, got {self.dt}")
-        return bad
+        # Only two windows that pass their bounds are compared.
+        up, friends = self.upcoming_window, self.friends_window
+        if _finite(up) and _finite(friends) and 0.0 < friends <= up:
+            return [
+                f"upcoming_window ({up}) must be shorter than "
+                f"friends_window ({friends})"
+            ]
+        return []
 
 
 @dataclass(frozen=True)
 class StoryConfig(_Record):
     """A single story's inputs: how interesting it is and who submitted it."""
 
-    interestingness_r: float      # probability a viewer votes on the story
-    submitter_network_S: int = 0  # submitter's reverse friends
+    interestingness_r: float = _bounded("in [0, 1]")  # chance a viewer votes on it
+    submitter_network_S: int = 0                       # submitter's reverse friends
 
     def _violations(self) -> list[str]:
-        bad: list[str] = []
-        if not (_finite(self.interestingness_r) and 0.0 <= self.interestingness_r <= 1.0):
-            bad.append(
-                f"interestingness_r must be in [0, 1], got {self.interestingness_r}"
-            )
         if not _is_integral(self.submitter_network_S) or self.submitter_network_S < 0:
-            bad.append(
+            return [
                 f"submitter_network_S must be a non-negative integer, "
                 f"got {self.submitter_network_S}"
-            )
-        return bad
+            ]
+        return []
 
 
 @dataclass(frozen=True)
@@ -239,12 +240,7 @@ class NetworkProportional(_Record):
     often.
     """
 
-    factor: float = 1.5
-
-    def _violations(self) -> list[str]:
-        if not (_finite(self.factor) and self.factor > 0.0):
-            return [f"factor must be > 0, got {self.factor}"]
-        return []
+    factor: float = _bounded("> 0", 1.5)
 
 
 PromotionPolicy = Union[FixedThreshold, NetworkProportional]
@@ -254,20 +250,10 @@ PromotionPolicy = Union[FixedThreshold, NetworkProportional]
 class RankModelParams(_Record):
     """Constants of the weekly front-page / social-network model."""
 
-    a: float = 0.03        # reverse friends per front-page story per week (standing)
-    b: float = 1.0         # reverse friends gained per newly promoted story
-    c_success: float = 0.002  # success rate per reverse friend
-    dt_weeks: float = 1.0  # integration step, weeks
-
-    def _violations(self) -> list[str]:
-        bad: list[str] = []
-        for name in ("a", "b", "c_success"):
-            value = getattr(self, name)
-            if not (_finite(value) and value >= 0.0):
-                bad.append(f"{name} must be >= 0, got {value}")
-        if not (_finite(self.dt_weeks) and self.dt_weeks > 0.0):
-            bad.append(f"dt_weeks must be > 0, got {self.dt_weeks}")
-        return bad
+    a: float = _bounded(">= 0", 0.03)  # reverse friends per front-page story-week
+    b: float = _bounded(">= 0", 1.0)   # reverse friends per newly promoted story
+    c_success: float = _bounded(">= 0", 0.002)  # success rate per reverse friend
+    dt_weeks: float = _bounded("> 0", 1.0)      # integration step, weeks
 
 
 @dataclass(frozen=True)
@@ -278,17 +264,9 @@ class UserState(_Record):
     (fractional weekly increments accumulate); round only for display.
     """
 
-    front_page_F: float       # cumulative stories promoted to the front page
-    network_S: float          # reverse friends
-    submission_rate_M: float  # stories submitted per week
-
-    def _violations(self) -> list[str]:
-        bad: list[str] = []
-        for name in ("front_page_F", "network_S", "submission_rate_M"):
-            value = getattr(self, name)
-            if not (_finite(value) and value >= 0.0):
-                bad.append(f"{name} must be >= 0, got {value}")
-        return bad
+    front_page_F: float = _bounded(">= 0")       # stories promoted so far
+    network_S: float = _bounded(">= 0")          # reverse friends
+    submission_rate_M: float = _bounded(">= 0")  # stories submitted per week
 
 
 @dataclass(frozen=True)
@@ -338,21 +316,17 @@ class FriendVoteObservation(_Record):
 class RunOptions(_Record):
     """Run length of the models, and how the rank model reports rank."""
 
-    horizon_minutes: float = 2880.0  # vote-model horizon
-    weeks: int = 25                  # rank-model horizon
-    rank_kappa: float = 1.0          # rank proxy is kappa / F
+    horizon_minutes: float = _bounded("> 0", 2880.0)  # vote-model horizon
+    weeks: int = 25                            # rank-model horizon
+    rank_kappa: float = _bounded("> 0", 1.0)   # rank proxy is kappa / F
     M_schedule: tuple[float, ...] | None = None  # per-week submission rates
 
     def _violations(self) -> list[str]:
         bad: list[str] = []
-        if not (_finite(self.horizon_minutes) and self.horizon_minutes > 0):
-            bad.append(f"horizon_minutes must be > 0, got {self.horizon_minutes}")
         if not _is_integral(self.weeks) or self.weeks < 1:
             bad.append(f"weeks must be >= 1, got {self.weeks}")
         elif self.weeks > _MAX_WEEKS:
             bad.append(f"weeks must be at most {_MAX_WEEKS}, got {self.weeks}")
-        if not (_finite(self.rank_kappa) and self.rank_kappa > 0):
-            bad.append(f"rank_kappa must be > 0, got {self.rank_kappa}")
         if self.M_schedule is not None and len(self.M_schedule) != self.weeks:
             bad.append(
                 f"M_schedule has {len(self.M_schedule)} entries "

@@ -50,7 +50,7 @@ from .core import (
     StoryConfig,
     VoteModelParams,
     VoteTrajectory,
-    _finite,
+    _bounded,
     _raise_if,
 )
 from .vote_dynamics import (
@@ -101,13 +101,7 @@ class StochasticRunConfig(EnsembleOptions):
     story: StoryConfig
     params: VoteModelParams
     policy: PromotionPolicy
-    horizon: float
-
-    def _violations(self) -> list[str]:
-        bad: list[str] = []
-        if not (_finite(self.horizon) and self.horizon > 0):
-            bad.append(f"horizon must be a positive finite number, got {self.horizon}")
-        return bad + super()._violations()
+    horizon: float = _bounded("> 0")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 every exported name resolves."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -90,6 +92,95 @@ def test_readme_states_what_each_command_reads():
         )
         for kind, (sections, run_keys) in _READS.items()
     }
+
+
+def _stated_default(default) -> str:
+    if default is dataclasses.MISSING:
+        return "required"
+    if default is None:
+        return "none"
+    if default == math.e:
+        return "e"
+    if isinstance(default, str):
+        return f"`{default}`"
+    return str(default)
+
+
+def test_readme_config_table_states_each_default_and_bound():
+    from frontpage import core
+    from frontpage.cli import _RECORDS
+
+    stated = {
+        (section, key): (default, bound)
+        for section, key, default, bound in re.findall(
+            r"^\| `\[(\w+)\] (\w+)` \| ([^|]*) \| ([^|]*) \|",
+            README.read_text(encoding="utf-8"), re.MULTILINE,
+        )
+    }
+    kinds = _RECORDS["policy"]
+    assert stated.pop(("policy", "kind")) == (
+        "`fixed`", " or ".join(f"`{kind}`" for kind in kinds)
+    )
+    declared = {
+        (section, field.name): field
+        for section, names in _RECORDS.items()
+        for name in (names.values() if isinstance(names, dict) else [names])
+        for field in dataclasses.fields(getattr(core, name))
+    }
+    assert stated.keys() == declared.keys()
+    for key, (default, bound) in stated.items():
+        field = declared[key]
+        assert default == _stated_default(field.default), key
+        # A declared bound opens the cell; a hand-written one is no declared bound.
+        first = bound.split("; ")[0]
+        assert first == field.metadata.get("bound", first), key
+        assert "bound" in field.metadata or first not in core._BOUNDS, key
+
+
+def _number(text: str) -> int:
+    return 10 ** int(text[3:]) if text.startswith("10^") else int(text.replace(",", ""))
+
+
+# Each cap, and every phrase in which README states it.
+_CAPS = {
+    "frontpage.core._MAX_RUNS": [
+        r"`\[ensemble\] runs` \| \d+ \| integer in \[1, ([\d,]+)\]",
+        r"An ensemble has at most ([\d,]+) runs",
+        r"an ensemble of more than ([\d,]+) runs",
+    ],
+    "frontpage.core._MAX_WEEKS": [
+        r"`\[run\] weeks` \| \d+ \| integer in \[1, ([\d,]+)\]",
+        r"more than (10\^\d+) weeks",
+    ],
+    "frontpage.core._MAX_SAMPLE_N": [
+        r"samples are capped at `n = (10\^\d+)`",
+        r"`sample_n` at most (10\^\d+)",
+        r"a sample over (10\^\d+)",
+    ],
+    "frontpage._MAX_BINS": [
+        r"bins <= ([\d,]+)",
+        r"a success-rate series at ([\d,]+) bins",
+        r"`fit success --bins` over ([\d,]+)",
+    ],
+    "frontpage.cli._MAX_SWEEP_POINTS": [
+        r"may have at most ([\d,]+) points",
+        r"a sweep grid of more than ([\d,]+) points",
+    ],
+    "frontpage.vote_dynamics._MAX_STEPS": [
+        r"`\[vote\] dt` steps, at most ([\d,]+) of them",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", _CAPS)
+def test_readme_states_each_cap(name):
+    module, _, attr = name.rpartition(".")
+    cap = getattr(importlib.import_module(module), attr)
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for pattern in _CAPS[name]:
+        stated = re.findall(pattern, text)
+        assert stated, pattern
+        assert [_number(value) for value in stated] == [cap] * len(stated), pattern
 
 
 def test_vote_rates_use_no_numpy_transcendentals():

@@ -71,7 +71,7 @@ def test_config_is_an_ensemble_record_with_its_story():
     assert (config.runs, config.seed, config.arrival_mode) == (100, 0, "poisson")
     with pytest.raises(
         ParameterError,
-        match=r"^horizon must be a positive finite number, got 0.0; "
+        match=r"^horizon must be > 0, got 0.0; "
         r"runs must be at most 100000, got 100001$",
     ):
         _config(horizon=0.0, runs=100_001)
