@@ -5,9 +5,10 @@ story-vote model (minute resolution) and of the user-rank model (week
 resolution), plus the observation tuple used by the friend-voting
 significance test.  Every record checks its invariants on construction and
 is frozen afterwards, so validated instances can be shared freely between
-concurrent runs.  A field's interval bound is declared once, on the field,
-as the text its message states (``c: float = _bounded("in (0, 1]", 0.3)``);
-only the integer, cross-field and cap checks are written out by hand.
+concurrent runs.  Each numeric field's bound, integrality and caps
+included, is declared once, on the field, as the text its message states
+(``c: float = _bounded("in (0, 1]", 0.3)``); only the comparisons between
+fields and the checks of the two non-numeric keys are written out by hand.
 
 The run settings of the ``[run]`` and ``[ensemble]`` config sections are
 records too.  :func:`record_from_mapping` builds any record from the raw
@@ -73,11 +74,20 @@ _BOUNDS = {
     "in (0, 1)": lambda x: 0.0 < x < 1.0,
     "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
     "positive and != 1": lambda x: x > 0.0 and x != 1.0,
+    "an integer >= 0": lambda x: _is_integral(x) and x >= 0,
+    "an integer >= 1": lambda x: _is_integral(x) and x >= 1,
+    "an integer >= 2": lambda x: _is_integral(x) and x >= 2,
+    f"an integer in [0, {_MAX_SAMPLE_N}]":
+        lambda x: _is_integral(x) and 0 <= x <= _MAX_SAMPLE_N,
+    f"an integer in [1, {_MAX_WEEKS}]":
+        lambda x: _is_integral(x) and 1 <= x <= _MAX_WEEKS,
+    f"an integer in [1, {_MAX_RUNS}]":
+        lambda x: _is_integral(x) and 1 <= x <= _MAX_RUNS,
 }
 
 
 def _bounded(bound: str, default=dataclasses.MISSING):
-    """A float field that must be finite and pass ``_BOUNDS[bound]``."""
+    """A numeric field that must be finite and pass ``_BOUNDS[bound]``."""
     return dataclasses.field(default=default, metadata={"bound": bound})
 
 
@@ -87,11 +97,12 @@ class _Record:
     Constructing one raises :class:`ParameterError` listing every
     violation: first each field, in order, that is not finite or breaks
     the bound declared on it with :func:`_bounded`, then every entry of
-    the record's own ``_violations()``.
+    the record's own ``_violations(broken)``, ``broken`` being the names
+    of the fields that broke their bounds, which it does not compare.
     """
 
     def __post_init__(self) -> None:
-        bad = []
+        bad, broken = [], set()
         for f in fields(self):
             bound = f.metadata.get("bound")
             if bound is None:
@@ -99,9 +110,10 @@ class _Record:
             value = getattr(self, f.name)
             if not (_finite(value) and _BOUNDS[bound](value)):
                 bad.append(f"{f.name} must be {bound}, got {value}")
-        _raise_if(bad + self._violations())
+                broken.add(f.name)
+        _raise_if(bad + self._violations(broken))
 
-    def _violations(self) -> list[str]:
+    def _violations(self, broken: set[str]) -> list[str]:
         return []
 
 
@@ -147,10 +159,9 @@ class VoteModelParams(_Record):
     friends_window: float = _bounded("> 0", 2880.0)   # minutes in the friends interface
     dt: float = _bounded("> 0", 1.0)         # integration step, minutes
 
-    def _violations(self) -> list[str]:
-        # Only two windows that pass their bounds are compared.
+    def _violations(self, broken: set[str]) -> list[str]:
         up, friends = self.upcoming_window, self.friends_window
-        if _finite(up) and _finite(friends) and 0.0 < friends <= up:
+        if not broken & {"upcoming_window", "friends_window"} and friends <= up:
             return [
                 f"upcoming_window ({up}) must be shorter than "
                 f"friends_window ({friends})"
@@ -163,15 +174,7 @@ class StoryConfig(_Record):
     """A single story's inputs: how interesting it is and who submitted it."""
 
     interestingness_r: float = _bounded("in [0, 1]")  # chance a viewer votes on it
-    submitter_network_S: int = 0                       # submitter's reverse friends
-
-    def _violations(self) -> list[str]:
-        if not _is_integral(self.submitter_network_S) or self.submitter_network_S < 0:
-            return [
-                f"submitter_network_S must be a non-negative integer, "
-                f"got {self.submitter_network_S}"
-            ]
-        return []
+    submitter_network_S: int = _bounded("an integer >= 0", 0)  # reverse friends
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,7 @@ class VoteTrajectory:
 class FixedThreshold(_Record):
     """Promote once the vote count reaches a site-wide constant."""
 
-    h: int = 40
-
-    def _violations(self) -> list[str]:
-        if not _is_integral(self.h) or self.h < 2:
-            return [
-                f"h must be an integer >= 2 (a story starts with one vote), got {self.h}"
-            ]
-        return []
+    h: int = _bounded("an integer >= 2", 40)  # a story starts with one vote
 
 
 @dataclass(frozen=True)
@@ -278,37 +274,20 @@ class FriendVoteObservation(_Record):
     reverse friends.
     """
 
-    pool_N: int
-    sample_n: int
-    group_K: int
-    overlap_k: int
+    pool_N: int = _bounded("an integer >= 1")
+    sample_n: int = _bounded(f"an integer in [0, {_MAX_SAMPLE_N}]")
+    group_K: int = _bounded("an integer >= 0")
+    overlap_k: int = _bounded("an integer >= 0")
 
-    def _violations(self) -> list[str]:
+    def _violations(self, broken: set[str]) -> list[str]:
+        pool, n, group, k = self.pool_N, self.sample_n, self.group_K, self.overlap_k
         bad: list[str] = []
-        for name in ("pool_N", "sample_n", "group_K", "overlap_k"):
-            if not _is_integral(getattr(self, name)):
-                bad.append(f"{name} must be an integer, got {getattr(self, name)}")
-        if bad:
-            return bad
-        if self.pool_N < 1:
-            bad.append(f"pool_N must be >= 1, got {self.pool_N}")
-        if not 0 <= self.sample_n <= self.pool_N:
-            bad.append(
-                f"sample_n must be in [0, pool_N], got {self.sample_n} "
-                f"with pool_N={self.pool_N}"
-            )
-        elif self.sample_n > _MAX_SAMPLE_N:
-            bad.append(f"sample_n must be at most {_MAX_SAMPLE_N}, got {self.sample_n}")
-        if not 0 <= self.group_K <= self.pool_N:
-            bad.append(
-                f"group_K must be in [0, pool_N], got {self.group_K} "
-                f"with pool_N={self.pool_N}"
-            )
-        if not 0 <= self.overlap_k <= min(self.sample_n, self.group_K):
-            bad.append(
-                f"overlap_k must be in [0, min(sample_n, group_K)], "
-                f"got {self.overlap_k}"
-            )
+        if not broken & {"pool_N", "sample_n"} and n > pool:
+            bad.append(f"sample_n must be in [0, pool_N], got {n} with pool_N={pool}")
+        if not broken & {"pool_N", "group_K"} and group > pool:
+            bad.append(f"group_K must be in [0, pool_N], got {group} with pool_N={pool}")
+        if not broken & {"sample_n", "group_K", "overlap_k"} and k > min(n, group):
+            bad.append(f"overlap_k must be in [0, min(sample_n, group_K)], got {k}")
         return bad
 
 
@@ -317,22 +296,16 @@ class RunOptions(_Record):
     """Run length of the models, and how the rank model reports rank."""
 
     horizon_minutes: float = _bounded("> 0", 2880.0)  # vote-model horizon
-    weeks: int = 25                            # rank-model horizon
+    weeks: int = _bounded(f"an integer in [1, {_MAX_WEEKS}]", 25)  # rank-model horizon
     rank_kappa: float = _bounded("> 0", 1.0)   # rank proxy is kappa / F
     M_schedule: tuple[float, ...] | None = None  # per-week submission rates
 
-    def _violations(self) -> list[str]:
+    def _violations(self, broken: set[str]) -> list[str]:
         bad: list[str] = []
-        if not _is_integral(self.weeks) or self.weeks < 1:
-            bad.append(f"weeks must be >= 1, got {self.weeks}")
-        elif self.weeks > _MAX_WEEKS:
-            bad.append(f"weeks must be at most {_MAX_WEEKS}, got {self.weeks}")
-        if self.M_schedule is not None and len(self.M_schedule) != self.weeks:
-            bad.append(
-                f"M_schedule has {len(self.M_schedule)} entries "
-                f"but weeks = {self.weeks}"
-            )
-        for week, rate in enumerate(self.M_schedule or (), 1):
+        schedule, weeks = self.M_schedule, self.weeks
+        if schedule is not None and "weeks" not in broken and len(schedule) != weeks:
+            bad.append(f"M_schedule has {len(schedule)} entries but weeks = {weeks}")
+        for week, rate in enumerate(schedule or (), 1):
             if not (_finite(rate) and rate >= 0):
                 bad.append(
                     f"M_schedule entry {week} must be finite and >= 0, got {rate}"
@@ -349,24 +322,17 @@ class EnsembleOptions(_Record):
     ``[ensemble]`` record, and the base of
     :class:`~frontpage.stochastic_sim.StochasticRunConfig`."""
 
-    runs: int = 100
-    seed: int = 0
+    runs: int = _bounded(f"an integer in [1, {_MAX_RUNS}]", 100)
+    seed: int = _bounded("an integer >= 0", 0)
     arrival_mode: str = "poisson"
 
-    def _violations(self) -> list[str]:
-        bad: list[str] = []
-        if not _is_integral(self.seed) or self.seed < 0:
-            bad.append(f"seed must be a nonnegative integer, got {self.seed}")
-        if not _is_integral(self.runs) or self.runs < 1:
-            bad.append(f"runs must be a positive integer, got {self.runs}")
-        elif self.runs > _MAX_RUNS:
-            bad.append(f"runs must be at most {_MAX_RUNS}, got {self.runs}")
+    def _violations(self, broken: set[str]) -> list[str]:
         if self.arrival_mode not in ARRIVAL_MODES:
-            bad.append(
+            return [
                 f"arrival_mode must be one of {ARRIVAL_MODES}, "
                 f"got {self.arrival_mode!r}"
-            )
-        return bad
+            ]
+        return []
 
 
 # --- building records from config strings -----------------------------------

@@ -113,6 +113,27 @@ class TestSimulateVotes:
         assert trajectory["m"][0] == 1.0
         assert len(trajectory["m"]) == 1441
 
+    @pytest.mark.parametrize(
+        "section, key, bound",
+        [
+            ("story", "submitter_network_S", "an integer >= 0"),
+            ("policy", "h", "an integer >= 2"),
+        ],
+    )
+    def test_integer_past_float_range_names_its_key(
+        self, section, key, bound, votes_ini, tmp_path, capsys
+    ):
+        huge = "1" + "0" * 400
+        sections = load_config(votes_ini)[0]
+        sections[section][key] = huge
+        ini = write_ini(tmp_path / "huge.ini", sections)
+        out = tmp_path / "out"
+        assert main(["simulate", "votes", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [{section}] {key} must be {bound}, got {huge}\n"
+        )
+        assert not out.exists()
+
 
 class TestSimulateRank:
     def test_rank_csv_and_unranked_user(self, tmp_path):
@@ -152,7 +173,7 @@ class TestSimulateRank:
         out = tmp_path / "out"
         code = main(["simulate", "rank", "--config", str(ini), "--out", str(out)])
         assert code == 2
-        assert "weeks must be at most 1000000" in capsys.readouterr().err
+        assert "weeks must be an integer in [1, 1000000]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_active_user_with_kappa(self, tmp_path):
@@ -741,6 +762,17 @@ class TestSignificanceCommand:
         code = main(["significance", str(obs), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_count_past_float_range_is_input_error(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"id,pool_N,sample_n,group_K,overlap_k\ns1,{huge},10,5,2\n")
+        out = tmp_path / "o"
+        assert main(["significance", str(obs), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {obs}: line 2: pool_N must be an integer >= 1, got {huge}\n"
+        )
+        assert not out.exists()
+
 
 # Ids that need RFC 4180 quoting in a CSV cell: comma, quote, newline.
 AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", 'all,"of\nthem"']
@@ -916,16 +948,32 @@ class TestNothingGivenIsIgnored:
         argv = ["ensemble", "--config", str(ini), "--seed", "-3", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: [ensemble] seed must be a nonnegative integer, got -3\n"
+            "error: [ensemble] seed must be an integer >= 0, got -3\n"
+        )
+        assert not out.exists()
+
+    def test_seed_past_float_range_exits_two(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        ini = TestEnsembleCommand()._ini(tmp_path, seed=huge)
+        out = tmp_path / "o"
+        assert main(["ensemble", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [ensemble] seed must be an integer >= 0, got {huge}\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "ensemble,message",
         [
-            ({"runs": "-5"}, "[ensemble] runs must be a positive integer, got -5"),
+            (
+                {"runs": "-5"},
+                "[ensemble] runs must be an integer in [1, 100000], got -5",
+            ),
             ({"bogus": "1"}, "[ensemble] unknown key(s) for EnsembleOptions: bogus"),
-            ({"runs": "100001"}, "[ensemble] runs must be at most 100000, got 100001"),
+            (
+                {"runs": "100001"},
+                "[ensemble] runs must be an integer in [1, 100000], got 100001",
+            ),
         ],
     )
     def test_an_unread_section_is_still_checked(

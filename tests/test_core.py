@@ -218,6 +218,6 @@ def test_ensemble_options_check_themselves(kwargs, field):
 def test_ensemble_runs_are_capped():
     assert EnsembleOptions(runs=100_000).runs == 100_000
     with pytest.raises(
-        ParameterError, match=r"^runs must be at most 100000, got 100001$"
+        ParameterError, match=r"^runs must be an integer in \[1, 100000\], got 100001$"
     ):
         EnsembleOptions(runs=100_001)

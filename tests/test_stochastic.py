@@ -71,8 +71,8 @@ def test_config_is_an_ensemble_record_with_its_story():
     assert (config.runs, config.seed, config.arrival_mode) == (100, 0, "poisson")
     with pytest.raises(
         ParameterError,
-        match=r"^horizon must be > 0, got 0.0; "
-        r"runs must be at most 100000, got 100001$",
+        match=r"^runs must be an integer in \[1, 100000\], got 100001; "
+        r"horizon must be > 0, got 0.0$",
     ):
         _config(horizon=0.0, runs=100_001)
 
