@@ -16,16 +16,77 @@ The package has two coupled model families and the tooling around them:
   JSON.
 """
 
+import math
+import numbers
 import sys
 
 __version__ = "0.1.0"
 
-# Most bins of a success-rate series, which ``fitting.success_rate_series``
-# enforces and ``fit success --bins`` checks while parsing: the kept users
-# are sorted by bin once and each non-empty bin reduces its slice, so 10^5
-# bins take 0.11 s for 10^4 users and 1.9 s for 10^6; 10^9 bins would need
-# 8 GB of edges.
+# --- the bound of every numeric parameter ------------------------------------
+# Record fields, model-function arguments and command-line flags all check
+# their bounds through :func:`_check`; the table lives in this module, which
+# loads only the standard library, so that flags are checked before numpy.
+
+# Longest rank-model run (about 19,000 years of weeks): bounds its time and memory.
+_MAX_WEEKS = 1_000_000
+# Largest voter sample of the chance-probability test: its binomial tail
+# then sums at most ~4e5 terms (under a second), where 10^30 would never end.
+_MAX_SAMPLE_N = 100_000_000
+# Largest ensemble: each run holds about 1.1 KB and takes ~30 us to seed
+# before its first step, so 10^5 runs set up in about 3 s and 150 MB.
+_MAX_RUNS = 100_000
+# Most bins of a success-rate series: the kept users are sorted by bin once
+# and each non-empty bin reduces its slice, so 10^5 bins take 0.11 s for
+# 10^4 users and 1.9 s for 10^6; 10^9 bins would need 8 GB of edges.
 _MAX_BINS = 100_000
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        return False
+
+
+def _is_integral(value) -> bool:
+    """Whether a finite number is whole and not a bool."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
+# Each bound a parameter may have, as its message states it, and its test.
+_BOUNDS = {
+    "> 0": lambda x: x > 0.0,
+    ">= 0": lambda x: x >= 0.0,
+    "in (0, 1]": lambda x: 0.0 < x <= 1.0,
+    "in (0, 1)": lambda x: 0.0 < x < 1.0,
+    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+    "positive and != 1": lambda x: x > 0.0 and x != 1.0,
+    "an integer >= 0": lambda x: _is_integral(x) and x >= 0,
+    "an integer >= 1": lambda x: _is_integral(x) and x >= 1,
+    "an integer >= 2": lambda x: _is_integral(x) and x >= 2,
+    **{
+        f"an integer in [{lo}, {hi}]":
+            lambda x, lo=lo, hi=hi: _is_integral(x) and lo <= x <= hi
+        for lo, hi in (
+            (0, _MAX_SAMPLE_N), (1, _MAX_WEEKS), (1, _MAX_RUNS), (1, _MAX_BINS)
+        )
+    },
+}
+
+
+def _check(value, bound: str, name: str = ""):
+    """``value`` if it is finite and passes ``_BOUNDS[bound]``, as a Python
+    int if ``bound`` is an integer bound.  Otherwise ValueError
+    ``NAME must be BOUND, got VALUE``, or from ``must`` on without a name."""
+    if _finite(value) and _BOUNDS[bound](value):
+        return int(value) if bound.startswith("an integer") else value
+    message = f"must be {bound}, got {value}"
+    raise ValueError(f"{name} {message}" if name else message)
+
 
 # Each submodule -> the names exported from it.  A submodule, and numpy
 # with it, is imported on the first use of one of its names (PEP 562), so
@@ -39,6 +100,7 @@ _EXPORTS = {
         "ParameterError",
         "PromotionPolicy",
         "RankModelParams",
+        "RunOptions",
         "StoryConfig",
         "UserState",
         "VoteModelParams",

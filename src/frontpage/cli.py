@@ -39,7 +39,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import _MAX_BINS, __version__, _load
+from . import _MAX_BINS, __version__, _check, _load
 
 
 class _LazyModule:
@@ -695,8 +695,7 @@ def _votes(records):
 
 def _rank(records):
     run = records["run"]
-    trajectory = integrate_rank(records["user"], records["rank"], run.weeks,
-                                run.M_schedule)
+    trajectory = integrate_rank(records["user"], records["rank"], run)
     # None ("unranked") while F = 0
     proxies = [rank_proxy(f, run.rank_kappa) for f in trajectory.front_page_F]
     fields = {
@@ -818,13 +817,10 @@ def _run_fit_success(args: argparse.Namespace):
 def _run_significance(args: argparse.Namespace):
     def cast(lineno: int, row: list[str]) -> tuple[str, FriendVoteObservation]:
         try:
-            return row[0].strip(), FriendVoteObservation(
-                pool_N=int(row[1]),
-                sample_n=int(row[2]),
-                group_K=int(row[3]),
-                overlap_k=int(row[4]),
+            return row[0].strip(), record_from_mapping(
+                FriendVoteObservation, dict(zip(_OBS_HEADER[1:], row[1:]))
             )
-        except (ValueError, ParameterError) as exc:
+        except ParameterError as exc:
             raise InputError(f"{args.input}: line {lineno}: {exc}") from None
 
     results = [
@@ -920,14 +916,16 @@ def run_scenario(args: argparse.Namespace) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
-def _checked(cast, ok, bound: str):
-    """An argparse ``type``: ``cast`` the text, then require ``ok(value)``."""
+def _checked(cast, bound: str):
+    """An argparse ``type``: ``cast`` the text, then require it to be ``bound``,
+    a key of the package's table of bounds."""
 
     def parse(text: str):
         value = cast(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
+        try:
+            return _check(value, bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
     return parse
@@ -1003,20 +1001,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd["fit-log"].add_argument(
         "--log-base",
-        type=_checked(float, lambda v: math.isfinite(v) and v > 0 and v != 1,
-                      "positive and != 1"),
+        type=_checked(float, "positive and != 1"),
         default=math.e,
         help="logarithm base (default e)",
     )
     cmd["fit-success"].add_argument(
         "--bins",
-        type=_checked(int, lambda v: 1 <= v <= _MAX_BINS, f"in [1, {_MAX_BINS}]"),
+        type=_checked(int, f"an integer in [1, {_MAX_BINS}]"),
         default=10,
         help="equal-width bin count (default 10)",
     )
     cmd["fit-success"].add_argument(
         "--min-submissions",
-        type=_checked(int, lambda v: v >= 1, ">= 1"),
+        type=_checked(int, "an integer >= 1"),
         default=50,
         help="drop users below this many submissions (default 50)",
     )

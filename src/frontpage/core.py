@@ -7,8 +7,12 @@ significance test.  Every record checks its invariants on construction and
 is frozen afterwards, so validated instances can be shared freely between
 concurrent runs.  Each numeric field's bound, integrality and caps
 included, is declared once, on the field, as the text its message states
-(``c: float = _bounded("in (0, 1]", 0.3)``); only the comparisons between
-fields and the checks of the two non-numeric keys are written out by hand.
+(``c: float = _bounded("in (0, 1]", 0.3)``), and checked by
+:func:`frontpage._check` against the package's one table of bounds, which
+the model functions and the command-line flags check through too.  An
+integer field holds a Python int once checked.  Only the comparisons
+between fields and the checks of the two non-numeric keys are written out
+by hand.
 
 The run settings of the ``[run]`` and ``[ensemble]`` config sections are
 records too.  :func:`record_from_mapping` builds any record from the raw
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Mapping, Union
 
 import numpy as np
+
+from . import _MAX_RUNS, _MAX_SAMPLE_N, _MAX_WEEKS, _check, _finite
 
 __all__ = [
     "ParameterError",
@@ -51,43 +56,13 @@ class ParameterError(ValueError):
     """
 
 
-# Longest rank-model run (about 19,000 years of weeks): bounds its time and memory.
-_MAX_WEEKS = 1_000_000
-# Largest voter sample of the chance-probability test: its binomial tail
-# then sums at most ~4e5 terms (under a second), where 10^30 would never end.
-_MAX_SAMPLE_N = 100_000_000
-# Largest ensemble: each run holds about 1.1 KB and takes ~30 us to seed
-# before its first step, so 10^5 runs set up in about 3 s and 150 MB.
-_MAX_RUNS = 100_000
-
-
 def _raise_if(violations: list[str]) -> None:
     if violations:
         raise ParameterError("; ".join(violations))
 
 
-# Each bound a field may declare, as its message states it, and its test.
-_BOUNDS = {
-    "> 0": lambda x: x > 0.0,
-    ">= 0": lambda x: x >= 0.0,
-    "in (0, 1]": lambda x: 0.0 < x <= 1.0,
-    "in (0, 1)": lambda x: 0.0 < x < 1.0,
-    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
-    "positive and != 1": lambda x: x > 0.0 and x != 1.0,
-    "an integer >= 0": lambda x: _is_integral(x) and x >= 0,
-    "an integer >= 1": lambda x: _is_integral(x) and x >= 1,
-    "an integer >= 2": lambda x: _is_integral(x) and x >= 2,
-    f"an integer in [0, {_MAX_SAMPLE_N}]":
-        lambda x: _is_integral(x) and 0 <= x <= _MAX_SAMPLE_N,
-    f"an integer in [1, {_MAX_WEEKS}]":
-        lambda x: _is_integral(x) and 1 <= x <= _MAX_WEEKS,
-    f"an integer in [1, {_MAX_RUNS}]":
-        lambda x: _is_integral(x) and 1 <= x <= _MAX_RUNS,
-}
-
-
 def _bounded(bound: str, default=dataclasses.MISSING):
-    """A numeric field that must be finite and pass ``_BOUNDS[bound]``."""
+    """A numeric field that must be finite and pass ``frontpage._BOUNDS[bound]``."""
     return dataclasses.field(default=default, metadata={"bound": bound})
 
 
@@ -95,10 +70,11 @@ class _Record:
     """Base of the self-checking records.
 
     Constructing one raises :class:`ParameterError` listing every
-    violation: first each field, in order, that is not finite or breaks
-    the bound declared on it with :func:`_bounded`, then every entry of
-    the record's own ``_violations(broken)``, ``broken`` being the names
-    of the fields that broke their bounds, which it does not compare.
+    violation: first each field, in order, that :func:`frontpage._check`
+    rejects for the bound declared on it with :func:`_bounded`, then every
+    entry of the record's own ``_violations(broken)``, ``broken`` being the
+    names of the fields that broke their bounds, which it does not compare.
+    A field with an integer bound holds a Python int once it passes.
     """
 
     def __post_init__(self) -> None:
@@ -107,33 +83,17 @@ class _Record:
             bound = f.metadata.get("bound")
             if bound is None:
                 continue
-            value = getattr(self, f.name)
-            if not (_finite(value) and _BOUNDS[bound](value)):
-                bad.append(f"{f.name} must be {bound}, got {value}")
+            try:
+                value = _check(getattr(self, f.name), bound, f.name)
+            except ValueError as exc:
+                bad.append(str(exc))
                 broken.add(f.name)
+            else:
+                object.__setattr__(self, f.name, value)
         _raise_if(bad + self._violations(broken))
 
     def _violations(self, broken: set[str]) -> list[str]:
         return []
-
-
-def _is_integral(value) -> bool:
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, numbers.Integral):
-        return True
-    return (
-        isinstance(value, numbers.Real)
-        and _finite(value)
-        and float(value).is_integer()
-    )
-
-
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -305,7 +265,7 @@ class RunOptions(_Record):
         schedule, weeks = self.M_schedule, self.weeks
         if schedule is not None and "weeks" not in broken and len(schedule) != weeks:
             bad.append(f"M_schedule has {len(schedule)} entries but weeks = {weeks}")
-        for week, rate in enumerate(schedule or (), 1):
+        for week, rate in enumerate(() if schedule is None else schedule, 1):
             if not (_finite(rate) and rate >= 0):
                 bad.append(
                     f"M_schedule entry {week} must be finite and >= 0, got {rate}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _MAX_BINS
+from . import _MAX_BINS, _check
 from .core import FriendVoteObservation, VoteTrajectory
 
 __all__ = [
@@ -103,8 +103,7 @@ def fit_log(points, log_base: float = math.e) -> LogFit:
     Fitting the same points in a different base rescales alpha by the
     ratio of the bases' natural logs and leaves beta unchanged.
     """
-    if not (math.isfinite(log_base) and log_base > 0.0 and log_base != 1.0):
-        raise ValueError(f"log_base must be positive and != 1, got {log_base}")
+    _check(log_base, "positive and != 1", "log_base")
     x, y = _points_to_xy(points)
     if np.any(x < 1.0):
         raise ValueError(f"abscissae must be >= 1, got minimum {x.min()}")
@@ -131,8 +130,7 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         raise ValueError(f"n must be an integer, got {n!r}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, n], got k={k}, n={n}")
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check(p, "in [0, 1]", "p")
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -225,25 +223,19 @@ def success_rate_series(
     are grouped into equal-width bins over the observed S range and each
     bin reports the mean rate with its standard error.
     """
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
-        raise ValueError(f"bins must be a positive integer, got {bins}")
-    if bins > _MAX_BINS:
-        raise ValueError(f"bins must be at most {_MAX_BINS}, got {bins}")
-    if min_submissions < 1:
-        raise ValueError(f"min_submissions must be >= 1, got {min_submissions}")
+    bins = _check(bins, f"an integer in [1, {_MAX_BINS}]", "bins")
+    min_submissions = _check(min_submissions, "an integer >= 1", "min_submissions")
 
     rows = []
     for i, (submissions, front_page, network) in enumerate(users):
         sub, f, s = float(submissions), float(front_page), float(network)
-        if not (math.isfinite(sub) and sub > 0):
-            raise ValueError(f"user {i}: submissions must be > 0, got {submissions}")
+        _check(sub, "> 0", f"user {i}: submissions")
         if not (math.isfinite(f) and 0 <= f <= sub):
             raise ValueError(
                 f"user {i}: front_page_F must be in [0, submissions], "
                 f"got {front_page}"
             )
-        if not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"user {i}: network_S must be >= 0, got {network}")
+        _check(s, ">= 0", f"user {i}: network_S")
         rows.append((sub, f, s))
     kept = [(sub, f, s) for sub, f, s in rows if sub >= min_submissions]
     if not kept:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RankModelParams, UserState, _raise_if
+from . import _check
+from .core import RankModelParams, RunOptions, UserState, _raise_if
 
 __all__ = [
     "RankTrajectory",
@@ -64,8 +65,7 @@ def success_rate(network_S: float, params: RankModelParams) -> float:
     of early-vote support.  The line is a fit over observed network
     sizes and is not clipped at 1.
     """
-    if not (math.isfinite(network_S) and network_S >= 0.0):
-        raise ValueError(f"network_S must be >= 0, got {network_S}")
+    _check(network_S, ">= 0", "network_S")
     return params.c_success * network_S
 
 
@@ -76,10 +76,8 @@ def rank_proxy(front_page_F: float, kappa: float = 1.0) -> float | None:
     Ties and activity-based tie-breaking are deliberately out of model:
     the proxy is a strict function of F alone.
     """
-    if not (math.isfinite(front_page_F) and front_page_F >= 0.0):
-        raise ValueError(f"front_page_F must be >= 0, got {front_page_F}")
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check(front_page_F, ">= 0", "front_page_F")
+    _check(kappa, "> 0", "kappa")
     if front_page_F == 0.0:
         return None
     return kappa / front_page_F
@@ -113,29 +111,18 @@ def step_week(state: UserState, params: RankModelParams) -> UserState:
 
 
 def integrate_rank(
-    initial: UserState,
-    params: RankModelParams,
-    weeks: int,
-    M_schedule=None,
+    initial: UserState, params: RankModelParams, run: RunOptions
 ) -> RankTrajectory:
-    """Trajectory over ``weeks`` weekly steps, including the initial state.
+    """Trajectory over ``run.weeks`` weekly steps, including the initial state.
 
-    ``M_schedule`` optionally varies the submission rate week by week,
-    with one entry per week.  When omitted, the initial state's rate is
-    used throughout.  OverflowError, naming the week, if F or S grows past
-    floating point.
+    ``run.M_schedule`` optionally varies the submission rate week by week,
+    with one entry per week; the record has checked both.  When it is None,
+    the initial state's rate is used throughout.  OverflowError, naming the
+    week, if F or S grows past floating point.
     """
-    if not isinstance(weeks, int) or isinstance(weeks, bool) or weeks < 1:
-        raise ValueError(f"weeks must be a positive integer, got {weeks}")
-    if M_schedule is None:
+    weeks, schedule = run.weeks, run.M_schedule
+    if schedule is None:
         schedule = [initial.submission_rate_M] * weeks
-    else:
-        schedule = [float(m) for m in M_schedule]
-        if len(schedule) != weeks:
-            raise ValueError(
-                f"M_schedule has {len(schedule)} entries but the run is "
-                f"{weeks} weeks"
-            )
 
     w = np.arange(weeks + 1, dtype=float) * params.dt_weeks
     f = np.empty(weeks + 1, dtype=float)

@@ -43,6 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _check
 from .core import (
     ARRIVAL_MODES,
     EnsembleOptions,
@@ -50,8 +51,8 @@ from .core import (
     StoryConfig,
     VoteModelParams,
     VoteTrajectory,
+    _Record,
     _bounded,
-    _raise_if,
 )
 from .vote_dynamics import (
     RateKernel,
@@ -105,7 +106,7 @@ class StochasticRunConfig(EnsembleOptions):
 
 
 @dataclass(frozen=True)
-class EnsembleSummary:
+class EnsembleSummary(_Record):
     """Per-time and promotion statistics over an ensemble.
 
     ``promotion_times`` holds NaN for runs that never promoted;
@@ -117,20 +118,14 @@ class EnsembleSummary:
     std_votes: np.ndarray
     final_votes: np.ndarray
     promotion_times: np.ndarray
-    promotion_probability: float
+    promotion_probability: float = _bounded("in [0, 1]")
     promotion_time_quantiles: dict[float, float]
     n_runs: int
 
-    def __post_init__(self) -> None:
-        bad: list[str] = []
-        if not 0.0 <= self.promotion_probability <= 1.0:
-            bad.append(
-                f"promotion_probability must be in [0, 1], "
-                f"got {self.promotion_probability}"
-            )
+    def _violations(self, broken: set[str]) -> list[str]:
         if np.any(np.diff(self.mean_votes) < 0):
-            bad.append("mean_votes must be nondecreasing")
-        _raise_if(bad)
+            return ["mean_votes must be nondecreasing"]
+        return []
 
 
 def _quantile(ordered: list[float], q: float) -> float:
@@ -287,8 +282,7 @@ def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajec
     is checked after the update.  In "mean" arrival mode this is exactly
     the deterministic trajectory.
     """
-    if run_index < 0:
-        raise ValueError(f"run_index must be >= 0, got {run_index}")
+    run_index = _check(run_index, "an integer >= 0", "run_index")
     if config.arrival_mode == "mean":
         return integrate_votes(
             config.story, config.params, config.policy, config.horizon

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from . import _check
 from .core import (
     FixedThreshold,
     NetworkProportional,
@@ -330,8 +331,7 @@ def analytic_upcoming_saturation(r: float, params: VoteModelParams) -> float:
     geometrically as the story slides down the queue; integrating to
     infinity gives ``1 - r * c * N / (k_u * ln(c_u))``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must be in [0, 1], got {r}")
+    _check(r, "in [0, 1]", "r")
     return 1.0 - r * params.c * params.visit_rate_N / (
         params.k_u * math.log(params.c_u)
     )

@@ -16,6 +16,7 @@ from frontpage import (
     FixedThreshold,
     NetworkProportional,
     RankModelParams,
+    RunOptions,
     StochasticRunConfig,
     StoryConfig,
     UserState,
@@ -95,7 +96,7 @@ def test_criterion_4_proportional_threshold_blocks_low_interest():
 def test_criterion_5_rank_regimes():
     params = RankModelParams()
     idle = UserState(front_page_F=50.0, network_S=100.0, submission_rate_M=0.0)
-    idle_traj = integrate_rank(idle, params, weeks=30)
+    idle_traj = integrate_rank(idle, params, RunOptions(weeks=30))
     ok = bool(np.all(idle_traj.front_page_F == 50.0))
     step = params.a * 50.0 * params.dt_weeks
     ok = ok and bool(
@@ -103,7 +104,7 @@ def test_criterion_5_rank_regimes():
     )
 
     active = UserState(front_page_F=5.0, network_S=100.0, submission_rate_M=10.0)
-    active_traj = integrate_rank(active, params, weeks=30)
+    active_traj = integrate_rank(active, params, RunOptions(weeks=30))
     ok = ok and bool(np.all(np.diff(active_traj.front_page_F) > 0))
     ok = ok and bool(np.all(np.diff(active_traj.network_S) > 0))
     weekly_gain = np.diff(active_traj.network_S)

@@ -368,22 +368,38 @@ class TestExitCodes:
             main(["simulate", "votes", "--config", str(other), "--out", str(out)])
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
-    def test_bad_usage_exits_two(self, tmp_path):
+    def test_bad_usage_exits_two(self, tmp_path, capsys):
         users = str(tmp_path / "users.csv")
         trace = str(tmp_path / "trace.csv")
-        for argv in (
-            ["simulate", "sideways"],
-            ["fit", "success", users, "--bins", "0"],
-            ["fit", "success", users, "--bins", "many"],
-            ["fit", "success", users, "--bins", "100001"],
-            ["fit", "success", users, "--min-submissions", "0"],
-            ["fit", "log", trace, "--log-base", "1"],
-            ["fit", "log", trace, "--log-base", "nan"],
-            ["fit", "log", trace, "--log-base", "-2"],
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "sideways"])
+        assert exc.value.code == 2
+        success, log = "frontpage fit success: error: ", "frontpage fit log: error: "
+        for argv, line in (
+            (["fit", "success", users, "--bins", "0"],
+             success + "argument --bins: must be an integer in [1, 100000], got 0"),
+            (["fit", "success", users, "--bins", "many"],
+             success + "argument --bins: invalid int value: 'many'"),
+            (["fit", "success", users, "--bins", "100001"],
+             success + "argument --bins: must be an integer in [1, 100000], got 100001"),
+            (["fit", "success", users, "--bins", "2.0"],
+             success + "argument --bins: invalid int value: '2.0'"),
+            (["fit", "success", users, "--min-submissions", "0"],
+             success + "argument --min-submissions: must be an integer >= 1, got 0"),
+            (["fit", "log", trace, "--log-base", "1"],
+             log + "argument --log-base: must be positive and != 1, got 1.0"),
+            (["fit", "log", trace, "--log-base", "nan"],
+             log + "argument --log-base: must be positive and != 1, got nan"),
+            (["fit", "log", trace, "--log-base", "-2"],
+             log + "argument --log-base: must be positive and != 1, got -2.0"),
+            (["fit", "log", trace, "--log-base", "e"],
+             log + "argument --log-base: invalid float value: 'e'"),
         ):
+            capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.splitlines()[-1] == line
 
     def test_vote_threshold_h_is_rejected(self, tmp_path, capsys):
         # promotion reads [policy] h only; [vote] threshold_h is not a key
@@ -761,6 +777,31 @@ class TestSignificanceCommand:
         )
         code = main(["significance", str(obs), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_integral_float_cells_read_as_ints(self, tmp_path):
+        outputs = []
+        for row in ("s1,100,10,20,3", "s1,100.0,1e1,20.0,3.0"):
+            obs = tmp_path / "obs.csv"
+            obs.write_text(f"id,pool_N,sample_n,group_K,overlap_k\n{row}\n")
+            out = tmp_path / "o"
+            assert main(["significance", str(obs), "--out", str(out)]) == 0
+            outputs.append((out / "significance.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s1,abc,10,5,2", "pool_N: cannot parse 'abc' as int"),
+            ("s1,100,10.5,5,2", "sample_n: cannot parse '10.5' as int"),
+            ("s1,100,10,,2", "group_K: cannot parse '' as int"),
+            ("s1,100,10,5,-1", "overlap_k must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_cell_names_line_and_key(self, tmp_path, capsys, row, message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"id,pool_N,sample_n,group_K,overlap_k\n{row}\n")
+        assert main(["significance", str(obs), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {obs}: line 2: {message}\n"
 
     def test_count_past_float_range_is_input_error(self, tmp_path, capsys):
         huge = "1" + "0" * 400

@@ -256,7 +256,8 @@ class TestSuccessRateSeries:
 
     def test_bins_are_capped(self):
         users = [(100, i, 10 * i) for i in range(0, 50, 5)]
-        with pytest.raises(ValueError, match=r"^bins must be at most 100000, got"):
+        bound = r"^bins must be an integer in \[1, 100000\], got 100001$"
+        with pytest.raises(ValueError, match=bound):
             success_rate_series(users, bins=100_001)
 
     def test_rejects_impossible_counts(self):

@@ -1,6 +1,7 @@
 """The package's public surface: README's examples run as written, and
 every exported name resolves."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -134,9 +135,41 @@ def test_readme_config_table_states_each_default_and_bound():
         # A declared bound opens the cell; only the non-numeric keys have none.
         first = bound.split("; ")[0]
         if key in {("ensemble", "arrival_mode"), ("run", "M_schedule")}:
-            assert "bound" not in field.metadata and first not in core._BOUNDS, key
+            assert "bound" not in field.metadata and first not in frontpage._BOUNDS, key
         else:
             assert first == field.metadata["bound"], key
+
+
+def _bounded_flags(parser, command=()):
+    """``(command, flag) -> action`` of each flag the parser checks against
+    a bound of the package's table."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _bounded_flags(sub, (*command, name))
+        elif getattr(action.type, "__qualname__", "") == "_checked.<locals>.parse":
+            yield (" ".join(command), action.option_strings[0]), action
+
+
+def test_readme_flag_table_states_each_default_and_bound():
+    from frontpage.cli import build_parser
+
+    stated = {
+        (command, flag): (default, bound)
+        for command, flag, default, bound in re.findall(
+            r"^\| `([a-z ]+) (--[a-z-]+)` \| ([^|]*) \| ([^|]*) \|",
+            README.read_text(encoding="utf-8"), re.MULTILINE,
+        )
+    }
+    declared = dict(_bounded_flags(build_parser()))
+    assert stated.keys() == declared.keys()
+    for key, (default, bound) in stated.items():
+        action = declared[key]
+        assert default == _stated_default(action.default), key
+        assert bound in frontpage._BOUNDS, key
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            action.type("0")  # outside each of these bounds
+        assert str(info.value).startswith(f"must be {bound}, got "), key
 
 
 def _number(text: str) -> int:
@@ -145,21 +178,22 @@ def _number(text: str) -> int:
 
 # Each cap, and every phrase in which README states it.
 _CAPS = {
-    "frontpage.core._MAX_RUNS": [
+    "frontpage._MAX_RUNS": [
         r"`\[ensemble\] runs` \| \d+ \| an integer in \[1, (\d+)\]",
         r"An ensemble has at most ([\d,]+) runs",
         r"an ensemble of more than ([\d,]+) runs",
     ],
-    "frontpage.core._MAX_WEEKS": [
+    "frontpage._MAX_WEEKS": [
         r"`\[run\] weeks` \| \d+ \| an integer in \[1, (\d+)\]",
         r"more than (10\^\d+) weeks",
     ],
-    "frontpage.core._MAX_SAMPLE_N": [
+    "frontpage._MAX_SAMPLE_N": [
         r"samples are capped at `n = (10\^\d+)`",
         r"`sample_n` at most (10\^\d+)",
         r"a sample over (10\^\d+)",
     ],
     "frontpage._MAX_BINS": [
+        r"`fit success --bins` \| \d+ \| an integer in \[1, (\d+)\]",
         r"bins <= ([\d,]+)",
         r"a success-rate series at ([\d,]+) bins",
         r"`fit success --bins` over ([\d,]+)",
@@ -202,3 +236,29 @@ def test_vote_rates_use_no_numpy_transcendentals():
         if name.startswith(("log", "exp")) or name in ("power", "float_power")
     }
     assert not banned
+
+
+def _text(node) -> str:
+    """A string literal's text; an f-string's with each field that names a
+    cap of the package (``{_MAX_BINS}``) filled in, and others as {}."""
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else ""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_text(value) for value in node.values)
+    name = getattr(node.value, "id", "")  # a FormattedValue
+    return str(vars(frontpage).get(name, "{}")) if name.startswith("_MAX_") else "{}"
+
+
+def test_no_bound_message_is_written_outside_the_table():
+    # Every "NAME must be BOUND, got VALUE" comes from frontpage._check; a
+    # hand-written copy of one of its bounds could drift from the table.
+    copies = [
+        f"{source.name}:{node.lineno}: {text!r}"
+        for source in sorted((ROOT / "src" / "frontpage").glob("*.py"))
+        if source.name != "__init__.py"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Constant, ast.JoinedStr))
+        for text in [_text(node)]
+        if any(f"must be {bound}, got" in text for bound in frontpage._BOUNDS)
+    ]
+    assert not copies

@@ -7,13 +7,16 @@ fields, integers and caps included, and the hand-written checks that
 remain (comparisons between fields, ``arrival_mode`` and ``M_schedule``)
 alike, so moving a check between the two cannot change what a user reads
 unseen.  The guard at the end requires every numeric field to declare its
-bound, so a hand-written numeric check cannot come back.
+bound, so a hand-written numeric check cannot come back.  The model
+functions' argument checks go through the same table and are pinned the
+same way, and a field with an integer bound hands its consumers an int.
 """
 
 import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from frontpage import core
@@ -29,7 +32,15 @@ from frontpage.core import (
     UserState,
     VoteModelParams,
 )
-from frontpage.stochastic_sim import StochasticRunConfig
+from frontpage.fitting import (
+    binomial_pmf,
+    chance_probability,
+    fit_log,
+    success_rate_series,
+)
+from frontpage.rank_dynamics import rank_proxy, success_rate
+from frontpage.stochastic_sim import StochasticRunConfig, ensemble, simulate_once
+from frontpage.vote_dynamics import analytic_upcoming_saturation
 
 NAN, INF = math.nan, math.inf
 HUGE = 10**400  # an int past the float range: math.isfinite overflows on it
@@ -432,4 +443,78 @@ def test_every_numeric_field_declares_its_bound(cls, field, value):
         _ensemble_config(**kwargs) if cls is StochasticRunConfig else cls(**kwargs)
     assert str(info.value) == (
         f"{field.name} must be {field.metadata['bound']}, got {value}"
+    )
+
+
+USERS = [(100, 10, 5), (60, 3, 40)]
+POINTS = [(1.0, 2.0), (2.0, 3.0)]
+
+# Each model function's argument check, through the records' table.
+FUNCTION_MESSAGES = [
+    (lambda: fit_log(POINTS, log_base=1.0),
+     "log_base must be positive and != 1, got 1.0"),
+    (lambda: fit_log(POINTS, log_base=NAN),
+     "log_base must be positive and != 1, got nan"),
+    (lambda: binomial_pmf(1, 2, 1.5), "p must be in [0, 1], got 1.5"),
+    (lambda: binomial_pmf(1, 2, NAN), "p must be in [0, 1], got nan"),
+    (lambda: success_rate_series(USERS, bins=0),
+     "bins must be an integer in [1, 100000], got 0"),
+    (lambda: success_rate_series(USERS, bins=100_001),
+     "bins must be an integer in [1, 100000], got 100001"),
+    (lambda: success_rate_series(USERS, bins=2.5),
+     "bins must be an integer in [1, 100000], got 2.5"),
+    (lambda: success_rate_series(USERS, bins=True),
+     "bins must be an integer in [1, 100000], got True"),
+    (lambda: success_rate_series(USERS, min_submissions=0),
+     "min_submissions must be an integer >= 1, got 0"),
+    (lambda: success_rate_series(USERS, min_submissions=NAN),
+     "min_submissions must be an integer >= 1, got nan"),
+    (lambda: success_rate_series([(0, 0, 5)]),
+     "user 0: submissions must be > 0, got 0.0"),
+    (lambda: success_rate_series([*USERS, (60, 3, -1)]),
+     "user 2: network_S must be >= 0, got -1.0"),
+    (lambda: success_rate(-1.0, RankModelParams()),
+     "network_S must be >= 0, got -1.0"),
+    (lambda: rank_proxy(NAN), "front_page_F must be >= 0, got nan"),
+    (lambda: rank_proxy(1.0, kappa=0.0), "kappa must be > 0, got 0.0"),
+    (lambda: analytic_upcoming_saturation(1.5, VoteModelParams()),
+     "r must be in [0, 1], got 1.5"),
+    (lambda: simulate_once(_ensemble_config(horizon=10.0), run_index=-1),
+     "run_index must be an integer >= 0, got -1"),
+    (lambda: simulate_once(_ensemble_config(horizon=10.0), run_index=0.5),
+     "run_index must be an integer >= 0, got 0.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", FUNCTION_MESSAGES, ids=[m for _, m in FUNCTION_MESSAGES]
+)
+def test_each_bad_argument_gets_its_exact_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _same_summary(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for name in ("mean_votes", "std_votes", "final_votes", "promotion_times")
+    ) and a.n_runs == b.n_runs
+
+
+@pytest.mark.parametrize("field, value", [("runs", 5), ("seed", 3)])
+def test_an_integral_float_ensemble_field_runs_as_its_int(field, value):
+    by_float = _ensemble_config(horizon=60.0, **{field: float(value)})
+    by_int = _ensemble_config(horizon=60.0, **{field: value})
+    assert type(getattr(by_float, field)) is int
+    assert _same_summary(ensemble(by_float), ensemble(by_int))
+
+
+@pytest.mark.parametrize("mode", ["exact", "tail"])
+def test_an_integral_float_observation_tests_as_its_ints(mode):
+    counts = {"pool_N": 10, "sample_n": 4, "group_K": 5, "overlap_k": 2}
+    by_float = FriendVoteObservation(**{k: float(v) for k, v in counts.items()})
+    assert all(type(getattr(by_float, key)) is int for key in counts)
+    assert chance_probability(by_float, mode) == chance_probability(
+        FriendVoteObservation(**counts), mode
     )

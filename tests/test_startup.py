@@ -124,6 +124,7 @@ def test_import_frontpage_loads_no_submodule(inputs):
         (["--help"], 0),
         (["ensemble", "--help"], 0),
         (["ensemble"], 2),  # --config is required
+        (["fit", "success", "users.csv", "--bins", "0"], 2),  # checked by its bound
     ],
 )
 def test_parsing_alone_loads_no_numpy(inputs, argv, code):
