@@ -28,6 +28,7 @@ malformed input data; 4 unwritable output.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import configparser
 import contextlib
 import csv
@@ -250,8 +251,12 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, str, list[str]]]:
     return sweeps
 
 
-# Most points in one sweep grid: each gets its own copy of the config and
-# its own output, so the grid's size bounds the command's time and memory.
+# Most points in one sweep grid.  Each point's config, records and
+# ``params`` are built before any point runs and kept to the end, as are its
+# output name and, in csv format, its ``summary.json`` entry: a few KB per
+# point.  Its trajectory is written to a ``.tmp`` file as soon as it is
+# computed and not kept, so the grid's size bounds the command's time and
+# this memory.
 _MAX_SWEEP_POINTS = 10_000
 
 
@@ -545,9 +550,10 @@ def _json_float(value: float) -> str:
 def _write_json(stream, value, pad: str = "\n") -> None:
     """Write what ``json.dumps(value, sort_keys=True, indent=2)`` gives for
     the plain-JSON copy of ``value``: dict keys become ``str(k)`` (a later
-    key wins a collision), tuples and ndarrays become lists, numpy scalars
-    Python numbers, and non-finite floats ``null``.  ``pad`` is the newline
-    and indent of the current depth.  TypeError for any other type.
+    key wins a collision), tuples, ndarrays and iterators become lists,
+    numpy scalars Python numbers, and non-finite floats ``null``.  ``pad``
+    is the newline and indent of the current depth.  TypeError for any
+    other type.
     """
     write = stream.write
     if value is None:
@@ -583,17 +589,16 @@ def _write_json(stream, value, pad: str = "\n") -> None:
             _write_json(stream, items[key], inner)
             sep = "," + inner
         write(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
+    elif isinstance(value, (list, tuple, collections.abc.Iterator)):
+        # each item is written as an iterator yields it, so whether there
+        # was any is known only at the end
         inner = pad + "  "
         sep = "[" + inner
         for item in value:
             write(sep)
             _write_json(stream, item, inner)
             sep = "," + inner
-        write(pad + "]")
+        write("[]" if sep[0] == "[" else pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
@@ -605,24 +610,33 @@ def _write_summary(stream, doc: dict) -> None:
 
 def _write_outputs(out_dir: Path, outputs) -> None:
     """Write ``(name, render)`` outputs: each ``render(stream)`` writes its
-    ``name.tmp``, and once all are written each is renamed into place.
+    ``name.tmp`` in turn, and once all are written each is renamed into
+    place, in order.
 
-    A directory in place of any output fails before anything is written,
-    so no output is replaced.  Any failure, in rendering too, removes every
-    ``.tmp`` not yet renamed.
+    The output directory is made, and a directory in place of any output
+    fails, before the first render runs, so no output is replaced.  Any
+    failure, in rendering too, removes every ``.tmp`` not yet renamed and
+    every directory this call made that is still empty.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot create output directory {out_dir}: {exc}") from None
-    for name, _ in outputs:
-        target = out_dir / name
-        # a rename replaces a symlink itself, but cannot replace a directory
-        if target.is_dir() and not target.is_symlink():
-            raise OutputError(f"cannot write {target}: it is a directory")
+    made = []  # the directories mkdir makes, deepest first
+    for directory in (out_dir, *out_dir.parents):
+        if directory.exists():
+            break
+        made.append(directory)
     pending = []  # (tmp, target) written but not yet renamed
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(
+                f"cannot create output directory {out_dir}: {exc}"
+            ) from None
+        for name, _ in outputs:
+            target = out_dir / name
+            # a rename replaces a symlink itself, but cannot replace a directory
+            if target.is_dir() and not target.is_symlink():
+                raise OutputError(f"cannot write {target}: it is a directory")
         for name, render in outputs:
             target = out_dir / name
             tmp = out_dir / (name + ".tmp")
@@ -639,40 +653,69 @@ def _write_outputs(out_dir: Path, outputs) -> None:
             except OSError as exc:
                 raise OutputError(f"cannot write {target}: {exc}") from None
             pending.pop(0)
-    finally:
+    except BaseException:
         for tmp, _ in pending:
             with contextlib.suppress(OSError):
                 tmp.unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 # --- command runners -------------------------------------------------------
 #
 # Each runner takes the parsed command line and returns (tables, results,
-# extra): the CSV tables as (file name, header, columns), the ``results``
-# list of ``summary.json`` and any further top-level keys of it.
+# extra): the CSV tables as (file name, render), the ``results`` of
+# ``summary.json`` and any further top-level keys of it.
+
+def _raising_float_errors():
+    """A float overflow or NaN in a model or a fit raises FloatingPointError,
+    which the runners report as bad config or input instead of writing it."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
+def _table(name: str, header: str, columns):
+    return name, functools.partial(_write_csv, header=header, columns=columns)
+
 
 def _run_model(args: argparse.Namespace, stem: str, compute):
     """Run a model at every sweep point; one ``{stem}*.csv`` table each.
 
     ``compute(records)`` returns one point's (summary fields, CSV columns,
-    JSON trajectory).  A point that overflows the model at run time is a
-    config error naming the point.
+    JSON trajectory).  Every point is built before any runs, and each runs
+    only as its output is written: its table's render, in csv format, or
+    the ``results`` iterator that ``summary.json`` is written from, in
+    json.  So a point's arrays are dropped once written.  A point that
+    overflows the model is a config error naming the point.
     """
-    tables, results = [], []
-    for overrides, records, params in _points(args):
+
+    def run(point):
+        overrides, records, params = point
         try:
-            fields, columns, trajectory = compute(records)
+            with _raising_float_errors():
+                fields, columns, trajectory = compute(records)
         except (ValueError, ArithmeticError) as exc:
-            point = " ".join(f"{k}={v}" for k, v in overrides.items())
-            raise ConfigError(f"{point or 'config'}: {exc}") from None
-        entry = {"overrides": overrides, "params": params, **fields}
-        if args.output_format == "csv":
-            entry["file"] = f"{stem}{_suffix_for(overrides)}.csv"
-            tables.append((entry["file"], ",".join(columns), list(columns.values())))
-        else:
-            entry["file"] = None
-            entry["trajectory"] = trajectory
-        results.append(entry)
+            where = " ".join(f"{k}={v}" for k, v in overrides.items())
+            raise ConfigError(f"{where or 'config'}: {exc}") from None
+        return {"overrides": overrides, "params": params, **fields}, columns, trajectory
+
+    points = _points(args)
+    if args.output_format == "json":
+        return [], (
+            {**entry, "file": None, "trajectory": trajectory}
+            for entry, _, trajectory in map(run, points)
+        ), {}
+    tables, results = [], []
+
+    def render(stream, point, name):
+        entry, columns, _ = run(point)
+        results.append({**entry, "file": name})
+        _write_csv(stream, ",".join(columns), columns.values())
+
+    for point in points:
+        name = f"{stem}{_suffix_for(point[0])}.csv"
+        tables.append((name, functools.partial(render, point=point, name=name)))
     return tables, results, {}
 
 
@@ -736,7 +779,7 @@ def _ensemble(records):
 
 def _record_table(name: str, records: list[dict]):
     """A CSV table with one row per record; the header is the record keys."""
-    return name, ",".join(records[0]), list(zip(*(r.values() for r in records)))
+    return _table(name, ",".join(records[0]), list(zip(*(r.values() for r in records))))
 
 
 def _per_id(args: argparse.Namespace, name: str, analyse, extra: dict):
@@ -808,7 +851,7 @@ def _run_fit_success(args: argparse.Namespace):
             "n_users_total": binned.n_users_total,
         }
     ]
-    table = ("success_bins.csv", "bin_center_S,mean_success,stderr,count", columns)
+    table = _table("success_bins.csv", "bin_center_S,mean_success,stderr,count", columns)
     return [table], results, {
         "options": {"bins": args.bins, "min_submissions": args.min_submissions}
     }
@@ -882,17 +925,20 @@ _COMMANDS = {
 
 
 def run_scenario(args: argparse.Namespace) -> int:
-    """Run a parsed command: compute every result, then write the outputs.
+    """Run a parsed command and write its outputs.
 
-    Every output is streamed to its ``.tmp`` file and only then are all
-    renamed into place, so a failure while computing or rendering leaves
-    the output directory untouched.
+    An analysis command computes every result, then writes.  A model
+    command builds every point first (config errors exit 2), then makes
+    the output directory (exit 4 if it cannot, or if a directory sits where
+    an output goes) and runs each point as its output is written: its
+    table to its ``.tmp`` in csv format, its ``results`` entry into
+    ``summary.json.tmp`` in json.  Only once every output is written are
+    all renamed into place, so a failure while computing or rendering
+    leaves the output location as it was.
     """
     *_, modules, runner = _COMMANDS[args.kind]
     _bind(*modules)
-    # A float overflow or NaN in a model or a fit raises FloatingPointError,
-    # which the runners report as bad config or input instead of writing it.
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with _raising_float_errors():
         tables, results, extra = runner(args)
     doc = {
         "command": args.kind.replace("-", " "),
@@ -903,12 +949,7 @@ def run_scenario(args: argparse.Namespace) -> int:
     }
     if "input" in args:
         doc["input"] = args.input.name
-    outputs = []
-    if args.output_format == "csv":
-        outputs = [
-            (name, functools.partial(_write_csv, header=header, columns=columns))
-            for name, header, columns in tables
-        ]
+    outputs = tables if args.output_format == "csv" else []
     outputs.append(("summary.json", functools.partial(_write_summary, doc=doc)))
     _write_outputs(args.out, outputs)
     return EXIT_OK

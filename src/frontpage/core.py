@@ -323,6 +323,18 @@ _CASTERS = {
 }
 
 
+# Most characters of a value a message echoes in full; a longer one is cut.
+_ECHO_CHARS = 40
+
+
+def _echo(raw) -> str:
+    """``repr(raw)``, or for a string longer than ``_ECHO_CHARS`` the repr of
+    its first ``_ECHO_CHARS`` characters and ``…``, and its length."""
+    if isinstance(raw, str) and len(raw) > _ECHO_CHARS:
+        return f"{raw[:_ECHO_CHARS] + '…'!r} ({len(raw)} characters)"
+    return repr(raw)
+
+
 def record_from_mapping(cls, mapping: Mapping[str, str]):
     """Build a record from string values, coercing per field type.
 
@@ -342,7 +354,7 @@ def record_from_mapping(cls, mapping: Mapping[str, str]):
             kwargs[key] = caster(str(raw).strip())
         except ValueError:
             raise ParameterError(
-                f"{key}: cannot parse {raw!r} as {known[key].type}"
+                f"{key}: cannot parse {_echo(raw)} as {known[key].type}"
             ) from None
     required = [
         f.name

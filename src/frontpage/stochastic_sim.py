@@ -213,9 +213,10 @@ def _lockstep(
     bar = np.full(len(runs), threshold)  # +inf once a run has promoted
     waiting = len(runs)
 
-    def segment(k0: int, k1: int) -> np.ndarray:
-        """Vote counts after steps ``k0 .. k1 - 1``, redone one step at a
-        time if a segment wider than one step has a large mean."""
+    def segment(k0: int, k1: int) -> np.ndarray | None:
+        """Vote counts after steps ``k0 .. k1 - 1``; None, with nothing
+        drawn or changed, if a segment wider than one step has a large
+        mean and must be redone one step at a time."""
         nonlocal m, waiting
         col = k0 % chunk
         u = uniforms[:, col : col + k1 - k0].T
@@ -226,7 +227,7 @@ def _lockstep(
             np.cumsum(block, axis=0, out=block)
             block += m
         elif k1 - k0 > 1:
-            return np.concatenate([segment(j, j + 1) for j in range(k0, k1)])
+            return None
         else:
             small = ~large[0]
             block = m[None].copy()
@@ -246,7 +247,7 @@ def _lockstep(
                     cols = crossed[late]
                     mean = scale * rate(k0, k1, m[cols], first[late])
                     if (mean > _INVERSION_MAX_MEAN).any():
-                        return np.concatenate([segment(j, j + 1) for j in range(k0, k1)])
+                        return None
                     counts = _poisson_by_inversion(mean.ravel(), u[:, cols].ravel())
                     counts = np.cumsum(counts.reshape(mean.shape), axis=0)
                     block[:, cols] = counts + m[cols]
@@ -268,6 +269,8 @@ def _lockstep(
         while k < end:
             one_step = waiting and k < rate.voter_steps
             block = segment(k, k + 1 if one_step else end)
+            if block is None:
+                block = np.concatenate([segment(j, j + 1) for j in range(k, end)])
             blocks.append(block)
             k += len(block)
         yield np.concatenate(blocks) if len(blocks) > 1 else blocks[0], promo_step

@@ -814,6 +814,17 @@ class TestSignificanceCommand:
         )
         assert not out.exists()
 
+    def test_long_unparseable_cell_is_cut_in_the_message(self, tmp_path, capsys):
+        obs = tmp_path / "o.csv"
+        obs.write_text(f"id,pool_N,sample_n,group_K,overlap_k\ns1,{'9' * 5000},10,5,2\n")
+        assert main(["significance", str(obs), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {obs}: line 2: pool_N: cannot parse "
+            f"'{'9' * 40}…' (5000 characters) as int\n"
+        )
+        assert len(err) - len(str(obs)) < 200
+
 
 # Ids that need RFC 4180 quoting in a CSV cell: comma, quote, newline.
 AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", 'all,"of\nthem"']

@@ -172,6 +172,13 @@ def test_record_from_mapping_errors():
         record_from_mapping(VoteModelParams, {"c": "fast"})
     with pytest.raises(ParameterError, match=r"^h: cannot parse '40.5' as int"):
         record_from_mapping(FixedThreshold, {"h": "40.5"})
+    # a value of up to 40 characters is echoed whole, a longer one cut
+    with pytest.raises(ParameterError, match=f"^c: cannot parse '{'x' * 40}' as float$"):
+        record_from_mapping(VoteModelParams, {"c": "x" * 40})
+    with pytest.raises(
+        ParameterError, match=f"^c: cannot parse '{'x' * 40}…' \\(41 characters\\) as float$"
+    ):
+        record_from_mapping(VoteModelParams, {"c": "x" * 41})
     with pytest.raises(ParameterError, match="missing required"):
         record_from_mapping(StoryConfig, {"submitter_network_S": "10"})
     story = record_from_mapping(

@@ -134,6 +134,22 @@ def test_json_writer_matches_json_dumps(doc):
     assert _rendered(_write_json, doc) == _reference(_ref_json_text, doc)
 
 
+def _iterated(doc):
+    """``doc`` with every list an iterator over its items."""
+    if isinstance(doc, list):
+        return iter([_iterated(item) for item in doc])
+    if isinstance(doc, dict):
+        return {key: _iterated(value) for key, value in doc.items()}
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents)
+@example({"results": [], "nested": [[], [{"a": []}]]})
+def test_json_writer_writes_an_iterator_as_its_list(doc):
+    assert _rendered(_write_json, _iterated(doc)) == _reference(_ref_json_text, doc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(documents_with_unsupported)
 @example(np.bool_(False))
