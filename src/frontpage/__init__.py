@@ -27,7 +27,10 @@ __version__ = "0.1.0"
 # their bounds through :func:`_check`; the table lives in this module, which
 # loads only the standard library, so that flags are checked before numpy.
 
-# Longest rank-model run (about 19,000 years of weeks): bounds its time and memory.
+# Longest rank-model run (about 19,000 years of weeks): bounds its time and
+# memory.  At the cap `integrate_rank` takes about 0.5 s and `simulate rank`
+# about 6.4 s and 585 MB, most of it in the per-week rank proxies and the CSV
+# rendering (BENCH_rank_loop.json, 2 vCPU Xeon).
 _MAX_WEEKS = 1_000_000
 # Largest voter sample of the chance-probability test: its binomial tail
 # then sums at most ~4e5 terms (under a second), where 10^30 would never end.
@@ -86,6 +89,18 @@ def _check(value, bound: str, name: str = ""):
         return int(value) if bound.startswith("an integer") else value
     message = f"must be {bound}, got {value}"
     raise ValueError(f"{name} {message}" if name else message)
+
+
+# Most characters of a value a message echoes in full; a longer one is cut.
+_ECHO_CHARS = 40
+
+
+def _echo(raw) -> str:
+    """``repr(raw)``, or for a string longer than ``_ECHO_CHARS`` the repr of
+    its first ``_ECHO_CHARS`` characters and ``…``, and its length."""
+    if isinstance(raw, str) and len(raw) > _ECHO_CHARS:
+        return f"{raw[:_ECHO_CHARS] + '…'!r} ({len(raw)} characters)"
+    return repr(raw)
 
 
 # Each submodule -> the names exported from it.  A submodule, and numpy

@@ -40,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import _MAX_BINS, __version__, _check, _load
+from . import _MAX_BINS, __version__, _check, _echo, _load
 
 
 class _LazyModule:
@@ -315,7 +315,7 @@ _POLICY_KINDS = {name: kind for kind, name in _RECORDS["policy"].items()}
 
 
 def _points(args: argparse.Namespace):
-    """Load ``--config``; ``(overrides, records, params doc)`` of each point.
+    """Load ``--config``; ``(overrides, records)`` of each point.
 
     A point's records are those :func:`load_config` built, except that a
     section the command reads is built from the point's config where the
@@ -343,12 +343,7 @@ def _points(args: argparse.Namespace):
                 except ValueError as exc:
                     raise ConfigError(f"[run] {exc}") from None
         rebuild = swept
-        doc = {section: dataclasses.asdict(records[section]) for section in sections}
-        if "policy" in doc:
-            kind = _POLICY_KINDS[type(records["policy"]).__name__]
-            doc["policy"] = {"kind": kind, **doc["policy"]}
-        doc["run"] = {key: doc["run"][key] for key in run_keys}
-        points.append((overrides, records, doc))
+        points.append((overrides, records))
     for section, key, _ in sweeps:
         if section not in sections or (section == "run" and key not in run_keys):
             raise ConfigError(
@@ -359,6 +354,18 @@ def _points(args: argparse.Namespace):
         if (section, key) == ("ensemble", "seed") and args.seed is not None:
             raise ConfigError("sweep ensemble.seed: --seed sets every point's seed")
     return points
+
+
+def _params(command: str, records) -> dict:
+    """A point's ``params`` doc: the records ``command`` reads, as built
+    only when the point runs."""
+    sections, run_keys = _READS[command]
+    doc = {section: dataclasses.asdict(records[section]) for section in sections}
+    if "policy" in doc:
+        kind = _POLICY_KINDS[type(records["policy"]).__name__]
+        doc["policy"] = {"kind": kind, **doc["policy"]}
+    doc["run"] = {key: doc["run"][key] for key in run_keys}
+    return doc
 
 
 # --- trace ingestion -------------------------------------------------------
@@ -433,7 +440,7 @@ def ingest_traces(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         except ValueError:
             raise InputError(
                 f"{path}: line {lineno}: t and value must be numbers, "
-                f"got {row[1]!r}, {row[2]!r}"
+                f"got {_echo(row[1])}, {_echo(row[2])}"
             ) from None
         if not (math.isfinite(t) and t >= 0):
             raise InputError(f"{path}: line {lineno}: t must be finite and >= 0")
@@ -683,15 +690,19 @@ def _run_model(args: argparse.Namespace, stem: str, compute):
     """Run a model at every sweep point; one ``{stem}*.csv`` table each.
 
     ``compute(records)`` returns one point's (summary fields, CSV columns,
-    JSON trajectory).  Every point is built before any runs, and each runs
-    only as its output is written: its table's render, in csv format, or
-    the ``results`` iterator that ``summary.json`` is written from, in
-    json.  So a point's arrays are dropped once written.  A point that
-    overflows the model is a config error naming the point.
+    JSON trajectory).  Every point's records are built before any runs,
+    and each runs, and builds its ``params`` doc, only as its output is
+    written: its table's render, in csv format, or the ``results``
+    iterator that ``summary.json`` is written from, in json.  So a point's
+    arrays are dropped once written.  A point that overflows the model is
+    a config error naming the point.
     """
 
     def run(point):
-        overrides, records, params = point
+        overrides, records = point
+        # built before the model runs: built after its arrays, the docs that a
+        # csv sweep keeps raised its peak RSS by about 0.2 MB
+        params = _params(args.kind, records)
         try:
             with _raising_float_errors():
                 fields, columns, trajectory = compute(records)
@@ -808,7 +819,8 @@ def _run_fit(args: argparse.Namespace):
 
 
 def _run_compare(args: argparse.Namespace):
-    [(_, records, doc)] = _points(args)
+    [(_, records)] = _points(args)
+    params = _params(args.kind, records)
     try:
         trajectory = integrate_votes(*_story(records))
     except (ValueError, ArithmeticError) as exc:
@@ -818,7 +830,7 @@ def _run_compare(args: argparse.Namespace):
         args,
         "compare.csv",
         lambda t, v: compare_model_to_trace(t, v, trajectory, threshold=threshold),
-        {"params": doc},
+        {"params": params},
     )
 
 

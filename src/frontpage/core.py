@@ -28,7 +28,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from . import _MAX_RUNS, _MAX_SAMPLE_N, _MAX_WEEKS, _check, _finite
+from . import _MAX_RUNS, _MAX_SAMPLE_N, _MAX_WEEKS, _check, _echo, _finite
 
 __all__ = [
     "ParameterError",
@@ -321,18 +321,6 @@ _CASTERS = {
     "str": str,
     "tuple[float, ...] | None": _parse_floats,
 }
-
-
-# Most characters of a value a message echoes in full; a longer one is cut.
-_ECHO_CHARS = 40
-
-
-def _echo(raw) -> str:
-    """``repr(raw)``, or for a string longer than ``_ECHO_CHARS`` the repr of
-    its first ``_ECHO_CHARS`` characters and ``…``, and its length."""
-    if isinstance(raw, str) and len(raw) > _ECHO_CHARS:
-        return f"{raw[:_ECHO_CHARS] + '…'!r} ({len(raw)} characters)"
-    return repr(raw)
 
 
 def record_from_mapping(cls, mapping: Mapping[str, str]):

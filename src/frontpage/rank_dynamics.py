@@ -7,12 +7,17 @@ trickle from stories already on the front page, plus a burst for each new
 promotion.  Iterating the two coupled updates week over week produces the
 rich-get-richer growth seen in active users' histories, and stagnation
 once submissions stop.
+
+The weekly update is written once, in :func:`_step`, on Python floats:
+:func:`step_week` wraps it for one :class:`UserState` and
+:func:`integrate_rank` loops it over a run, building no record per week.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,31 +88,33 @@ def rank_proxy(front_page_F: float, kappa: float = 1.0) -> float | None:
     return kappa / front_page_F
 
 
-def step_week(state: UserState, params: RankModelParams) -> UserState:
-    """Advance one week using start-of-week values on the right-hand side.
+def _step(F: float, S: float, M: float, params: RankModelParams) -> tuple[float, float]:
+    """``(F, S)`` one step of ``dt_weeks`` on from ``F`` and ``S`` at rate ``M``.
 
     The week's promotions are the success rate times the submissions
     made; the network gains its standing per-front-page-story increment
     plus ``b`` reverse friends per new promotion.  Both increments read
-    the pre-step state, so the update is synchronous: the order of the
-    two assignments does not matter.  OverflowError if either value grows
-    past floating point.
+    the start-of-week values, so on nonnegative inputs neither value
+    shrinks.  OverflowError if either grows past floating point.
     """
     dt = params.dt_weeks
-    dF = success_rate(state.network_S, params) * state.submission_rate_M * dt
-    dS = params.a * state.front_page_F * dt + params.b * dF
-    front_page_F = state.front_page_F + dF
-    network_S = state.network_S + dS
-    if not (math.isfinite(front_page_F) and math.isfinite(network_S)):
+    dF = params.c_success * S * M * dt
+    dS = params.a * F * dt + params.b * dF
+    F, S = F + dF, S + dS
+    if not (math.isfinite(F) and math.isfinite(S)):
         raise OverflowError(
-            f"front_page_F is {front_page_F} and network_S is {network_S}: "
+            f"front_page_F is {F} and network_S is {S}: "
             "the rank model overflows floating point"
         )
-    return UserState(
-        front_page_F=front_page_F,
-        network_S=network_S,
-        submission_rate_M=state.submission_rate_M,
-    )
+    return F, S
+
+
+def step_week(state: UserState, params: RankModelParams) -> UserState:
+    """Advance one week by :func:`_step`; the submission rate carries over.
+    OverflowError if either value grows past floating point."""
+    M = state.submission_rate_M
+    F, S = _step(state.front_page_F, state.network_S, M, params)
+    return UserState(front_page_F=F, network_S=S, submission_rate_M=M)
 
 
 def integrate_rank(
@@ -122,21 +129,14 @@ def integrate_rank(
     """
     weeks, schedule = run.weeks, run.M_schedule
     if schedule is None:
-        schedule = [initial.submission_rate_M] * weeks
-
+        schedule = itertools.repeat(initial.submission_rate_M, weeks)
     w = np.arange(weeks + 1, dtype=float) * params.dt_weeks
     f = np.empty(weeks + 1, dtype=float)
     s = np.empty(weeks + 1, dtype=float)
-    f[0] = initial.front_page_F
-    s[0] = initial.network_S
-    current = initial
-    for k, rate in enumerate(schedule):
-        if rate != current.submission_rate_M:
-            current = replace(current, submission_rate_M=rate)
-        try:
-            current = step_week(current, params)
-        except OverflowError as exc:
-            raise OverflowError(f"week {k + 1}: {exc}") from None
-        f[k + 1] = current.front_page_F
-        s[k + 1] = current.network_S
+    F, S = f[0], s[0] = float(initial.front_page_F), float(initial.network_S)
+    try:
+        for k, rate in enumerate(schedule, 1):
+            F, S = f[k], s[k] = _step(F, S, float(rate), params)
+    except OverflowError as exc:
+        raise OverflowError(f"week {k}: {exc}") from None
     return RankTrajectory(weeks=w, front_page_F=f, network_S=s)

@@ -826,6 +826,18 @@ class TestSignificanceCommand:
         assert len(err) - len(str(obs)) < 200
 
 
+def test_long_unparseable_trace_cells_are_cut_in_the_message(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text(f"id,t,value\na,0,1\na,{'x' * 5000},{'y' * 300}\n")
+    assert main(["fit", "linear", str(trace), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {trace}: line 3: t and value must be numbers, got "
+        f"'{'x' * 40}…' (5000 characters), '{'y' * 40}…' (300 characters)\n"
+    )
+    assert len(err.encode()) - len(str(trace).encode()) < 200
+
+
 # Ids that need RFC 4180 quoting in a CSV cell: comma, quote, newline.
 AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", 'all,"of\nthem"']
 

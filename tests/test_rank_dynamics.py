@@ -1,13 +1,19 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from frontpage import RankModelParams, RunOptions, UserState
+from frontpage.cli import load_config
 from frontpage.rank_dynamics import (
     integrate_rank,
     rank_proxy,
     step_week,
     success_rate,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_step_week_direct_evaluation():
@@ -137,3 +143,107 @@ def test_overflow_names_the_week():
     # week 1 reaches F = S = 1e307; week 2 overflows both
     with pytest.raises(OverflowError, match=r"^week 2: front_page_F is inf "):
         integrate_rank(state, params, RunOptions(weeks=2, M_schedule=[1e308, 1e308]))
+
+
+@pytest.mark.parametrize("over", ["warn", "raise"])
+def test_array_schedule_overflows_as_the_documented_error(over):
+    """An ndarray schedule steps on Python floats, so its overflow is the
+    OverflowError naming the week, whether numpy would warn (here made an
+    error) or raise FloatingPointError."""
+    state = UserState(front_page_F=5.0, network_S=50.0, submission_rate_M=2.0)
+    run = RunOptions(weeks=2, M_schedule=np.array([1e308, 1e308]))
+    with warnings.catch_warnings(), np.errstate(over=over):
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^week 2: front_page_F is inf "):
+            integrate_rank(state, RankModelParams(), run)
+
+
+def test_array_and_tuple_schedules_give_equal_arrays():
+    state = UserState(front_page_F=3.0, network_S=40.0, submission_rate_M=1.0)
+    params = RankModelParams(dt_weeks=0.5)
+    rates = np.random.default_rng(7).uniform(0.0, 20.0, 60)
+    as_array = integrate_rank(state, params, RunOptions(weeks=60, M_schedule=rates))
+    as_tuple = integrate_rank(
+        state, params, RunOptions(weeks=60, M_schedule=tuple(rates.tolist()))
+    )
+    assert np.array_equal(as_array.front_page_F, as_tuple.front_page_F)
+    assert np.array_equal(as_array.network_S, as_tuple.network_S)
+
+
+def _weekly_matrix(params: RankModelParams, M: float) -> np.ndarray:
+    """The rank model's update at constant M: x_{k+1} = A x_k, x = (F, S)."""
+    a, b, c, dt = params.a, params.b, params.c_success, params.dt_weeks
+    return np.array([[1.0, c * M * dt], [a * dt, 1.0 + b * c * M * dt]])
+
+
+def _assert_matches_matrix_powers(traj, x0, stretches):
+    """Week k of ``traj`` is the product of ``A**n`` over the constant-M
+    ``stretches`` ``(A, n)`` it has covered, applied to ``x0``."""
+    k, start = 0, np.asarray(x0, dtype=float)
+    assert np.array_equal([traj.front_page_F[0], traj.network_S[0]], start)
+    for A, n in stretches:
+        for j in range(1, n + 1):
+            expected = np.linalg.matrix_power(A, j) @ start
+            actual = [traj.front_page_F[k + j], traj.network_S[k + j]]
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+        k, start = k + n, np.linalg.matrix_power(A, n) @ start
+    assert k == traj.weeks.size - 1
+
+
+def test_committed_config_matches_matrix_power():
+    records = load_config(CONFIGS / "rank_active_user.ini")[1]
+    user, params, run = records["user"], records["rank"], records["run"]
+    traj = integrate_rank(user, params, run)
+    A = _weekly_matrix(params, user.submission_rate_M)
+    _assert_matches_matrix_powers(
+        traj, (user.front_page_F, user.network_S), [(A, run.weeks)]
+    )
+
+
+def test_fractional_step_matches_matrix_power():
+    user = UserState(front_page_F=3.0, network_S=120.0, submission_rate_M=4.0)
+    params = RankModelParams(a=0.05, b=2.0, c_success=0.001, dt_weeks=0.5)
+    traj = integrate_rank(user, params, RunOptions(weeks=200))
+    A = _weekly_matrix(params, user.submission_rate_M)
+    _assert_matches_matrix_powers(traj, (3.0, 120.0), [(A, 200)])
+
+
+def test_two_stretch_schedule_matches_piecewise_product():
+    user = UserState(front_page_F=5.0, network_S=50.0, submission_rate_M=0.0)
+    params = RankModelParams(dt_weeks=2.0)
+    run = RunOptions(weeks=70, M_schedule=[6.0] * 30 + [0.5] * 40)
+    traj = integrate_rank(user, params, run)
+    stretches = [(_weekly_matrix(params, 6.0), 30), (_weekly_matrix(params, 0.5), 40)]
+    _assert_matches_matrix_powers(traj, (5.0, 50.0), stretches)
+
+
+def test_integrate_rank_is_step_week_repeated():
+    """Both entry points run one formula: week k of ``integrate_rank`` is
+    ``step_week`` applied k times, to the last bit."""
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        params = RankModelParams(
+            a=float(rng.uniform(0.0, 0.1)),
+            b=float(rng.uniform(0.0, 3.0)),
+            c_success=float(rng.uniform(0.0, 0.01)),
+            dt_weeks=float(rng.choice([0.1, 0.5, 1.0, 2.0])),
+        )
+        state = UserState(
+            front_page_F=float(rng.uniform(0.0, 100.0)),
+            network_S=float(rng.uniform(0.0, 1000.0)),
+            submission_rate_M=float(rng.uniform(0.0, 20.0)),
+        )
+        weeks = int(rng.integers(1, 120))
+        schedule = None
+        if rng.integers(2):  # an ndarray or a tuple of per-week rates
+            schedule = rng.uniform(0.0, 20.0, weeks)
+            if rng.integers(2):
+                schedule = tuple(schedule.tolist())
+        traj = integrate_rank(state, params, RunOptions(weeks=weeks, M_schedule=schedule))
+        rates = [state.submission_rate_M] * weeks if schedule is None else schedule
+        for k, rate in enumerate(rates, 1):
+            state = step_week(
+                UserState(state.front_page_F, state.network_S, float(rate)), params
+            )
+            assert traj.front_page_F[k] == state.front_page_F
+            assert traj.network_S[k] == state.network_S
