@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 # Longest rank-model run (about 19,000 years of weeks): bounds its time and
 # memory.  At the cap `integrate_rank` takes about 0.5 s and `simulate rank`
-# about 6.4 s and 585 MB, most of it in the per-week rank proxies and the CSV
-# rendering (BENCH_rank_loop.json, 2 vCPU Xeon).
+# about 5 s and 554 MB in csv, most of it in the rendering
+# (BENCH_analysis_columns.json, 2 vCPU Xeon).
 _MAX_WEEKS = 1_000_000
 # Largest voter sample of the chance-probability test: its binomial tail
 # then sums at most ~4e5 terms (under a second), where 10^30 would never end.
@@ -130,7 +130,13 @@ _EXPORTS = {
         "fit_log",
         "success_rate_series",
     ),
-    "rank_dynamics": ("RankTrajectory", "integrate_rank", "rank_proxy", "step_week"),
+    "rank_dynamics": (
+        "RankTrajectory",
+        "integrate_rank",
+        "rank_proxies",
+        "rank_proxy",
+        "step_week",
+    ),
     "stochastic_sim": (
         "EnsembleSummary",
         "StochasticRunConfig",

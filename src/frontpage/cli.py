@@ -46,8 +46,9 @@ from . import _MAX_BINS, __version__, _check, _echo, _load
 class _LazyModule:
     """Stands in for a module among this module's globals until the first
     read of one of its attributes, which imports the module and binds it in
-    this stand-in's place.  The parser reads neither numpy nor dataclasses,
-    so a command line that asks for help or fails to parse loads neither."""
+    this stand-in's place.  The parser reads none of numpy, dataclasses and
+    array, so a command line that asks for help or fails to parse loads none
+    of them."""
 
     def __init__(self, alias: str, module: str) -> None:
         self._alias, self._module = alias, module
@@ -60,6 +61,7 @@ class _LazyModule:
 
 np = _LazyModule("np", "numpy")
 dataclasses = _LazyModule("dataclasses", "dataclasses")
+array = _LazyModule("array", "array")
 
 # The names this module reads from the model modules: module -> names.  A
 # command binds the names of the modules it runs (:func:`_bind`) once the
@@ -86,7 +88,7 @@ _MODEL_NAMES = {
         "fit_log",
         "success_rate_series",
     ),
-    "rank_dynamics": ("integrate_rank", "rank_proxy"),
+    "rank_dynamics": ("integrate_rank", "rank_proxies"),
     "stochastic_sim": ("StochasticRunConfig", "ensemble"),
     "vote_dynamics": (
         "integrate_votes",
@@ -370,15 +372,16 @@ def _params(command: str, records) -> dict:
 
 # --- trace ingestion -------------------------------------------------------
 
-def _read_rows(path: Path, header: list[str], cast) -> list:
-    """``cast(lineno, row)`` of each non-blank data row of a CSV file.
+def _read_rows(path: Path, header: list[str], cast) -> None:
+    """Call ``cast(lineno, row)`` on each non-blank data row of a CSV file;
+    ``cast`` keeps what it needs of the row.
 
     The file must start with ``header``, and every row must have one
     field per header column.  Rows stream from the file and are cast in
     order until ``cast`` raises; a row of the wrong length anywhere in
     the file is still reported ahead of that error.
     """
-    cast_rows, cast_error, has_header, has_data = [], None, False, False
+    cast_error, has_header, has_data = None, False, False
     try:
         # Universal newlines, as Path.read_text, so "\r\n" rows read alike.
         with open(path, encoding="utf-8") as stream:
@@ -402,7 +405,7 @@ def _read_rows(path: Path, header: list[str], cast) -> list:
                     )
                 if cast_error is None:
                     try:
-                        cast_rows.append(cast(lineno, row))
+                        cast(lineno, row)
                     except InputError as exc:
                         cast_error = exc
     except OSError as exc:
@@ -419,16 +422,17 @@ def _read_rows(path: Path, header: list[str], cast) -> list:
         raise InputError(f"{path}: no data rows")
     if cast_error is not None:
         raise cast_error
-    return cast_rows
 
 
 def ingest_traces(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Parse a ``id,t,value`` CSV trace into ``{id: (t, value)}`` arrays.
 
     Ids keep their first-appearance order, and time per id must never
-    decrease.  Violations are reported with their line numbers.
+    decrease.  Violations are reported with their line numbers.  Each id's
+    times and values are held as C doubles, 8 bytes a number, from the
+    moment their row is read; the arrays returned are views of them.
     """
-    columns: dict[str, tuple[list[float], list[float]]] = {}
+    columns: dict[str, tuple[array.array, array.array]] = {}
 
     def add(lineno: int, row: list[str]) -> None:
         series_id = row[0].strip()
@@ -448,18 +452,18 @@ def ingest_traces(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             raise InputError(f"{path}: line {lineno}: value must be finite")
         series = columns.get(series_id)
         if series is None:
-            series = columns[series_id] = ([], [])
+            series = columns[series_id] = (array.array("d"), array.array("d"))
         elif t < series[0][-1]:
             raise InputError(
                 f"{path}: line {lineno}: time goes backwards for id "
-                f"{series_id!r} ({t} after {series[0][-1]})"
+                f"{_echo(series_id)} ({t} after {series[0][-1]})"
             )
         series[0].append(t)
         series[1].append(value)
 
     _read_rows(path, _TRACE_HEADER, add)
     return {
-        sid: (np.array(times), np.array(values))
+        sid: (np.frombuffer(times), np.frombuffer(values))
         for sid, (times, values) in columns.items()
     }
 
@@ -750,8 +754,8 @@ def _votes(records):
 def _rank(records):
     run = records["run"]
     trajectory = integrate_rank(records["user"], records["rank"], run)
-    # None ("unranked") while F = 0
-    proxies = [rank_proxy(f, run.rank_kappa) for f in trajectory.front_page_F]
+    # NaN ("unranked") while F = 0: an empty cell in csv, null in json
+    proxies = rank_proxies(trajectory.front_page_F, run.rank_kappa)
     fields = {
         "final_front_page_F": trajectory.front_page_F[-1],
         "final_network_S": trajectory.network_S[-1],
@@ -800,7 +804,7 @@ def _per_id(args: argparse.Namespace, name: str, analyse, extra: dict):
         try:
             results.append({"id": sid, **dataclasses.asdict(analyse(t, v))})
         except (ValueError, ArithmeticError) as exc:
-            raise InputError(f"id {sid!r}: {exc}") from None
+            raise InputError(f"id {_echo(sid)}: {exc}") from None
     return [_record_table(name, results)], results, extra
 
 
@@ -835,15 +839,21 @@ def _run_compare(args: argparse.Namespace):
 
 
 def _run_fit_success(args: argparse.Namespace):
-    def cast(lineno: int, row: list[str]) -> tuple[float, float, float]:
+    subs, fronts, networks = (array.array("d") for _ in range(3))
+
+    def cast(lineno: int, row: list[str]) -> None:
         try:
-            return float(row[1]), float(row[2]), float(row[3])
+            sub, f, s = float(row[1]), float(row[2]), float(row[3])
         except ValueError:
             raise InputError(
                 f"{args.input}: line {lineno}: numeric fields required"
             ) from None
+        subs.append(sub)
+        fronts.append(f)
+        networks.append(s)
 
-    triples = _read_rows(args.input, _USERS_HEADER, cast)
+    _read_rows(args.input, _USERS_HEADER, cast)
+    triples = zip(subs, fronts, networks)
     try:
         binned = success_rate_series(
             triples, bins=args.bins, min_submissions=args.min_submissions
@@ -870,21 +880,25 @@ def _run_fit_success(args: argparse.Namespace):
 
 
 def _run_significance(args: argparse.Namespace):
-    def cast(lineno: int, row: list[str]) -> tuple[str, FriendVoteObservation]:
+    observations = []
+
+    def cast(lineno: int, row: list[str]) -> None:
         try:
-            return row[0].strip(), record_from_mapping(
+            obs = record_from_mapping(
                 FriendVoteObservation, dict(zip(_OBS_HEADER[1:], row[1:]))
             )
         except ParameterError as exc:
             raise InputError(f"{args.input}: line {lineno}: {exc}") from None
+        observations.append((row[0].strip(), obs))
 
+    _read_rows(args.input, _OBS_HEADER, cast)
     results = [
         {
             "id": sid,
             "exact_k": chance_probability(obs, mode="exact"),
             "tail_at_least_k": chance_probability(obs, mode="tail"),
         }
-        for sid, obs in _read_rows(args.input, _OBS_HEADER, cast)
+        for sid, obs in observations
     ]
     extra = {
         f"mean_{key}": float(np.mean([r[key] for r in results]))

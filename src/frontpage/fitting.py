@@ -226,7 +226,12 @@ def success_rate_series(
     bins = _check(bins, f"an integer in [1, {_MAX_BINS}]", "bins")
     min_submissions = _check(min_submissions, "an integer >= 1", "min_submissions")
 
-    rows = []
+    # imported here, not with this module, which ``significance`` loads too
+    from array import array
+
+    # the kept users' submissions, F and S, as C doubles
+    subs, fronts, networks = (array("d") for _ in range(3))
+    n_users = 0
     for i, (submissions, front_page, network) in enumerate(users):
         sub, f, s = float(submissions), float(front_page), float(network)
         _check(sub, "> 0", f"user {i}: submissions")
@@ -236,16 +241,20 @@ def success_rate_series(
                 f"got {front_page}"
             )
         _check(s, ">= 0", f"user {i}: network_S")
-        rows.append((sub, f, s))
-    kept = [(sub, f, s) for sub, f, s in rows if sub >= min_submissions]
-    if not kept:
+        n_users += 1
+        if sub >= min_submissions:
+            subs.append(sub)
+            fronts.append(f)
+            networks.append(s)
+    s_values = np.frombuffer(networks)
+    if not s_values.size:
         raise ValueError(
             f"no users with at least {min_submissions} submissions "
-            f"({len(rows)} supplied)"
+            f"({n_users} supplied)"
         )
 
-    s_values = np.array([s for _, _, s in kept])
-    rates = np.array([f / sub for sub, f, _ in kept])
+    # IEEE division: each rate is the Python float f / sub, bit for bit
+    rates = np.frombuffer(fronts) / np.frombuffer(subs)
     s_min, s_max = float(s_values.min()), float(s_values.max())
     if s_min == s_max:
         edges = np.array([s_min - 0.5, s_max + 0.5])
@@ -274,8 +283,8 @@ def success_rate_series(
         mean_rate=np.array(means),
         stderr=np.array(errs),
         counts=np.array(counts, dtype=int),
-        n_users_total=len(rows),
-        n_users_kept=len(kept),
+        n_users_total=n_users,
+        n_users_kept=s_values.size,
     )
 
 

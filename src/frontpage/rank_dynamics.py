@@ -28,6 +28,7 @@ __all__ = [
     "RankTrajectory",
     "success_rate",
     "rank_proxy",
+    "rank_proxies",
     "step_week",
     "integrate_rank",
 ]
@@ -82,10 +83,20 @@ def rank_proxy(front_page_F: float, kappa: float = 1.0) -> float | None:
     the proxy is a strict function of F alone.
     """
     _check(front_page_F, ">= 0", "front_page_F")
+    with np.errstate(over="ignore"):  # as Python's float division: inf
+        [proxy] = rank_proxies(np.array([front_page_F], dtype=float), kappa).tolist()
+    return None if math.isnan(proxy) else proxy
+
+
+def rank_proxies(front_page_F: np.ndarray, kappa: float = 1.0) -> np.ndarray:
+    """:func:`rank_proxy` of each F of a column, NaN where it is None.
+
+    ``kappa`` is checked; the column is not, as :class:`RankTrajectory`
+    checks a trajectory's F.
+    """
     _check(kappa, "> 0", "kappa")
-    if front_page_F == 0.0:
-        return None
-    return kappa / front_page_F
+    F = np.asarray(front_page_F, dtype=float)
+    return np.divide(float(kappa), F, out=np.full_like(F, np.nan), where=F != 0.0)
 
 
 def _step(F: float, S: float, M: float, params: RankModelParams) -> tuple[float, float]:

@@ -838,6 +838,26 @@ def test_long_unparseable_trace_cells_are_cut_in_the_message(tmp_path, capsys):
     assert len(err.encode()) - len(str(trace).encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # ingest_traces: time goes backwards within the id
+        ("{id},2,1\n{id},1,3\n", "line 3: time goes backwards for id "),
+        # _per_id: the id's one point cannot be fitted
+        ("{id},1,2\n", "id "),
+    ],
+    ids=["time-backwards", "fit-fails"],
+)
+def test_long_id_is_cut_in_the_message(tmp_path, capsys, rows, message):
+    long_id = "i" * 5000
+    trace = tmp_path / "t.csv"
+    trace.write_text("id,t,value\n" + rows.format(id=long_id))
+    assert main(["fit", "linear", str(trace), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert message + f"'{'i' * 40}…' (5000 characters)" in err
+    assert len(err.encode()) - len(str(trace).encode()) < 200
+
+
 # Ids that need RFC 4180 quoting in a CSV cell: comma, quote, newline.
 AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", 'all,"of\nthem"']
 

@@ -8,6 +8,7 @@ from frontpage import RankModelParams, RunOptions, UserState
 from frontpage.cli import load_config
 from frontpage.rank_dynamics import (
     integrate_rank,
+    rank_proxies,
     rank_proxy,
     step_week,
     success_rate,
@@ -53,6 +54,20 @@ def test_rank_proxy():
         rank_proxy(-1.0)
     with pytest.raises(ValueError):
         rank_proxy(10.0, kappa=0.0)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1000.0, 3, 0.7])
+def test_rank_proxies_is_the_proxy_of_each_F_as_Python_divides(kappa):
+    F = np.array([0.0, 1e-300, 0.1, 1.0, 3.0, 7.25, 1e300, 0.0, 2.0 ** 60])
+    proxies = rank_proxies(F, kappa)
+    assert proxies.dtype == np.float64
+    for f, proxy in zip(F.tolist(), proxies.tolist()):
+        if f == 0.0:
+            assert np.isnan(proxy) and rank_proxy(f, kappa) is None
+        else:
+            assert proxy == kappa / f == rank_proxy(f, kappa)
+    with pytest.raises(ValueError, match="kappa must be > 0, got -1"):
+        rank_proxies(F, -1)
 
 
 def test_stagnation_is_exact_arithmetic_progression():

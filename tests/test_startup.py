@@ -1,10 +1,10 @@
 """Start-up: what a command line imports, each case in a fresh interpreter.
 
 ``import frontpage`` and ``import frontpage.cli`` load only the standard
-library, a command line that asks for help or fails to parse loads no numpy,
-and a command imports only the modules it runs.  The model names patched on
-``frontpage.cli`` before a command runs, as ``perfbench/tracer.py`` patches
-them, stay patched while it runs.
+library, a command line that asks for help or fails to parse loads neither
+numpy nor ``array``, and a command imports only the modules it runs.  The
+model names patched on ``frontpage.cli`` before a command runs, as
+``perfbench/tracer.py`` patches them, stay patched while it runs.
 """
 
 import json
@@ -132,6 +132,7 @@ def test_parsing_alone_loads_no_numpy(inputs, argv, code):
     assert run["code"] == code
     assert _frontpage(run["modules"]) == {"frontpage", "frontpage.cli"}
     assert "numpy" not in run["modules"]
+    assert "array" not in run["modules"]
 
 
 @pytest.mark.parametrize(
