@@ -40,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import _MAX_BINS, __version__, _check, _echo, _load
+from . import _EXPORTS, _MAX_BINS, __version__, _check, _echo, _load
 
 
 class _LazyModule:
@@ -63,56 +63,24 @@ np = _LazyModule("np", "numpy")
 dataclasses = _LazyModule("dataclasses", "dataclasses")
 array = _LazyModule("array", "array")
 
-# The names this module reads from the model modules: module -> names.  A
-# command binds the names of the modules it runs (:func:`_bind`) once the
-# command line is parsed.  Tests and ``perfbench`` patch some of these names
-# on this module, and binding never replaces a name already bound.
-_MODEL_NAMES = {
-    "core": (
-        "EnsembleOptions",
-        "FixedThreshold",
-        "FriendVoteObservation",
-        "NetworkProportional",
-        "ParameterError",
-        "RankModelParams",
-        "RunOptions",
-        "StoryConfig",
-        "UserState",
-        "VoteModelParams",
-        "record_from_mapping",
-    ),
-    "fitting": (
-        "chance_probability",
-        "compare_model_to_trace",
-        "fit_linear",
-        "fit_log",
-        "success_rate_series",
-    ),
-    "rank_dynamics": ("integrate_rank", "rank_proxies"),
-    "stochastic_sim": ("StochasticRunConfig", "ensemble"),
-    "vote_dynamics": (
-        "integrate_votes",
-        "promotion_threshold_for",
-        "saturation_time",
-        "step_count",
-    ),
-}
-
 
 def _bind(*modules: str) -> None:
-    """Import ``modules`` and bind here each of their names not yet bound."""
+    """Import ``modules`` and bind here each name in their ``__all__`` not
+    yet bound: tests and ``perfbench`` patch some of them on this module."""
     scope = globals()
     for module in modules:
         imported = _load(f"{__package__}.{module}")
-        for name in _MODEL_NAMES[module]:
+        for name in imported.__all__:
             scope.setdefault(name, getattr(imported, name))
 
 
 def __getattr__(name: str):
-    """A model name read from outside before a command bound it (PEP 562)."""
-    for module, names in _MODEL_NAMES.items():
-        if name in names:
-            _bind(module)
+    """A model name read from outside before a command bound it (PEP 562).
+    A dunder imports nothing: the import system asks this module for
+    ``__path__`` on every ``python -m frontpage``."""
+    if not name.startswith("__"):
+        _bind(*_EXPORTS)
+        if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -926,12 +894,13 @@ _COMMANDS = {
         functools.partial(_run_model, stem="ensemble_mean", compute=_ensemble),
     ),
     "fit-linear": (
-        "y = slope*x + intercept per id", "trace CSV (id,t,value)", False,
-        ("core", "fitting"), _run_fit,
+        "y = slope*x + intercept per id", f"trace CSV ({','.join(_TRACE_HEADER)})",
+        False, ("core", "fitting"), _run_fit,
     ),
     "fit-log": (
-        "y = alpha*log(x) + beta per id", "trace CSV (id,t,value), t >= 1", False,
-        ("core", "fitting"), _run_fit,
+        "y = alpha*log(x) + beta per id",
+        f"trace CSV ({','.join(_TRACE_HEADER)}), t >= 1", False, ("core", "fitting"),
+        _run_fit,
     ),
     "fit-success": (
         "binned success rate vs. network size",
@@ -944,8 +913,8 @@ _COMMANDS = {
         _run_significance,
     ),
     "compare": (
-        "model trajectory vs. observed trace", "trace CSV (id,t,value)", False,
-        ("core", "vote_dynamics", "fitting"), _run_compare,
+        "model trajectory vs. observed trace", f"trace CSV ({','.join(_TRACE_HEADER)})",
+        False, ("core", "vote_dynamics", "fitting"), _run_compare,
     ),
 }
 
@@ -1029,8 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=Path,
                 required=True,
                 metavar="PATH",
-                help="INI scenario config (sections [vote] [story] [policy] "
-                "[rank] [user] [ensemble] [run])",
+                help="INI scenario config (sections "
+                + " ".join(f"[{section}]" for section in _RECORDS) + ")",
             )
         if sweeps:
             cmd[kind].add_argument(

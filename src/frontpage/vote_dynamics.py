@@ -12,11 +12,15 @@ Each channel's rate is written once, for an array of times.  The page
 channels (queue, front page) raise their page factors to a power through
 :func:`_pow`, which maps Python's float pow over the array.
 :class:`RateKernel` tabulates the time-only channels over a horizon and
-is the one place the four channels are combined, the kernel of both
-solution paths: :func:`integrate_votes` (mean-field) and the Monte Carlo
-ensemble in :mod:`frontpage.stochastic_sim`.  The tables that depend on
-``[vote]`` and the step count alone are built once and shared by every
-kernel of a command.
+combines the four channels for the Monte Carlo ensemble in
+:mod:`frontpage.stochastic_sim`.  :func:`integrate_votes` (mean-field)
+takes the kernel's ``unpromoted`` and ``submitter`` tables and
+``voter_steps``, and adds the two other terms itself: :func:`_voter_rate`
+on its float count, and :func:`_front_rate` at the age
+``(j + 0.5) * dt - (promo + 1) * dt``, not the kernel's ``front`` table.
+The two front-page ages can round apart, so the rates can differ in the
+last bits.  The tables that depend on ``[vote]`` and the step count alone
+are built once and shared by every kernel of a command.
 
 The voter-network term ``alpha * log_b(m) + beta`` is written once too, in
 :func:`_voter_rate` on a Python float; the kernel reads it from a bounded
@@ -140,8 +144,10 @@ def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
 
 
 class RateKernel:
-    """Total visibility rate over a segment of steps: the one composition
-    of the four channels, shared by both solution paths.
+    """Total visibility rate over a segment of steps, as the Monte Carlo
+    ensemble reads it.  :func:`integrate_votes` reads the ``unpromoted``
+    and ``submitter`` tables and ``voter_steps`` but does not call it: it
+    adds the voter-network term and the front page itself.
 
     The time-only terms are tables of the channel functions at the step
     midpoints ``t = (k + 0.5) * dt``: ``unpromoted`` (queue plus
@@ -253,9 +259,9 @@ def integrate_votes(
 ) -> VoteTrajectory:
     """Deterministic vote trajectory over ``horizon`` minutes.
 
-    Each step adds ``r * rate * dt`` votes, ``rate`` being the
-    :class:`RateKernel` total: tau-leaping with each Poisson draw replaced
-    by its mean.  Page positions and windows are sampled at the step
+    Each step adds ``r * rate * dt`` votes, ``rate`` being the total of
+    the four channels: tau-leaping with each Poisson draw replaced by its
+    mean.  Page positions and windows are sampled at the step
     midpoint, the vote count and promotion status at its start.  Midpoint
     sampling keeps the sum within a fraction of a percent of the
     continuous-time integral at dt = 1; the left endpoint overshoots the

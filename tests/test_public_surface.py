@@ -3,12 +3,14 @@ every exported name resolves."""
 
 import argparse
 import ast
+import builtins
 import dataclasses
 import importlib
 import importlib.util
 import math
 import pkgutil
 import re
+import symtable
 from pathlib import Path
 
 import pytest
@@ -262,3 +264,51 @@ def test_no_bound_message_is_written_outside_the_table():
         if any(f"must be {bound}, got" in text for bound in frontpage._BOUNDS)
     ]
     assert not copies
+
+
+def _model_exports() -> set:
+    return {
+        name
+        for module in frontpage._EXPORTS
+        for name in importlib.import_module(f"frontpage.{module}").__all__
+    }
+
+
+def _cli_globals() -> tuple:
+    """The globals ``cli.py`` reads, in any scope, and those it defines."""
+    path = ROOT / "src" / "frontpage" / "cli.py"
+    top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+    defined = {
+        s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()
+    }
+    reads, tables = set(), [top]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        reads |= {
+            s.get_name() for s in table.get_symbols()
+            if s.is_referenced() and (table is top or s.is_global())
+        }
+    return reads, defined
+
+
+def test_cli_reads_only_what_it_defines_or_a_model_module_exports():
+    # A command binds the names in its modules' __all__ on frontpage.cli
+    # (cli._bind); a name in none of them would be a NameError only when read.
+    reads, defined = _cli_globals()
+    assert reads - defined - set(dir(builtins)) - _model_exports() == set()
+
+
+def test_cli_defines_no_name_a_model_module_exports():
+    # binding never replaces a name already bound, so cli's own would win
+    _, defined = _cli_globals()
+    assert defined & _model_exports() == set()
+
+
+def test_each_config_record_class_is_a_core_export():
+    from frontpage import cli, core
+
+    names = set()
+    for record in cli._RECORDS.values():  # [policy] maps each kind to its class
+        names |= set(record.values()) if isinstance(record, dict) else {record}
+    assert names <= set(core.__all__)

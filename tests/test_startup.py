@@ -4,9 +4,13 @@
 library, a command line that asks for help or fails to parse loads neither
 numpy nor ``array``, and a command imports only the modules it runs.  The
 model names patched on ``frontpage.cli`` before a command runs, as
-``perfbench/tracer.py`` patches them, stay patched while it runs.
+``perfbench/tracer.py`` patches them, stay patched while it runs, and the
+commands call a model function patched on its own module before the first
+command as they call one patched on ``frontpage.cli``.  A dunder lookup on
+``frontpage.cli``, as the import system makes, imports nothing.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +18,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import frontpage
+import frontpage.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,24 +36,30 @@ except SystemExit as exc:
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-# Wraps each name in a counter on ``frontpage.cli`` before any command runs,
-# runs the commands, and prints their exit codes and the counts.
+# Wraps each name, on the module given with it, before any command runs;
+# runs the commands and prints their exit codes and, per command, the
+# wrapped names it called.
 _PATCH = """
-import json, sys
+import importlib, json, sys
 import frontpage.cli as cli
 
-names, commands = json.loads(sys.argv[1])
-calls = dict.fromkeys(names, 0)
+targets, commands = json.loads(sys.argv[1])
+called = set()
 
-def counting(name, fn):
+def recording(name, fn):
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        called.add(name)
         return fn(*args, **kwargs)
     return wrapper
 
-for name in names:
-    setattr(cli, name, counting(name, getattr(cli, name)))
-codes = [cli.main(argv) for argv in commands]
+for module, name in targets:
+    owner = importlib.import_module(module)
+    setattr(owner, name, recording(name, getattr(owner, name)))
+codes, calls = [], []
+for argv in commands:
+    called.clear()
+    codes.append(cli.main(argv))
+    calls.append(sorted(called))
 print(json.dumps({"codes": codes, "calls": calls}))
 """
 
@@ -165,16 +178,56 @@ def test_a_command_imports_only_the_modules_it_runs(inputs, numpy_alone, argv, r
         assert "numpy.random" not in set(run["modules"]) - numpy_alone
 
 
+_PATCH_COMMANDS = [
+    ["ensemble", "--config", "votes.ini", "--out", "p_ensemble"],
+    ["simulate", "votes", "--config", "votes.ini", "--out", "p_votes"],
+    ["simulate", "rank", "--config", "rank.ini", "--out", "p_rank"],
+    ["fit", "linear", "trace.csv", "--out", "p_linear"],
+    ["fit", "log", "trace.csv", "--out", "p_log"],
+    ["fit", "success", "users.csv", "--out", "p_success"],
+    ["significance", "obs.csv", "--out", "p_significance"],
+]
+
+
+def _patched_calls(cwd, targets) -> list:
+    """Per command of ``_PATCH_COMMANDS``, the patched names it called."""
+    run = _python(cwd, _PATCH, json.dumps([targets, _PATCH_COMMANDS]))
+    assert run["codes"] == [0] * len(_PATCH_COMMANDS)
+    return [set(names) for names in run["calls"]]
+
+
 def test_names_patched_before_the_first_command_stay_patched(inputs):
-    commands = [
-        ["ensemble", "--config", "votes.ini", "--out", "p_ensemble"],
-        ["simulate", "votes", "--config", "votes.ini", "--out", "p_votes"],
-        ["simulate", "rank", "--config", "rank.ini", "--out", "p_rank"],
-        ["fit", "linear", "trace.csv", "--out", "p_linear"],
-        ["fit", "log", "trace.csv", "--out", "p_log"],
-        ["fit", "success", "users.csv", "--out", "p_success"],
-        ["significance", "obs.csv", "--out", "p_significance"],
-    ]
-    run = _python(inputs, _PATCH, json.dumps([PATCHED, commands]))
-    assert run["codes"] == [0] * len(commands)
-    assert [name for name, n in run["calls"].items() if n == 0] == []
+    calls = _patched_calls(inputs, [["frontpage.cli", name] for name in PATCHED])
+    assert [name for name in PATCHED if not any(name in c for c in calls)] == []
+
+
+def test_names_patched_on_their_own_module_are_the_ones_called(inputs):
+    owners = {
+        name: f"frontpage.{module}"
+        for module in frontpage._EXPORTS
+        for name in importlib.import_module(f"frontpage.{module}").__all__
+    }
+    model = [name for name in PATCHED if name in owners]
+    on_cli = _patched_calls(inputs, [["frontpage.cli", name] for name in model])
+    on_owner = _patched_calls(inputs, [[owners[name], name] for name in model])
+    assert set().union(*on_cli) == set(model)
+    # a patch on the owner also sees the model's own calls (fit_log's
+    # fit_linear), so each command's names may only grow
+    assert [c - o for c, o in zip(on_cli, on_owner)] == [set()] * len(on_cli)
+
+
+def test_a_dunder_lookup_on_cli_imports_nothing(inputs):
+    source = (
+        "import json, sys, frontpage.cli as cli\n"
+        "found = [hasattr(cli, name) for name in ('__path__', '__wrapped__')]\n"
+        "print(json.dumps([found, sorted(sys.modules)]))"
+    )
+    found, modules = _python(inputs, source)
+    assert found == [False, False]
+    assert _frontpage(modules) == {"frontpage", "frontpage.cli"}
+    assert "numpy" not in modules
+
+
+def test_an_unknown_name_on_cli_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(frontpage.cli, "no_such_name")
