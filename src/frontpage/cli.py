@@ -221,12 +221,11 @@ def parse_sweeps(specs: list[str]) -> list[tuple[str, str, list[str]]]:
     return sweeps
 
 
-# Most points in one sweep grid.  Each point's config, records and
-# ``params`` are built before any point runs and kept to the end, as are its
-# output name and, in csv format, its ``summary.json`` entry: a few KB per
-# point.  Its trajectory is written to a ``.tmp`` file as soon as it is
-# computed and not kept, so the grid's size bounds the command's time and
-# this memory.
+# Most points in one sweep grid: it bounds a command's time and memory.  Each
+# point's overrides and records are built before any point runs and kept; its
+# ``params`` doc is built as it runs, and in csv format kept with its output
+# name in its ``summary.json`` entry: a few KB a point.  Its trajectory is
+# written to a ``.tmp`` file as soon as it is computed and not kept.
 _MAX_SWEEP_POINTS = 10_000
 
 
@@ -513,10 +512,16 @@ def _cells(column) -> list[str]:
     return [_fmt(cell) for cell in column]
 
 
+# Rows joined and written at a time: a table's text is held a block at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(stream, header: str, columns) -> None:
     """Write a table given by columns; rows stop at the shortest column."""
     rows = map(",".join, zip(*map(_cells, columns)))
-    stream.write("\n".join(itertools.chain([header], rows)) + "\n")
+    stream.write(header + "\n")
+    while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+        stream.write("\n".join(block) + "\n")
 
 
 _json_string = json.encoder.encode_basestring_ascii

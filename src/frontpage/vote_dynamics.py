@@ -8,10 +8,16 @@ times its interestingness.  The deterministic trajectory is the minute-by-
 minute integral of the combined rate, with promotion to the front page
 switching the story from the upcoming channels to the front-page channel.
 
-Each channel's rate is written once, for an array of times.  The page
-channels (queue, front page) raise their page factors to a power through
-:func:`_pow`, which maps Python's float pow over the array.
-:class:`RateKernel` tabulates the time-only channels over a horizon and
+Each channel's rate is written once.  The three time channels (queue,
+front page, submitter) take an array of times; the page channels raise
+their page factors to a power through :func:`_pow`, which maps Python's
+float pow over the array.  The voter-network term ``alpha * log_b(m) +
+beta`` is the one scalar channel, :func:`_voter_rate` on a Python float,
+because it reads the vote count; the kernel reads it from a bounded table
+by vote count.  No rate here goes through numpy's ``log``, ``exp`` or
+``power``, whose last bit can differ from Python's.
+
+:class:`RateKernel` tabulates the time channels at the step midpoints and
 combines the four channels for the Monte Carlo ensemble in
 :mod:`frontpage.stochastic_sim`.  :func:`integrate_votes` (mean-field)
 takes the kernel's ``unpromoted`` and ``submitter`` tables and
@@ -22,11 +28,6 @@ The two front-page ages can round apart, so the rates can differ in the
 last bits.  The tables that depend on ``[vote]`` and the step count alone
 are built once and shared by every kernel of a command.
 
-The voter-network term ``alpha * log_b(m) + beta`` is written once too, in
-:func:`_voter_rate` on a Python float; the kernel reads it from a bounded
-table by vote count.  No rate here goes through numpy's ``log``, ``exp``
-or ``power``, whose last bit can differ from Python's.
-
 Both paths follow one segment rule: a step is taken on its own only while
 the voter-network term reads the vote count, that is inside the friends
 window before promotion.  Every later rate is a function of time and the
@@ -35,7 +36,6 @@ promotion step, so the rest of the horizon is one block of array work.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -110,14 +110,15 @@ def _front_rate(age: np.ndarray, params: VoteModelParams) -> np.ndarray:
     return _pow(params.c_f, page - 1.0) * params.visit_rate_N
 
 
-def _submitter_rate(t: float, story: StoryConfig, params: VoteModelParams) -> float:
-    """The submitter's S reverse friends, S/1440 per minute until the pool
-    drains or the friends window closes."""
+def _submitter_rate(
+    t: np.ndarray, story: StoryConfig, params: VoteModelParams
+) -> np.ndarray:
+    """The submitter's S reverse friends at the times ``t``: S/1440 per
+    minute until the pool drains or the friends window closes."""
     s = story.submitter_network_S
     pool_rate = s * _FRIENDS_RATE_UNIT
-    if t <= params.friends_window and pool_rate > 0.0 and s - pool_rate * t >= 0.0:
-        return pool_rate
-    return 0.0
+    inside = (t <= params.friends_window) & (s - pool_rate * t >= 0.0)
+    return np.where(inside, pool_rate, 0.0)
 
 
 def _voter_rate(m: float, params: VoteModelParams) -> float:
@@ -152,39 +153,32 @@ class RateKernel:
     The time-only terms are tables of the channel functions at the step
     midpoints ``t = (k + 0.5) * dt``: ``unpromoted`` (queue plus
     submitter), ``submitter``, and ``front[a]``, the front page ``a + 0.5``
-    steps after promotion.  The queue and front-page tables are evaluated
-    on the array of midpoints, with no Python call per step, their powers
-    by Python's float pow (:func:`_pow`, not ``np.power``), and are cached
-    per ``[vote]`` record and step count.  Called on vectors, it gives
-    the ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs
-    promoted at the end of step ``promo_step`` (``>= n_steps``: not
-    promoted).
+    steps after promotion.  The queue, front-page and submitter channels
+    are evaluated on the array of midpoints, with no Python call per step,
+    their powers by Python's float pow (:func:`_pow`, not ``np.power``);
+    the queue and front-page tables are cached per ``[vote]`` record and
+    step count.  Called on vectors, it gives the ``(k1 - k0) x runs``
+    rates of steps ``k0 .. k1 - 1`` of runs promoted at the end of step
+    ``promo_step`` (``>= n_steps``: not promoted).
 
-    The voter-network term is added while ``k < voter_steps``.  It reads
-    ``m``, the vote counts before step ``k0``, so a segment wider than one
-    step is exact only where that term is off.  Its one formula is
-    :func:`_voter_rate`, which fills a table by vote count as counts
-    reach it.  An unpromoted run's count is bounded only by the bar, so the
-    table doubles only up to ``_VOTER_TABLE_CAP`` entries, and a count at
-    or above the cap calls :func:`_voter_rate` for itself.  A run promoted
-    before ``k0`` has every row overwritten by the front page, so it is
-    looked up as count 1.
+    The voter-network term, the one scalar channel, is added while
+    ``k < voter_steps``.  It reads ``m``, the vote counts before step
+    ``k0``, so a segment wider than one step is exact only where that term
+    is off.  Its one formula is :func:`_voter_rate`, which fills a table by
+    vote count as counts reach it.  An unpromoted run's count is bounded
+    only by the bar, so the table doubles only up to ``_VOTER_TABLE_CAP``
+    entries, and a count at or above the cap calls :func:`_voter_rate` for
+    itself.  A run promoted before ``k0`` has every row overwritten by the
+    front page, so it is looked up as count 1.
     """
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
-        t = ((np.arange(n_steps) + 0.5) * params.dt).tolist()
+        t = (np.arange(n_steps) + 0.5) * params.dt
         self._params, self._n_steps = params, n_steps
-        # Both conditions of _submitter_rate are monotone in t, so it is
-        # its constant rate on a prefix of the midpoints and 0.0 after it.
-        n_pool = bisect.bisect_left(
-            t, True, key=lambda x: _submitter_rate(x, story, params) == 0.0
-        )
-        self.submitter = np.zeros(n_steps)
-        self.submitter[:n_pool] = _submitter_rate(t[0], story, params)
+        self.submitter = _submitter_rate(t, story, params)
         self.unpromoted = _time_table(_queue_rate, params, n_steps) + self.submitter
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
-        # the midpoints increase, so this counts those inside the window
-        in_friends = bisect.bisect_right(t, params.friends_window)
+        in_friends = int(np.count_nonzero(t <= params.friends_window))
         self.voter_steps = in_friends if has_voters else 0
         self._voter = np.array([np.nan])  # by vote count; no run has 0 votes
 

@@ -27,7 +27,8 @@ def channel_rates(t, m, story, promotion_time, params):
             front, queue = 0.0, float(_queue_rate(np.array([t]), params)[0])
     in_window = not promoted and t <= params.friends_window
     voters = _voter_rate(m, params) if in_window else 0.0
-    return front, queue, _submitter_rate(t, story, params), voters
+    submitter = float(_submitter_rate(np.array([t]), story, params)[0])
+    return front, queue, submitter, voters
 
 
 def total_rate(t, m, story, promotion_time, params):

@@ -9,9 +9,12 @@ last tests render the same bytes again, under another sign of zero, with
 NaN cells and under another dtype.
 """
 
+import gc
 import io
 import json
 import math
+import tracemalloc
+import types
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -267,3 +270,39 @@ def test_runs_of_equal_cells_render_like_the_reference(column):
     _csv_and_json(column)
     strided = np.repeat(column, 2)[::2]  # not contiguous, same cells
     assert _rendered(_write_csv, "c", [strided]) == _ref_csv_text("c", zip(column))
+
+
+def test_a_table_of_several_blocks_renders_like_the_reference():
+    n = 10_000
+    assert n > 2 * cli._CSV_BLOCK_ROWS and n % cli._CSV_BLOCK_ROWS
+    x = np.arange(n) * 0.1
+    x[::7] = math.nan
+    runs = np.repeat(np.arange(n // 250) * 0.5, 250)  # runs of equal cells
+    names = [f'a,"{i}"' if i % 3 else f"b{i}" for i in range(n)]
+    quoted = [f'"a,""{i}"""' if i % 3 else f"b{i}" for i in range(n)]
+    header = "x,runs,name"
+    for rows in (n, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1, 1, 0):
+        columns = [x[:rows], runs[:rows], names[:rows]]
+        assert _rendered(_write_csv, header, columns) == _ref_csv_text(
+            header, zip(x[:rows], runs[:rows], quoted[:rows])
+        )
+
+
+# Most bytes a row of four distinct float cells may take at the peak of
+# ``_write_csv``, on top of its columns: the text of its cells, and of the
+# rows of one block only, not of every row and of the whole table.
+_CSV_ROW_BYTES = 390
+
+
+def test_csv_writer_memory_per_row():
+    rows = 200_000
+    columns = [np.random.default_rng(seed).random(rows) for seed in range(4)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _write_csv(types.SimpleNamespace(write=len), "a,b,c,d", columns)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < _CSV_ROW_BYTES

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from frontpage import (
     VoteModelParams,
 )
 from frontpage.vote_dynamics import (
+    _FRIENDS_RATE_UNIT,
     RateKernel,
     _front_rate,
     _pow,
@@ -82,12 +85,12 @@ class TestVisibility:
     def test_fresh_story_channels(self, default_params):
         p = default_params
         assert _queue_rate(np.array([0.0]), p)[0] == pytest.approx(3.0)  # c * N
-        assert _submitter_rate(0.0, StoryConfig(0.5, 0), p) == 0.0
+        assert _submitter_rate(np.array([0.0]), StoryConfig(0.5, 0), p)[0] == 0.0
         assert _voter_rate(1.0, p) == pytest.approx(47.0 / 1440.0)
 
     def test_friends_windows_close(self, default_params):
         story = StoryConfig(0.5, 300)
-        assert _submitter_rate(2881.0, story, default_params) == 0.0
+        assert _submitter_rate(np.array([2881.0]), story, default_params)[0] == 0.0
         # the last midpoint inside the 2880-minute window is 2879.5
         kernel = RateKernel(story, default_params, 2882)
         assert kernel.voter_steps == 2880
@@ -96,9 +99,10 @@ class TestVisibility:
 
     def test_submitter_pool_drains_after_a_day(self, default_params):
         story = StoryConfig(0.5, 300)
-        before = _submitter_rate(1000.0, story, default_params)
+        t = np.array([1000.0, 1500.0])
+        before, after = _submitter_rate(t, story, default_params)
         assert before == pytest.approx(300.0 / 1440.0)
-        assert _submitter_rate(1500.0, story, default_params) == 0.0
+        assert after == 0.0
 
     def test_promotion_switches_page_channels(self, default_params):
         p = default_params
@@ -299,12 +303,33 @@ def test_submitter_table_equals_the_scalar_rate(network, dt, horizon):
     story = StoryConfig(0.5, network)
     params = VoteModelParams(dt=dt)
     n_steps = step_count(horizon, dt)
-    want = [_submitter_rate((k + 0.5) * dt, story, params) for k in range(n_steps)]
+    # the rate on Python floats, written apart from _submitter_rate
+    pool, window = network * _FRIENDS_RATE_UNIT, params.friends_window
+    midpoints = [(k + 0.5) * dt for k in range(n_steps)]
+    want = [
+        pool if t <= window and network - pool * t >= 0.0 else 0.0
+        for t in midpoints
+    ]
     assert RateKernel(story, params, n_steps).submitter.tolist() == want
     if dt == 64.0:
-        pool_rate = want[0]
-        assert network - pool_rate * ((22 + 0.5) * dt) == 0.0
-        assert want[22] == pool_rate and want[23] == 0.0
+        assert network - pool * midpoints[22] == 0.0
+        assert want[22] == pool and want[23] == 0.0
+
+
+def test_kernel_memory_at_the_step_cap():
+    """A kernel of 10**6 steps holds its midpoints as one array: no Python
+    float per step."""
+    story, params = StoryConfig(0.5, 80), VoteModelParams()
+    RateKernel(story, params, 10**6)  # fills the cached queue table
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        RateKernel(story, params, 10**6)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
 
 
 @pytest.mark.parametrize(
