@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 # Longest rank-model run (about 19,000 years of weeks): bounds its time and
 # memory.  At the cap `integrate_rank` takes about 0.5 s and `simulate rank`
-# about 5 s and 444 MB peak RSS in csv, most of it in the rendering (2 vCPU
-# Xeon).
+# about 5 s, most of it in the rendering, and 64 MB peak RSS in csv, 62 MB
+# in json, about half of it the trajectory's four columns (2 vCPU Xeon).
 _MAX_WEEKS = 1_000_000
 # Largest voter sample of the chance-probability test: its binomial tail
 # then sums at most ~4e5 terms (under a second), where 10^30 would never end.

@@ -512,16 +512,17 @@ def _cells(column) -> list[str]:
     return [_fmt(cell) for cell in column]
 
 
-# Rows joined and written at a time: a table's text is held a block at a time.
+# Rows (or array items) formatted and written at a time: a table's text is
+# held a block at a time.
 _CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(stream, header: str, columns) -> None:
     """Write a table given by columns; rows stop at the shortest column."""
-    rows = map(",".join, zip(*map(_cells, columns)))
     stream.write(header + "\n")
-    while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-        stream.write("\n".join(block) + "\n")
+    for start in range(0, min(map(len, columns), default=0), _CSV_BLOCK_ROWS):
+        block = [_cells(column[start : start + _CSV_BLOCK_ROWS]) for column in columns]
+        stream.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -556,11 +557,16 @@ def _write_json(stream, value, pad: str = "\n") -> None:
             _write_json(stream, list(value.tolist()), pad)
             return
         inner = pad + "  "
-        if np.isfinite(value).all():
-            text = _float_reprs(value)
-        else:
-            text = map(_json_float, value.tolist())
-        write("[" + inner + ("," + inner).join(text) + pad + "]")
+        sep = "[" + inner
+        for start in range(0, value.size, _CSV_BLOCK_ROWS):
+            block = value[start : start + _CSV_BLOCK_ROWS]
+            if np.isfinite(block).all():
+                text = _float_reprs(block)
+            else:
+                text = map(_json_float, block.tolist())
+            write(sep + ("," + inner).join(text))
+            sep = "," + inner
+        write(pad + "]")
     elif isinstance(value, dict):
         items = {str(k): v for k, v in value.items()}
         if not items:

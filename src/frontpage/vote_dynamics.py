@@ -20,13 +20,10 @@ by vote count.  No rate here goes through numpy's ``log``, ``exp`` or
 :class:`RateKernel` tabulates the time channels at the step midpoints and
 combines the four channels for the Monte Carlo ensemble in
 :mod:`frontpage.stochastic_sim`.  :func:`integrate_votes` (mean-field)
-takes the kernel's ``unpromoted`` and ``submitter`` tables and
-``voter_steps``, and adds the two other terms itself: :func:`_voter_rate`
-on its float count, and :func:`_front_rate` at the age
-``(j + 0.5) * dt - (promo + 1) * dt``, not the kernel's ``front`` table.
-The two front-page ages can round apart, so the rates can differ in the
-last bits.  The tables that depend on ``[vote]`` and the step count alone
-are built once and shared by every kernel of a command.
+adds the same tables, and :func:`_voter_rate` on its float count, so
+every rate either path adds comes from one table or from
+:func:`_voter_rate`.  The tables that depend on ``[vote]`` and the step
+count alone are built once and shared by every kernel of a command.
 
 Both paths follow one segment rule: a step is taken on its own only while
 the voter-network term reads the vote count, that is inside the friends
@@ -146,20 +143,18 @@ def _time_table(rate, params: VoteModelParams, n_steps: int) -> np.ndarray:
 
 class RateKernel:
     """Total visibility rate over a segment of steps, as the Monte Carlo
-    ensemble reads it.  :func:`integrate_votes` reads the ``unpromoted``
-    and ``submitter`` tables and ``voter_steps`` but does not call it: it
-    adds the voter-network term and the front page itself.
+    ensemble reads it; :func:`integrate_votes` reads its tables.
 
-    The time-only terms are tables of the channel functions at the step
-    midpoints ``t = (k + 0.5) * dt``: ``unpromoted`` (queue plus
-    submitter), ``submitter``, and ``front[a]``, the front page ``a + 0.5``
-    steps after promotion.  The queue, front-page and submitter channels
-    are evaluated on the array of midpoints, with no Python call per step,
-    their powers by Python's float pow (:func:`_pow`, not ``np.power``);
-    the queue and front-page tables are cached per ``[vote]`` record and
-    step count.  Called on vectors, it gives the ``(k1 - k0) x runs``
-    rates of steps ``k0 .. k1 - 1`` of runs promoted at the end of step
-    ``promo_step`` (``>= n_steps``: not promoted).
+    The time-only terms are one table per channel, each the channel
+    function on the array of step midpoints ``t = (k + 0.5) * dt``, with
+    no Python call per step and its powers by Python's float pow
+    (:func:`_pow`, not ``np.power``): ``queue``, ``submitter``, and
+    ``front[a]``, the front page ``a + 0.5`` steps after promotion.
+    ``unpromoted`` is ``queue + submitter``.  The queue and front-page
+    tables are cached per ``[vote]`` record and step count.  Called on
+    vectors, it gives the ``(k1 - k0) x runs`` rates of steps
+    ``k0 .. k1 - 1`` of runs promoted at the end of step ``promo_step``
+    (``>= n_steps``: not promoted).
 
     The voter-network term, the one scalar channel, is added while
     ``k < voter_steps``.  It reads ``m``, the vote counts before step
@@ -176,7 +171,8 @@ class RateKernel:
         t = (np.arange(n_steps) + 0.5) * params.dt
         self._params, self._n_steps = params, n_steps
         self.submitter = _submitter_rate(t, story, params)
-        self.unpromoted = _time_table(_queue_rate, params, n_steps) + self.submitter
+        self.queue = _time_table(_queue_rate, params, n_steps)
+        self.unpromoted = self.queue + self.submitter
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
         in_friends = int(np.count_nonzero(t <= params.friends_window))
         self.voter_steps = in_friends if has_voters else 0
@@ -184,7 +180,7 @@ class RateKernel:
 
     @functools.cached_property
     def front(self) -> np.ndarray:
-        """Built on first use: only the Monte Carlo path reads it."""
+        """Built on first use: a story that never promotes never reads it."""
         # t is the age since promotion here: promotions happen at step ends.
         return _time_table(_front_rate, self._params, self._n_steps)
 
@@ -263,9 +259,8 @@ def integrate_votes(
 
     The promotion rule is checked after each step; crossing the bar marks
     the story promoted from the end of that step onward.  After it the
-    rate is the front page at the exact age ``t - promotion_time`` plus
-    the submitter's friends; before it, the kernel's ``unpromoted`` table
-    plus the voter network inside the friends window.
+    rate is the kernel's ``front`` plus ``submitter``; before it, its
+    ``unpromoted`` plus the voter network inside the friends window.
 
     Steps are taken one at a time only while the voter-network term reads
     the vote count: inside the friends window, before promotion.  The rest
@@ -304,8 +299,7 @@ def integrate_votes(
                 promo = done + int(crossed.argmax())
             done = n_steps if promo is None else promo + 1
         if promo is not None and done < n_steps:
-            age = (np.arange(done, n_steps) + 0.5) * dt - (promo + 1) * dt
-            rate = _front_rate(age, params) + kernel.submitter[done:]
+            rate = kernel.front[: n_steps - done] + kernel.submitter[done:]
             block = votes[done:]
             block[1:] = r * rate * dt
             np.add.accumulate(block, out=block)

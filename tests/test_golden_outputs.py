@@ -8,8 +8,10 @@ analysis commands read small CSVs generated here from ``random.random``,
 whose stream Python keeps stable for a given seed.
 
 To re-record after an intended output change, run this module as a
-script (``PYTHONPATH=src python tests/test_golden_outputs.py``) and
-paste the printed table over ``GOLDEN``.
+script (``PYTHONPATH=src python tests/test_golden_outputs.py``).  It
+prints only the entries whose digests differ from ``GOLDEN``, and a count
+of the unchanged ones; check that each printed entry is one the change
+meant to alter, then paste it over its entry in ``GOLDEN``.
 """
 
 import hashlib
@@ -216,11 +218,11 @@ GOLDEN = {
         "summary.json":
             "75ee2cef026ceadd12bdbbde1cdbbbdd647c0d6694f01b6547b562454fe00989",
         "votes.csv":
-            "a586779ac2aaf427d6333a06be1e5a5d26395efa3c5a820f733a75211d49f2a4",
+            "a7d7fbf79ef5254c5cc38a3148ed68638b4702d9deac2e31dc38d20c06d6ccde",
     },
     "votes_dt_0.1-json": {
         "summary.json":
-            "9f6f2706a8b6612b35fd74b17225cb9c9cc1b60d6979f98cc9ad7f5c38a99e8d",
+            "cb775f09f8bb63b8c39230dffa7cace2b26deec0a9c05fd38462dbb1305c34d5",
     },
     "votes_dt_0.5-csv": {
         "summary.json":
@@ -353,12 +355,16 @@ def test_output_bytes_unchanged(name, fmt, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    print("GOLDEN = {")
+    unchanged = 0
     for name in CASES:
         for fmt in ("csv", "json"):
             with tempfile.TemporaryDirectory() as work:
-                print(f'    "{name}-{fmt}": {{')
-                for file, digest in _digests(name, fmt, Path(work)).items():
-                    print(f'        "{file}":\n            "{digest}",')
-                print("    },")
-    print("}")
+                digests = _digests(name, fmt, Path(work))
+            if digests == GOLDEN.get(f"{name}-{fmt}"):
+                unchanged += 1
+                continue
+            print(f'    "{name}-{fmt}": {{')
+            for file, digest in digests.items():
+                print(f'        "{file}":\n            "{digest}",')
+            print("    },")
+    print(f"# {unchanged} entries unchanged")

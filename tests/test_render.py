@@ -17,6 +17,7 @@ import tracemalloc
 import types
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -306,3 +307,37 @@ def test_csv_writer_memory_per_row():
     finally:
         tracemalloc.stop()
     assert peak / rows < _CSV_ROW_BYTES
+
+
+# Most bytes either writer may hold at its peak for a table of 400,000 rows
+# of four float columns, on top of the columns: a block of cells at a time,
+# not the text of whole columns.
+_WRITER_PEAK_BYTES = 8_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_hold_one_block_of_text(fmt):
+    rows = 400_000
+    columns = [np.random.default_rng(seed).random(rows) for seed in range(4)]
+    sink = types.SimpleNamespace(write=len)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        if fmt == "csv":
+            _write_csv(sink, "a,b,c,d", columns)
+        else:
+            _write_json(sink, dict(zip("abcd", columns)))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < _WRITER_PEAK_BYTES
+
+
+@pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1, 10_000])
+def test_float_arrays_of_blocks_render_like_the_reference(n):
+    finite = np.arange(n) * 0.1
+    _csv_and_json(finite)
+    column = finite.copy()
+    column[-2:] = [math.nan, math.inf]  # in the last block, after finite ones
+    _csv_and_json(column)

@@ -358,7 +358,8 @@ def test_voter_steps_count_the_midpoints_inside_the_window(
 
 def _reference_integrate(story, params, policy, horizon):
     """The per-step integrator the kernel path replaced: the channels
-    summed at each step midpoint."""
+    summed at each step midpoint, the front page at the kernel's age
+    ``(k - promo_end + 0.5) * dt``."""
     dt = params.dt
     n_steps = step_count(horizon, dt)
     threshold = promotion_threshold_for(policy, story)
@@ -367,15 +368,24 @@ def _reference_integrate(story, params, policy, horizon):
     times[0] = 0.0
     votes[0] = 1.0
     promotion_time = None
+    promo_end = None  # the steps done at promotion
     m = 1.0
     for k in range(n_steps):
         t_mid = (k + 0.5) * dt
-        rate = total_rate(t_mid, m, story, promotion_time, params)
+        front, queue, submitter, voters = channel_rates(
+            t_mid, m, story, promotion_time, params
+        )
+        if promo_end is not None:
+            age = np.array([(k - promo_end + 0.5) * dt])
+            with np.errstate(over="ignore", invalid="ignore"):
+                front = float(_front_rate(age, params)[0])
+        rate = front + queue + submitter + voters
         m = m + story.interestingness_r * rate * dt
         times[k + 1] = (k + 1) * dt
         votes[k + 1] = m
         if promotion_time is None and m >= threshold:
             promotion_time = float(times[k + 1])
+            promo_end = k + 1
     return times, votes, promotion_time
 
 
@@ -394,6 +404,29 @@ def test_integrator_bit_equal_to_reference_loop(dt, policy, voters):
     assert traj.promotion_time_Th == promotion_time
     assert traj.times.tobytes() == times.tobytes()
     assert traj.votes_m.tobytes() == votes.tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3, 1.0])
+def test_integrator_adds_the_kernels_rates(dt):
+    """The mean field adds, step by step, the rate the Monte Carlo kernel
+    gives one run at its mean count: both paths read the same tables."""
+    params = VoteModelParams(dt=dt, sm_alpha=0.0, sm_beta=0.0)
+    story, policy = StoryConfig(0.5, 80), FixedThreshold(h=40)
+    n_steps = step_count(2880.0, dt)
+    kernel = RateKernel(story, params, n_steps)
+    threshold = promotion_threshold_for(policy, story)
+    r = story.interestingness_r
+    m, promo = 1.0, n_steps  # promo >= n_steps: not promoted
+    votes = [m]
+    for k in range(n_steps):
+        m = m + r * kernel(k, k + 1, np.array([1]), np.array([promo]))[0, 0] * dt
+        votes.append(m)
+        if promo == n_steps and m >= threshold:
+            promo = k
+    assert promo < n_steps
+    traj = integrate_votes(story, params, policy, 2880.0)
+    assert np.array_equal(traj.votes_m, votes)
+    assert traj.promotion_time_Th == (promo + 1) * dt
 
 
 def test_overflowing_vote_count_raises():
