@@ -832,11 +832,10 @@ def _run_fit_success(args: argparse.Namespace):
         networks.append(s)
 
     _read_rows(args.input, _USERS_HEADER, cast)
-    triples = zip(subs, fronts, networks)
+    options = {"bins": args.bins, "min_submissions": args.min_submissions}
     try:
-        binned = success_rate_series(
-            triples, bins=args.bins, min_submissions=args.min_submissions
-        )
+        users = map(np.frombuffer, (subs, fronts, networks))
+        binned = success_rate_series(*users, **options)
         fit = fit_linear(binned.points)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(f"{args.input}: {exc}") from None
@@ -853,9 +852,7 @@ def _run_fit_success(args: argparse.Namespace):
         }
     ]
     table = _table("success_bins.csv", "bin_center_S,mean_success,stderr,count", columns)
-    return [table], results, {
-        "options": {"bins": args.bins, "min_submissions": args.min_submissions}
-    }
+    return [table], results, {"options": options}
 
 
 def _run_significance(args: argparse.Namespace):

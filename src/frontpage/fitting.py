@@ -55,7 +55,8 @@ class LogFit:
 
 
 def _points_to_xy(points) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(points, dtype=float)
+    # C order: np.dot then sums x and y alike whatever the layout of points
+    arr = np.asarray(points, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("points must be a sequence of (x, y) pairs")
     if arr.shape[0] < 2:
@@ -210,51 +211,52 @@ class SuccessRateBins:
         return np.column_stack([self.bin_centers, self.mean_rate])
 
 
+def _check_users(subs, fronts, networks) -> None:
+    """ValueError naming the first user that breaks a rule, with the first
+    rule it breaks in the order submissions, F, S (NaN passes no comparison)."""
+    rules = [  # each rule, the column it names and the users it passes
+        ("submissions must be > 0", subs, (subs > 0) & (subs < math.inf)),
+        ("front_page_F must be in [0, submissions]", fronts,
+         (fronts >= 0) & (fronts <= subs)),
+        ("network_S must be >= 0", networks, (networks >= 0) & (networks < math.inf)),
+    ]
+    bad = ~np.logical_and.reduce([ok for _, _, ok in rules])
+    if bad.any():
+        i = int(bad.argmax())
+        rule, column = next((r, c) for r, c, ok in rules if not ok[i])
+        raise ValueError(f"user {i}: {rule}, got {float(column[i])}")
+
+
 def success_rate_series(
-    users,
-    bins: int = 10,
-    min_submissions: int = 50,
+    submissions, front_page_F, network_S, bins: int = 10, min_submissions: int = 50
 ) -> SuccessRateBins:
     """Bin per-user success rate (promoted / submitted) by network size.
 
-    ``users`` is an iterable of (submissions, front_page_F, network_S)
-    triples.  Users below ``min_submissions`` are dropped first — a
-    handful of submissions gives a meaningless rate — then the survivors
-    are grouped into equal-width bins over the observed S range and each
-    bin reports the mean rate with its standard error.
+    The arguments are 1-d columns of one length, user i at index i.  All
+    users are checked, then those below ``min_submissions`` are dropped — a
+    handful of submissions gives a meaningless rate — and the survivors are
+    grouped into equal-width bins over the observed S range, each bin
+    reporting the mean rate with its standard error.
     """
     bins = _check(bins, f"an integer in [1, {_MAX_BINS}]", "bins")
     min_submissions = _check(min_submissions, "an integer >= 1", "min_submissions")
-
-    # imported here, not with this module, which ``significance`` loads too
-    from array import array
-
-    # the kept users' submissions, F and S, as C doubles
-    subs, fronts, networks = (array("d") for _ in range(3))
-    n_users = 0
-    for i, (submissions, front_page, network) in enumerate(users):
-        sub, f, s = float(submissions), float(front_page), float(network)
-        _check(sub, "> 0", f"user {i}: submissions")
-        if not (math.isfinite(f) and 0 <= f <= sub):
-            raise ValueError(
-                f"user {i}: front_page_F must be in [0, submissions], "
-                f"got {front_page}"
-            )
-        _check(s, ">= 0", f"user {i}: network_S")
-        n_users += 1
-        if sub >= min_submissions:
-            subs.append(sub)
-            fronts.append(f)
-            networks.append(s)
-    s_values = np.frombuffer(networks)
+    subs, fronts, networks = columns = [
+        np.asarray(c, dtype=float) for c in (submissions, front_page_F, network_S)
+    ]
+    if subs.ndim != 1 or not subs.shape == fronts.shape == networks.shape:
+        shapes = [c.shape for c in columns]
+        raise ValueError(f"columns must be 1-d and of one length, got shapes {shapes}")
+    _check_users(*columns)
+    kept = subs >= min_submissions
+    s_values = networks[kept]
     if not s_values.size:
         raise ValueError(
             f"no users with at least {min_submissions} submissions "
-            f"({n_users} supplied)"
+            f"({subs.size} supplied)"
         )
 
     # IEEE division: each rate is the Python float f / sub, bit for bit
-    rates = np.frombuffer(fronts) / np.frombuffer(subs)
+    rates = fronts[kept] / subs[kept]
     s_min, s_max = float(s_values.min()), float(s_values.max())
     if s_min == s_max:
         edges = np.array([s_min - 0.5, s_max + 0.5])
@@ -283,7 +285,7 @@ def success_rate_series(
         mean_rate=np.array(means),
         stderr=np.array(errs),
         counts=np.array(counts, dtype=int),
-        n_users_total=n_users,
+        n_users_total=subs.size,
         n_users_kept=s_values.size,
     )
 

@@ -193,7 +193,7 @@ def test_criterion_8_fit_recovery():
         submissions = int(rng.integers(50, 200))
         rate = min(1.0, max(0.0, 0.002 * network + rng.normal(0.0, 0.01)))
         users.append((submissions, int(rng.binomial(submissions, rate)), network))
-    series = success_rate_series(users)
+    series = success_rate_series(*zip(*users))
     planted = fit_linear(series.points)
     ok = ok and abs(planted.slope - 0.002) / 0.002 <= 0.20
     assert _report(8, "linear/log/success-rate fits recover planted truth", ok)

@@ -693,6 +693,10 @@ class TestCompare:
         assert summary["results"][0]["rms_error"] == 0.0
 
 
+_USERS_HEADER = "id,submissions,front_page_F,network_S"
+_F_RULE = "front_page_F must be in [0, submissions]"
+
+
 class TestFitCommands:
     def test_recover_interestingness_from_synthetic_trace(self, tmp_path):
         # With a large submitter network and a dead queue tail, the
@@ -751,6 +755,30 @@ class TestFitCommands:
         assert summary["results"][0]["fit"]["slope"] == pytest.approx(0.002, rel=0.25)
         bins_csv = (out / "success_bins.csv").read_text().splitlines()
         assert bins_csv[0] == "bin_center_S,mean_success,stderr,count"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["u,0,5,-1"], "user 0: submissions must be > 0, got 0.0"),
+            (["u,10,20,-1"], f"user 0: {_F_RULE}, got 20.0"),
+            (["u,60,3,-1", "v,0,0,5"], "user 0: network_S must be >= 0, got -1.0"),
+            (["u,60,3,5", "v,60,61,5"], f"user 1: {_F_RULE}, got 61.0"),
+            (["u,nan,0,5"], "user 0: submissions must be > 0, got nan"),
+            (["u,inf,0,5"], "user 0: submissions must be > 0, got inf"),
+            (["u,60,nan,5"], f"user 0: {_F_RULE}, got nan"),
+            (["u,60,inf,5"], f"user 0: {_F_RULE}, got inf"),
+            (["u,60,3,nan"], "user 0: network_S must be >= 0, got nan"),
+            (["u,60,3,inf"], "user 0: network_S must be >= 0, got inf"),
+        ],
+    )
+    def test_fit_success_names_the_first_bad_user(self, rows, message, tmp_path, capsys):
+        # each user's first broken rule, in the order submissions, F, S
+        users = tmp_path / "users.csv"
+        users.write_text("\n".join([_USERS_HEADER, *rows]) + "\n")
+        out = tmp_path / "o"
+        assert main(["fit", "success", str(users), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {users}: {message}\n"
+        assert not out.exists()
 
 
 class TestSignificanceCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -59,6 +60,19 @@ class TestFitLinear:
             fit_linear(_pairs([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             fit_linear(_pairs([0.0, 0.0], [1.0, 2.0]), through_origin=True)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [fit_linear, functools.partial(fit_linear, through_origin=True), fit_log],
+        ids=["plain", "through-origin", "log"],
+    )
+    def test_fit_does_not_depend_on_memory_order(self, rng, fit):
+        # numpy's dot sums a contiguous and a strided column in different
+        # orders, so the fit reads its points in C order whatever their layout
+        for _ in range(100):
+            n = int(rng.integers(2, 400))
+            points = 1.0 + np.abs(rng.normal(0.0, 50.0, (n, 2)))
+            assert fit(np.ascontiguousarray(points)) == fit(np.asfortranarray(points))
 
 
 class TestFitLog:
@@ -241,28 +255,28 @@ class TestChanceProbability:
 class TestSuccessRateSeries:
     def test_filter_drops_casual_submitters(self):
         users = [(49, 10, 100), (50, 10, 100), (200, 50, 300)]
-        series = success_rate_series(users)
+        series = success_rate_series(*zip(*users))
         assert series.n_users_total == 3
         assert series.n_users_kept == 2
 
     def test_perfect_promoter(self):
-        series = success_rate_series([(80, 80, 10)])
+        series = success_rate_series(*zip((80, 80, 10)))
         assert series.mean_rate.tolist() == [1.0]
         assert series.counts.tolist() == [1]
 
     def test_all_filtered_out_is_an_error(self):
         with pytest.raises(ValueError, match="no users"):
-            success_rate_series([(10, 1, 5), (49, 0, 7)])
+            success_rate_series(*zip((10, 1, 5), (49, 0, 7)))
 
     def test_bins_are_capped(self):
         users = [(100, i, 10 * i) for i in range(0, 50, 5)]
         bound = r"^bins must be an integer in \[1, 100000\], got 100001$"
         with pytest.raises(ValueError, match=bound):
-            success_rate_series(users, bins=100_001)
+            success_rate_series(*zip(*users), bins=100_001)
 
     def test_rejects_impossible_counts(self):
         with pytest.raises(ValueError, match="front_page_F"):
-            success_rate_series([(50, 60, 10)])
+            success_rate_series(*zip((50, 60, 10)))
 
     def test_planted_slope_recovery(self, rng):
         users = []
@@ -272,13 +286,13 @@ class TestSuccessRateSeries:
             rate = min(1.0, max(0.0, 0.002 * network + rng.normal(0.0, 0.005)))
             promoted = int(rng.binomial(submissions, rate))
             users.append((submissions, promoted, network))
-        series = success_rate_series(users)
+        series = success_rate_series(*zip(*users))
         fit = fit_linear(series.points)
         assert fit.slope == pytest.approx(0.002, rel=0.2)
 
     def test_bins_cover_the_range(self):
         users = [(100, i, 10 * i) for i in range(0, 50, 5)]
-        series = success_rate_series(users, bins=5, min_submissions=50)
+        series = success_rate_series(*zip(*users), bins=5, min_submissions=50)
         assert len(series.bin_edges) == 6
         assert series.counts.sum() == len(users)
 
@@ -318,7 +332,7 @@ class TestSuccessRateSeries:
 def _assert_bins_equal_a_masked_scan(users, bins):
     """``success_rate_series`` against the scan its grouping replaced: one
     mask over the kept users per bin, by ``==``."""
-    series = success_rate_series(users, bins=bins)
+    series = success_rate_series(*zip(*users), bins=bins)
     kept = [(float(sub), float(f), float(s)) for sub, f, s in users if sub >= 50]
     rates = np.array([f / sub for sub, f, _ in kept])
     edges = series.bin_edges

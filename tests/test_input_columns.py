@@ -55,12 +55,13 @@ def _users(path: Path, rows: int) -> Path:
 
 
 # Most a command's peak may grow per input row, from 2,000 rows to 20,000.
-# A trace row is two doubles (16 B) in its id's columns; a users row is
-# three doubles read, three more for a kept user, and the arrays that bin
-# them.  Rows held as Python floats in lists cost 82 B (trace) and 340 B
-# (users).
+# A trace row is two doubles (16 B) in its id's columns.  A users row is
+# its three doubles, which success_rate_series checks and bins where they
+# were read, a kept user's S and rate, and the arrays that bin them: 66 B.
+# Rows held as Python floats in lists cost 82 B (trace) and 340 B (users),
+# and a users row cost 82 B while each kept user was copied a second time.
 _TRACE_ROW_BOUND = 40
-_USERS_ROW_BOUND = 160
+_USERS_ROW_BOUND = 75
 
 
 @pytest.mark.parametrize(
@@ -137,22 +138,34 @@ def test_ingest_traces_equals_a_plain_reading(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_success_rate_series_reads_a_generator_as_a_list(seed):
+def test_success_rate_series_bins_any_form_of_column_alike(seed):
     rng = random.Random(seed)
     users = []
     for _ in range(rng.randint(5, 300)):
         submissions = rng.randint(1, 400)
         users.append((submissions, rng.randint(0, submissions), rng.random() * 500))
     options = {"bins": rng.randint(1, 12), "min_submissions": rng.randint(1, 60)}
+    lists = [list(column) for column in zip(*users)]
+    # every other row of a (2n, 3) array: columns with a stride of six doubles
+    strided = np.repeat(np.array(users, dtype=float), 2, axis=0)[::2]
+    forms = {
+        "lists": lists,
+        "tuples": [tuple(column) for column in lists],
+        "int arrays": [np.array(column) for column in lists],
+        "strided views": [strided[:, k] for k in range(3)],
+    }
     try:
-        from_list = success_rate_series(users, **options)
+        want = success_rate_series(*lists, **options)
     except ValueError as exc:  # no user kept
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            success_rate_series(iter(users), **options)
+        for columns in forms.values():
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                success_rate_series(*columns, **options)
         return
-    from_generator = success_rate_series((u for u in users), **options)
-    for name in ("bin_edges", "bin_centers", "mean_rate", "stderr", "counts"):
-        a, b = getattr(from_list, name), getattr(from_generator, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert from_list.n_users_total == from_generator.n_users_total == len(users)
-    assert from_list.n_users_kept == from_generator.n_users_kept
+    assert not forms["strided views"][0].flags.contiguous
+    for form, columns in forms.items():
+        got = success_rate_series(*columns, **options)
+        for name in ("bin_edges", "bin_centers", "mean_rate", "stderr", "counts"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (form, name)
+        assert got.n_users_total == want.n_users_total == len(users)
+        assert got.n_users_kept == want.n_users_kept

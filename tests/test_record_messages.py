@@ -457,22 +457,57 @@ FUNCTION_MESSAGES = [
      "log_base must be positive and != 1, got nan"),
     (lambda: binomial_pmf(1, 2, 1.5), "p must be in [0, 1], got 1.5"),
     (lambda: binomial_pmf(1, 2, NAN), "p must be in [0, 1], got nan"),
-    (lambda: success_rate_series(USERS, bins=0),
+    (lambda: success_rate_series(*zip(*USERS), bins=0),
      "bins must be an integer in [1, 100000], got 0"),
-    (lambda: success_rate_series(USERS, bins=100_001),
+    (lambda: success_rate_series(*zip(*USERS), bins=100_001),
      "bins must be an integer in [1, 100000], got 100001"),
-    (lambda: success_rate_series(USERS, bins=2.5),
+    (lambda: success_rate_series(*zip(*USERS), bins=2.5),
      "bins must be an integer in [1, 100000], got 2.5"),
-    (lambda: success_rate_series(USERS, bins=True),
+    (lambda: success_rate_series(*zip(*USERS), bins=True),
      "bins must be an integer in [1, 100000], got True"),
-    (lambda: success_rate_series(USERS, min_submissions=0),
+    (lambda: success_rate_series(*zip(*USERS), min_submissions=0),
      "min_submissions must be an integer >= 1, got 0"),
-    (lambda: success_rate_series(USERS, min_submissions=NAN),
+    (lambda: success_rate_series(*zip(*USERS), min_submissions=NAN),
      "min_submissions must be an integer >= 1, got nan"),
-    (lambda: success_rate_series([(0, 0, 5)]),
+    (lambda: success_rate_series(*zip((0, 0, 5))),
      "user 0: submissions must be > 0, got 0.0"),
-    (lambda: success_rate_series([*USERS, (60, 3, -1)]),
+    (lambda: success_rate_series(*zip(*USERS, (60, 3, -1))),
      "user 2: network_S must be >= 0, got -1.0"),
+    # a user's first broken rule, in the order submissions, F, S
+    (lambda: success_rate_series(*zip(*USERS, (0.0, 5.0, -1.0))),
+     "user 2: submissions must be > 0, got 0.0"),
+    (lambda: success_rate_series(*zip(*USERS, (10.0, 20.0, -1.0))),
+     "user 2: front_page_F must be in [0, submissions], got 20.0"),
+    # the first user that breaks any rule, whichever rule it is
+    (lambda: success_rate_series(*zip(*USERS, (60.0, 3.0, -1.0), (0.0, 0.0, 5.0))),
+     "user 2: network_S must be >= 0, got -1.0"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, 61.0, 5.0))),
+     "user 2: front_page_F must be in [0, submissions], got 61.0"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, -1.0, 5.0))),
+     "user 2: front_page_F must be in [0, submissions], got -1.0"),
+    (lambda: success_rate_series(*zip(*USERS, (NAN, 0.0, 5.0))),
+     "user 2: submissions must be > 0, got nan"),
+    (lambda: success_rate_series(*zip(*USERS, (INF, 0.0, 5.0))),
+     "user 2: submissions must be > 0, got inf"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, NAN, 5.0))),
+     "user 2: front_page_F must be in [0, submissions], got nan"),
+    (lambda: success_rate_series(*zip(*USERS, (INF, INF, 5.0))),
+     "user 2: submissions must be > 0, got inf"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, INF, 5.0))),
+     "user 2: front_page_F must be in [0, submissions], got inf"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, 3.0, NAN))),
+     "user 2: network_S must be >= 0, got nan"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, 3.0, INF))),
+     "user 2: network_S must be >= 0, got inf"),
+    (lambda: success_rate_series(*zip(*USERS, (60.0, 3.0, -INF))),
+     "user 2: network_S must be >= 0, got -inf"),
+    # every column is read as floats, ints included
+    (lambda: success_rate_series(*zip(*USERS, (60, 61, 5))),
+     "user 2: front_page_F must be in [0, submissions], got 61.0"),
+    (lambda: success_rate_series([60.0, 70.0], [1.0], [5.0, 6.0]),
+     "columns must be 1-d and of one length, got shapes [(2,), (1,), (2,)]"),
+    (lambda: success_rate_series(*np.ones((3, 2, 2))),
+     "columns must be 1-d and of one length, got shapes [(2, 2), (2, 2), (2, 2)]"),
     (lambda: success_rate(-1.0, RankModelParams()),
      "network_S must be >= 0, got -1.0"),
     (lambda: rank_proxy(NAN), "front_page_F must be >= 0, got nan"),
