@@ -2,17 +2,18 @@
 
 Two families of records live here: the constants and inputs of the
 story-vote model (minute resolution) and of the user-rank model (week
-resolution), plus the observation tuple used by the friend-voting
-significance test.  Every record checks its invariants on construction and
-is frozen afterwards, so validated instances can be shared freely between
-concurrent runs.  Each numeric field's bound, integrality and caps
-included, is declared once, on the field, as the text its message states
-(``c: float = _bounded("in (0, 1]", 0.3)``), and checked by
-:func:`frontpage._check` against the package's one table of bounds, which
-the model functions and the command-line flags check through too.  An
-integer field holds a Python int once checked.  Only the comparisons
-between fields and the checks of the two non-numeric keys are written out
-by hand.
+resolution), plus the friend-voting test's observation and a vote run's
+trajectory.  Every record checks its invariants on construction and is
+frozen afterwards, so validated instances can be shared freely between
+concurrent runs.  Input and result records alike declare each rule once,
+on the field, as the text its message states: a number's bound,
+integrality and caps included (``c: float = _bounded("in (0, 1]", 0.3)``),
+checked by :func:`frontpage._check` against the package's one table of
+bounds, which the model functions and the command-line flags check through
+too; and an array's shape and order, checked against ``_SERIES``
+(``times: np.ndarray = _series("strictly increasing")``).  Only the
+comparisons between fields, the non-numeric keys and a trajectory's first
+vote are checked by hand.
 
 The run settings of the ``[run]`` and ``[ensemble]`` config sections are
 records too.  :func:`record_from_mapping` builds any record from the raw
@@ -56,14 +57,24 @@ class ParameterError(ValueError):
     """
 
 
-def _raise_if(violations: list[str]) -> None:
-    if violations:
-        raise ParameterError("; ".join(violations))
-
-
 def _bounded(bound: str, default=dataclasses.MISSING):
     """A numeric field that must be finite and pass ``frontpage._BOUNDS[bound]``."""
     return dataclasses.field(default=default, metadata={"bound": bound})
+
+
+# Each rule a series may have, as its message states it, and its test.
+_SERIES = {
+    "strictly increasing": lambda a: not np.any(np.diff(a) <= 0),
+    "nondecreasing": lambda a: not np.any(np.diff(a) < 0),
+    "nonnegative and nondecreasing":
+        lambda a: not (np.any(a < 0) or np.any(np.diff(a) < 0)),
+}
+
+
+def _series(rule: str | None, dtype=float):
+    """A 1-d array field, read by ``np.asarray(value, dtype=dtype)``, of the
+    shape of the record's first series, that passes ``_SERIES[rule]``."""
+    return dataclasses.field(metadata={"series": rule, "dtype": dtype})
 
 
 class _Record:
@@ -71,26 +82,48 @@ class _Record:
 
     Constructing one raises :class:`ParameterError` listing every
     violation: first each field, in order, that :func:`frontpage._check`
-    rejects for the bound declared on it with :func:`_bounded`, then every
-    entry of the record's own ``_violations(broken)``, ``broken`` being the
-    names of the fields that broke their bounds, which it does not compare.
-    A field with an integer bound holds a Python int once it passes.
+    rejects for the bound declared on it with :func:`_bounded`, then the
+    faults of the series declared with :func:`_series`, then every entry
+    of the record's own ``_violations(broken)``, ``broken`` naming the
+    fields it must not read: those that broke their bounds, and every
+    series if one has a bad shape.  An integer field holds a Python int
+    once it passes, and a series an array.
     """
 
     def __post_init__(self) -> None:
-        bad, broken = [], set()
+        bad, broken, series = [], set(), []
         for f in fields(self):
-            bound = f.metadata.get("bound")
-            if bound is None:
-                continue
-            try:
-                value = _check(getattr(self, f.name), bound, f.name)
-            except ValueError as exc:
-                bad.append(str(exc))
-                broken.add(f.name)
+            value, meta = getattr(self, f.name), f.metadata
+            if "series" in meta:
+                value = np.asarray(value, dtype=meta["dtype"])
+                series.append((f.name, meta["series"], value))
+            elif "bound" in meta:
+                try:
+                    value = _check(value, meta["bound"], f.name)
+                except ValueError as exc:
+                    bad.append(str(exc))
+                    broken.add(f.name)
+            object.__setattr__(self, f.name, value)
+        if series:
+            (first, _, head), *rest = series
+            if head.ndim != 1 or head.size == 0:
+                shapes = [f"{first} must be a non-empty 1-d array"]
             else:
-                object.__setattr__(self, f.name, value)
-        _raise_if(bad + self._violations(broken))
+                shapes = [
+                    f"{name} shape {a.shape} does not match {first} shape {head.shape}"
+                    for name, _, a in rest
+                    if a.shape != head.shape
+                ]
+            if shapes:
+                broken.update(name for name, _, _ in series)
+            bad += shapes or [
+                f"{name} must be {rule}"
+                for name, rule, a in series
+                if rule is not None and not _SERIES[rule](a)
+            ]
+        bad += self._violations(broken)
+        if bad:
+            raise ParameterError("; ".join(bad))
 
     def _violations(self, broken: set[str]) -> list[str]:
         return []
@@ -138,7 +171,7 @@ class StoryConfig(_Record):
 
 
 @dataclass(frozen=True)
-class VoteTrajectory:
+class VoteTrajectory(_Record):
     """A story's vote history on a fixed time grid.
 
     ``votes_m`` is float-valued for mean-field runs and integer-valued for
@@ -147,32 +180,17 @@ class VoteTrajectory:
     which the promotion policy first fired, or None if it never did.
     """
 
-    times: np.ndarray
-    votes_m: np.ndarray
+    times: np.ndarray = _series("strictly increasing")
+    votes_m: np.ndarray = _series("nondecreasing", dtype=None)
     promotion_time_Th: float | None = None
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        m = np.asarray(self.votes_m)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "votes_m", m)
-        bad: list[str] = []
-        if t.ndim != 1 or t.size == 0:
-            bad.append("times must be a non-empty 1-d array")
-        elif m.shape != t.shape:
-            bad.append(f"votes_m shape {m.shape} does not match times shape {t.shape}")
-        else:
-            if np.any(np.diff(t) <= 0):
-                bad.append("times must be strictly increasing")
-            if m[0] != 1:
-                bad.append(f"votes_m must start at 1 (submitter's vote), got {m[0]}")
-            if np.any(np.diff(m) < 0):
-                bad.append("votes_m must be nondecreasing")
-        if self.promotion_time_Th is not None and not _finite(self.promotion_time_Th):
-            bad.append(
-                f"promotion_time_Th must be finite or None, got {self.promotion_time_Th}"
-            )
-        _raise_if(bad)
+    def _violations(self, broken: set[str]) -> list[str]:
+        bad, m, th = [], self.votes_m, self.promotion_time_Th
+        if "votes_m" not in broken and m[0] != 1:
+            bad.append(f"votes_m must start at 1 (submitter's vote), got {m[0]}")
+        if th is not None and not _finite(th):
+            bad.append(f"promotion_time_Th must be finite or None, got {th}")
+        return bad
 
     @property
     def final_votes(self):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _check
-from .core import RankModelParams, RunOptions, UserState, _raise_if
+from .core import RankModelParams, RunOptions, UserState, _Record, _series
 
 __all__ = [
     "RankTrajectory",
@@ -35,33 +35,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RankTrajectory:
+class RankTrajectory(_Record):
     """A user's week-by-week front-page count and network size."""
 
-    weeks: np.ndarray
-    front_page_F: np.ndarray
-    network_S: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weeks, dtype=float)
-        f = np.asarray(self.front_page_F, dtype=float)
-        s = np.asarray(self.network_S, dtype=float)
-        object.__setattr__(self, "weeks", w)
-        object.__setattr__(self, "front_page_F", f)
-        object.__setattr__(self, "network_S", s)
-        bad: list[str] = []
-        if w.ndim != 1 or w.size == 0:
-            bad.append("weeks must be a non-empty 1-d array")
-        elif f.shape != w.shape or s.shape != w.shape:
-            bad.append("front_page_F and network_S must match weeks in shape")
-        else:
-            if np.any(np.diff(w) <= 0):
-                bad.append("weeks must be strictly increasing")
-            if np.any(f < 0) or np.any(np.diff(f) < 0):
-                bad.append("front_page_F must be nonnegative and nondecreasing")
-            if np.any(s < 0) or np.any(np.diff(s) < 0):
-                bad.append("network_S must be nonnegative and nondecreasing")
-        _raise_if(bad)
+    weeks: np.ndarray = _series("strictly increasing")
+    front_page_F: np.ndarray = _series("nonnegative and nondecreasing")
+    network_S: np.ndarray = _series("nonnegative and nondecreasing")
 
 
 def success_rate(network_S: float, params: RankModelParams) -> float:

@@ -53,6 +53,7 @@ from .core import (
     VoteTrajectory,
     _Record,
     _bounded,
+    _series,
 )
 from .vote_dynamics import (
     RateKernel,
@@ -113,19 +114,14 @@ class EnsembleSummary(_Record):
     ``promotion_time_quantiles`` is empty when no run promoted.
     """
 
-    times: np.ndarray
-    mean_votes: np.ndarray
-    std_votes: np.ndarray
-    final_votes: np.ndarray
+    times: np.ndarray = _series("strictly increasing")
+    mean_votes: np.ndarray = _series("nondecreasing")
+    std_votes: np.ndarray = _series(None)
+    final_votes: np.ndarray  # one entry per run, as promotion_times
     promotion_times: np.ndarray
     promotion_probability: float = _bounded("in [0, 1]")
     promotion_time_quantiles: dict[float, float]
     n_runs: int
-
-    def _violations(self, broken: set[str]) -> list[str]:
-        if np.any(np.diff(self.mean_votes) < 0):
-            return ["mean_votes must be nondecreasing"]
-        return []
 
 
 def _quantile(ordered: list[float], q: float) -> float:
@@ -195,7 +191,8 @@ def _lockstep(
     rates, which leaves its steps up to the crossing as they were.  A
     block with a mean past the inversion range is redone one step at a
     time, so that the second streams are read in step order; those draws
-    add in Python ints, so a count past int64 raises OverflowError.
+    add in Python ints, so a count past int64 raises OverflowError; a mean
+    past what ``Generator.poisson`` draws raises ValueError naming the step.
     """
     story, params = config.story, config.params
     n_steps = step_count(config.horizon, params.dt)
@@ -235,8 +232,13 @@ def _lockstep(
             for j in np.flatnonzero(large[0]):
                 if j not in large_streams:
                     large_streams[j] = _rng_for_run(config.seed, runs[j], 0)
+                try:
+                    draw = large_streams[j].poisson(mean[0, j])
+                except ValueError:  # numpy's bare "lam value too large"
+                    message = f"Poisson mean {mean[0, j]} is too large to draw"
+                    raise ValueError(f"step {k0 + 1}: {message}") from None
                 # in Python ints, so a count past int64 raises, not wraps
-                block[0, j] = int(m[j]) + int(large_streams[j].poisson(mean[0, j]))
+                block[0, j] = int(m[j]) + int(draw)
         if waiting:
             crossed = np.flatnonzero(block[-1] >= bar)
             if crossed.size:

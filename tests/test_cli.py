@@ -484,6 +484,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config: ")
         assert not out.exists()
 
+    def test_mean_too_large_to_draw_names_the_step(self, tmp_path, capsys):
+        ini = write_ini(
+            tmp_path / "big.ini",
+            {
+                "story": {"interestingness_r": "1", "submitter_network_S": "0"},
+                "vote": {"visit_rate_N": "1e300", "sm_alpha": "0", "sm_beta": "0"},
+                "run": {"horizon_minutes": "30"},
+            },
+        )
+        out = tmp_path / "o"
+        argv = ["simulate", "votes", "--config", str(ini), "--out", str(out)]
+        assert main(argv) == 0  # the mean field draws nothing
+        capsys.readouterr()
+        out = tmp_path / "e"
+        assert main(["ensemble", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: step 1: Poisson mean 2.8935759915606352e+299 "
+            "is too large to draw\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_votes_name_the_sweep_point(self, votes_ini, tmp_path, capsys):
         out = tmp_path / "o"
         argv = [

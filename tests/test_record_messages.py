@@ -7,7 +7,9 @@ fields, integers and caps included, and the hand-written checks that
 remain (comparisons between fields, ``arrival_mode`` and ``M_schedule``)
 alike, so moving a check between the two cannot change what a user reads
 unseen.  The guard at the end requires every numeric field to declare its
-bound, so a hand-written numeric check cannot come back.  The model
+bound, so a hand-written numeric check cannot come back.  The result
+records' series rules are pinned the same way, and a second guard
+requires each of their per-time arrays to declare its series.  The model
 functions' argument checks go through the same table and are pinned the
 same way, and a field with an integer bound hands its consumers an int.
 """
@@ -31,6 +33,7 @@ from frontpage.core import (
     StoryConfig,
     UserState,
     VoteModelParams,
+    VoteTrajectory,
 )
 from frontpage.fitting import (
     binomial_pmf,
@@ -38,8 +41,13 @@ from frontpage.fitting import (
     fit_log,
     success_rate_series,
 )
-from frontpage.rank_dynamics import rank_proxy, success_rate
-from frontpage.stochastic_sim import StochasticRunConfig, ensemble, simulate_once
+from frontpage.rank_dynamics import RankTrajectory, rank_proxy, success_rate
+from frontpage.stochastic_sim import (
+    EnsembleSummary,
+    StochasticRunConfig,
+    ensemble,
+    simulate_once,
+)
 from frontpage.vote_dynamics import analytic_upcoming_saturation
 
 NAN, INF = math.nan, math.inf
@@ -443,6 +451,158 @@ def test_every_numeric_field_declares_its_bound(cls, field, value):
         _ensemble_config(**kwargs) if cls is StochasticRunConfig else cls(**kwargs)
     assert str(info.value) == (
         f"{field.name} must be {field.metadata['bound']}, got {value}"
+    )
+
+
+# Valid arguments of the result records.
+RESULT_REQUIRED = {
+    VoteTrajectory: {"times": [0.0, 1.0, 2.0], "votes_m": [1, 2, 2]},
+    RankTrajectory: {
+        "weeks": [0.0, 1.0, 2.0],
+        "front_page_F": [0.0, 1.0, 1.5],
+        "network_S": [5.0, 5.0, 7.0],
+    },
+    EnsembleSummary: {
+        "times": [0.0, 1.0, 2.0],
+        "mean_votes": [1.0, 1.5, 2.0],
+        "std_votes": [0.0, 0.5, 0.5],
+        "final_votes": [2.0, 2.0],
+        "promotion_times": [NAN, NAN],
+        "promotion_probability": 0.0,
+        "promotion_time_quantiles": {},
+        "n_runs": 2,
+    },
+}
+
+# Each rule of the result records, and what a bad shape leaves unchecked.
+RESULT_MESSAGES = [
+    # VoteTrajectory
+    (VoteTrajectory, {"times": []}, "times must be a non-empty 1-d array"),
+    (VoteTrajectory, {"times": [[0.0, 1.0, 2.0]]},
+     "times must be a non-empty 1-d array"),
+    (VoteTrajectory, {"votes_m": [1, 2]},
+     "votes_m shape (2,) does not match times shape (3,)"),
+    (VoteTrajectory, {"times": [0.0, 1.0, 1.0]}, "times must be strictly increasing"),
+    (VoteTrajectory, {"times": [0.0, 2.0, 1.0]}, "times must be strictly increasing"),
+    (VoteTrajectory, {"votes_m": [0, 2, 2]},
+     "votes_m must start at 1 (submitter's vote), got 0"),
+    (VoteTrajectory, {"votes_m": [1.5, 2.0, 2.0]},
+     "votes_m must start at 1 (submitter's vote), got 1.5"),
+    (VoteTrajectory, {"votes_m": [1, 3, 2]}, "votes_m must be nondecreasing"),
+    (VoteTrajectory, {"promotion_time_Th": NAN},
+     "promotion_time_Th must be finite or None, got nan"),
+    (VoteTrajectory, {"promotion_time_Th": INF},
+     "promotion_time_Th must be finite or None, got inf"),
+    (VoteTrajectory, {"promotion_time_Th": "x"},
+     "promotion_time_Th must be finite or None, got x"),
+    # RankTrajectory
+    (RankTrajectory, {"weeks": []}, "weeks must be a non-empty 1-d array"),
+    (RankTrajectory, {"weeks": [[0.0], [1.0], [2.0]]},
+     "weeks must be a non-empty 1-d array"),
+    (RankTrajectory, {"front_page_F": [0.0, 1.0]},
+     "front_page_F shape (2,) does not match weeks shape (3,)"),
+    (RankTrajectory, {"network_S": [5.0, 5.0]},
+     "network_S shape (2,) does not match weeks shape (3,)"),
+    (RankTrajectory, {"weeks": [0.0, 0.0, 1.0]}, "weeks must be strictly increasing"),
+    (RankTrajectory, {"front_page_F": [-1.0, 1.0, 1.5]},
+     "front_page_F must be nonnegative and nondecreasing"),
+    (RankTrajectory, {"front_page_F": [0.0, 2.0, 1.5]},
+     "front_page_F must be nonnegative and nondecreasing"),
+    (RankTrajectory, {"network_S": [-5.0, 5.0, 7.0]},
+     "network_S must be nonnegative and nondecreasing"),
+    (RankTrajectory, {"network_S": [5.0, 4.0, 7.0]},
+     "network_S must be nonnegative and nondecreasing"),
+    # EnsembleSummary
+    (EnsembleSummary, {"promotion_probability": 1.5},
+     "promotion_probability must be in [0, 1], got 1.5"),
+    (EnsembleSummary, {"promotion_probability": NAN},
+     "promotion_probability must be in [0, 1], got nan"),
+    (EnsembleSummary, {"mean_votes": [1.0, 2.0, 1.5]},
+     "mean_votes must be nondecreasing"),
+
+    # Two violations, listed in the order the record checks them.
+    (VoteTrajectory, {"times": [0.0, 1.0, 1.0], "promotion_time_Th": NAN},
+     "times must be strictly increasing; "
+     "promotion_time_Th must be finite or None, got nan"),
+    (RankTrajectory, {"weeks": [0.0, 0.0, 1.0], "network_S": [5.0, 4.0, 7.0]},
+     "weeks must be strictly increasing; "
+     "network_S must be nonnegative and nondecreasing"),
+    (EnsembleSummary, {"mean_votes": [1.0, 2.0, 1.5], "promotion_probability": -1.0},
+     "promotion_probability must be in [0, 1], got -1.0; "
+     "mean_votes must be nondecreasing"),
+    # The series rules come before a record's own checks.
+    (VoteTrajectory, {"votes_m": [0, 2, 1]},
+     "votes_m must be nondecreasing; "
+     "votes_m must start at 1 (submitter's vote), got 0"),
+    # A series of a bad shape leaves every rule of its record unchecked.
+    (VoteTrajectory, {"times": [0.0, 1.0, 1.0], "votes_m": [0, 2]},
+     "votes_m shape (2,) does not match times shape (3,)"),
+    (VoteTrajectory, {"times": [], "votes_m": [0, 2]},
+     "times must be a non-empty 1-d array"),
+    (RankTrajectory, {"weeks": [0.0, 0.0, 1.0], "network_S": [5.0, 4.0]},
+     "network_S shape (2,) does not match weeks shape (3,)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, changes, message", RESULT_MESSAGES,
+    ids=[f"{cls.__name__}-{'-'.join(changes)}" for cls, changes, _ in RESULT_MESSAGES],
+)
+def test_each_bad_result_gets_its_exact_message(cls, changes, message):
+    with pytest.raises(ParameterError) as info:
+        cls(**{**RESULT_REQUIRED[cls], **changes})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"times": [0.0, 0.0, 1.0]}, "times must be strictly increasing"),
+        ({"times": []}, "times must be a non-empty 1-d array"),
+        ({"mean_votes": [1.0, 1.5]},
+         "mean_votes shape (2,) does not match times shape (3,)"),
+        ({"std_votes": [0.0]}, "std_votes shape (1,) does not match times shape (3,)"),
+        ({"times": [0.0, 0.0, 1.0], "mean_votes": [1.0, 1.5], "std_votes": [0.0]},
+         "mean_votes shape (2,) does not match times shape (3,); "
+         "std_votes shape (1,) does not match times shape (3,)"),
+    ],
+    ids=["repeated-times", "empty-times", "short-mean", "short-std", "all-three"],
+)
+def test_ensemble_summary_rejects_inconsistent_series(changes, message):
+    with pytest.raises(ParameterError) as info:
+        EnsembleSummary(**{**RESULT_REQUIRED[EnsembleSummary], **changes})
+    assert str(info.value) == message
+
+
+# Array fields with one entry per run, not one per time: no series rule.
+PLAIN_ARRAYS = {"final_votes", "promotion_times"}
+
+
+def _array_fields():
+    for cls in RESULT_REQUIRED:
+        for field in dataclasses.fields(cls):
+            if field.type == "np.ndarray":
+                yield cls, field
+
+
+@pytest.mark.parametrize(
+    "cls, field", list(_array_fields()),
+    ids=lambda x: getattr(x, "__name__", getattr(x, "name", x)),
+)
+def test_every_array_field_declares_its_series(cls, field):
+    # An array field added without a series rule, or checked by hand, fails here.
+    if field.name in PLAIN_ARRAYS:
+        assert "series" not in field.metadata
+        return
+    assert "series" in field.metadata
+    first = next(f.name for f in dataclasses.fields(cls) if f.type == "np.ndarray")
+    kwargs = RESULT_REQUIRED[cls]
+    column = np.asarray(kwargs[field.name])[:, None]
+    with pytest.raises(ParameterError) as info:
+        cls(**{**kwargs, field.name: column})
+    assert str(info.value) == (
+        f"{first} must be a non-empty 1-d array" if field.name == first
+        else f"{field.name} shape (3, 1) does not match {first} shape (3,)"
     )
 
 
