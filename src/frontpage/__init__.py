@@ -109,6 +109,7 @@ def _echo(raw) -> str:
 # standard library.
 _EXPORTS = {
     "core": (
+        "EnsembleOptions",
         "FixedThreshold",
         "FriendVoteObservation",
         "NetworkProportional",
@@ -139,7 +140,6 @@ _EXPORTS = {
     ),
     "stochastic_sim": (
         "EnsembleSummary",
-        "StochasticRunConfig",
         "ensemble",
         "simulate_once",
     ),

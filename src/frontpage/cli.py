@@ -714,7 +714,7 @@ def _run_model(args: argparse.Namespace, stem: str, compute):
 
 
 def _story(records):
-    """``integrate_votes``'s story, ``[vote]``, ``[policy]`` and horizon."""
+    """The vote model's story, ``[vote]``, ``[policy]`` and horizon."""
     return (records["story"], records["vote"], records["policy"],
             records["run"].horizon_minutes)
 
@@ -750,11 +750,7 @@ def _rank(records):
 
 
 def _ensemble(records):
-    story, params, policy, horizon = _story(records)
-    summary = ensemble(StochasticRunConfig(
-        story=story, params=params, policy=policy, horizon=horizon,
-        **dataclasses.asdict(records["ensemble"]),
-    ))
+    summary = ensemble(*_story(records), records["ensemble"])
     fields = {
         "promotion_probability": summary.promotion_probability,
         "promotion_time_quantiles": summary.promotion_time_quantiles,

@@ -72,9 +72,16 @@ _SERIES = {
 
 
 def _series(rule: str | None, dtype=float):
-    """A 1-d array field, read by ``np.asarray(value, dtype=dtype)``, of the
-    shape of the record's first series, that passes ``_SERIES[rule]``."""
+    """A finite 1-d array field, read by ``np.asarray(value, dtype=dtype)``,
+    of the shape of the record's first series, that passes ``_SERIES[rule]``."""
     return dataclasses.field(metadata={"series": rule, "dtype": dtype})
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    try:
+        return bool(np.isfinite(a).all())
+    except TypeError:  # an object or string array: entry by entry
+        return all(map(_finite, a.flat))
 
 
 class _Record:
@@ -85,8 +92,9 @@ class _Record:
     rejects for the bound declared on it with :func:`_bounded`, then the
     faults of the series declared with :func:`_series`, then every entry
     of the record's own ``_violations(broken)``, ``broken`` naming the
-    fields it must not read: those that broke their bounds, and every
-    series if one has a bad shape.  An integer field holds a Python int
+    fields it must not read: those that broke their bounds, every series
+    if one has a bad shape, and each series that is not finite, whose
+    rule is then left unchecked.  An integer field holds a Python int
     once it passes, and a series an array.
     """
 
@@ -115,12 +123,15 @@ class _Record:
                     if a.shape != head.shape
                 ]
             if shapes:
+                bad += shapes
                 broken.update(name for name, _, _ in series)
-            bad += shapes or [
-                f"{name} must be {rule}"
-                for name, rule, a in series
-                if rule is not None and not _SERIES[rule](a)
-            ]
+                series = []
+            for name, rule, a in series:
+                if not _all_finite(a):
+                    bad.append(f"{name} must be finite")
+                    broken.add(name)
+                elif rule is not None and not _SERIES[rule](a):
+                    bad.append(f"{name} must be {rule}")
         bad += self._violations(broken)
         if bad:
             raise ParameterError("; ".join(bad))
@@ -297,8 +308,10 @@ ARRIVAL_MODES = ("poisson", "mean")
 @dataclass(frozen=True)
 class EnsembleOptions(_Record):
     """Size, seed and arrival mode of a stochastic ensemble: the
-    ``[ensemble]`` record, and the base of
-    :class:`~frontpage.stochastic_sim.StochasticRunConfig`."""
+    ``[ensemble]`` record, and the ``options`` of ``ensemble`` and
+    ``simulate_once``.  Arrival mode "poisson" draws vote counts; "mean"
+    replaces every draw by its expectation, reproducing the deterministic
+    integrator bit for bit (a self-test of the harness)."""
 
     runs: int = _bounded(f"an integer in [1, {_MAX_RUNS}]", 100)
     seed: int = _bounded("an integer >= 0", 0)

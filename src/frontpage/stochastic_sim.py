@@ -27,12 +27,13 @@ so memory is O(horizon + runs) plus a bounded buffer of uniforms, one
 block of at most ``_SEGMENT_RUN_STEPS`` run-steps and the voter table.
 
 Reproducibility contract: run ``i`` of an ensemble draws from a generator
-seeded with ``SeedSequence(entropy=seed, spawn_key=(i,))``, one uniform
-per step, and turns it into its vote count by inversion.  A step whose
-mean exceeds ``_INVERSION_MAX_MEAN`` draws ``Generator.poisson`` from the
-run's second stream, ``spawn_key=(i, 0)``, instead.  A run's draws
+seeded with ``SeedSequence(entropy=options.seed, spawn_key=(i,))``, one
+uniform per step, and turns it into its vote count by inversion.  A step
+whose mean exceeds ``_INVERSION_MAX_MEAN`` draws ``Generator.poisson`` from
+the run's second stream, ``spawn_key=(i, 0)``, instead.  A run's draws
 therefore depend only on the seed, its index and its own history, not on
-how many runs share the ensemble or on the order they are reported in.
+how many runs share the ensemble or on the order they are reported in, so
+``simulate_once`` of the same arguments and ``run_index=i`` reproduces it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .vote_dynamics import (
 __all__ = [
     "ARRIVAL_MODES",
     "PROMOTION_QUANTILES",
-    "StochasticRunConfig",
     "EnsembleSummary",
     "simulate_once",
     "ensemble",
@@ -88,40 +88,31 @@ _UNIFORM_BLOCK = 128
 _SEGMENT_RUN_STEPS = 16384
 
 
-@dataclass(frozen=True, kw_only=True)
-class StochasticRunConfig(EnsembleOptions):
-    """An ``[ensemble]`` record with the story it runs: everything that
-    determines an ensemble, including the seed.
-
-    ``runs``, ``seed`` and ``arrival_mode`` and their defaults are those of
-    :class:`~frontpage.core.EnsembleOptions`.  ``arrival_mode`` "poisson"
-    draws vote counts; "mean" degenerately replaces every draw by its
-    expectation, reproducing the deterministic integrator bit for bit (used
-    as a self-test of the harness).
-    """
-
-    story: StoryConfig
-    params: VoteModelParams
-    policy: PromotionPolicy
-    horizon: float = _bounded("> 0")
-
-
 @dataclass(frozen=True)
 class EnsembleSummary(_Record):
     """Per-time and promotion statistics over an ensemble.
 
-    ``promotion_times`` holds NaN for runs that never promoted;
+    ``final_votes`` and ``promotion_times`` hold one entry per run;
+    ``promotion_times`` holds NaN for runs that never promoted, and
     ``promotion_time_quantiles`` is empty when no run promoted.
     """
 
     times: np.ndarray = _series("strictly increasing")
     mean_votes: np.ndarray = _series("nondecreasing")
     std_votes: np.ndarray = _series(None)
-    final_votes: np.ndarray  # one entry per run, as promotion_times
+    final_votes: np.ndarray
     promotion_times: np.ndarray
     promotion_probability: float = _bounded("in [0, 1]")
     promotion_time_quantiles: dict[float, float]
-    n_runs: int
+    n_runs: int = _bounded("an integer >= 1")
+
+    def _violations(self, broken: set[str]) -> list[str]:
+        n = self.n_runs
+        return [] if "n_runs" in broken else [
+            f"{name} must be a 1-d array of n_runs ({n}) entries, got shape {shape}"
+            for name in ("final_votes", "promotion_times")
+            if (shape := np.shape(getattr(self, name))) != (n,)
+        ]
 
 
 def _quantile(ordered: list[float], q: float) -> float:
@@ -171,9 +162,10 @@ def _poisson_by_inversion(mean: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(
-    config: StochasticRunConfig, runs: Sequence[int]
+    story: StoryConfig, params: VoteModelParams, policy: PromotionPolicy,
+    horizon: float, seed: int, runs: Sequence[int],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Step the given runs of ``config`` together over the horizon.
+    """Step the given runs of an ensemble of ``seed`` together over the horizon.
 
     Yields one ``(width x runs)`` block of vote counts per segment of
     steps, row ``i`` holding the counts after the segment's ``i``-th step,
@@ -194,13 +186,12 @@ def _lockstep(
     add in Python ints, so a count past int64 raises OverflowError; a mean
     past what ``Generator.poisson`` draws raises ValueError naming the step.
     """
-    story, params = config.story, config.params
-    n_steps = step_count(config.horizon, params.dt)
+    n_steps = step_count(horizon, params.dt)
     rate = RateKernel(story, params, n_steps)
-    threshold = promotion_threshold_for(config.policy, story)
+    threshold = promotion_threshold_for(policy, story)
     scale = story.interestingness_r * params.dt
 
-    streams = [_rng_for_run(config.seed, i) for i in runs]
+    streams = [_rng_for_run(seed, i) for i in runs]
     large_streams: dict[int, np.random.Generator] = {}
     chunk = min(n_steps, _UNIFORM_BLOCK)
     uniforms = np.empty((len(runs), chunk))
@@ -231,7 +222,7 @@ def _lockstep(
             block[0, small] += _poisson_by_inversion(mean[0, small], u[0, small])
             for j in np.flatnonzero(large[0]):
                 if j not in large_streams:
-                    large_streams[j] = _rng_for_run(config.seed, runs[j], 0)
+                    large_streams[j] = _rng_for_run(seed, runs[j], 0)
                 try:
                     draw = large_streams[j].poisson(mean[0, j])
                 except ValueError:  # numpy's bare "lam value too large"
@@ -278,26 +269,29 @@ def _lockstep(
         yield np.concatenate(blocks) if len(blocks) > 1 else blocks[0], promo_step
 
 
-def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajectory:
-    """One stochastic realization (run ``run_index`` of the ensemble).
+def simulate_once(
+    story: StoryConfig, params: VoteModelParams, policy: PromotionPolicy,
+    horizon: float, options: EnsembleOptions = EnsembleOptions(), run_index: int = 0,
+) -> VoteTrajectory:
+    """One stochastic realization: run ``run_index`` of the ensemble of the
+    same arguments.
 
     Mirrors the deterministic integrator step for step: the rate is
     evaluated at the step midpoint from the pre-step vote count and
     promotion status, the step's votes are drawn, and the promotion rule
     is checked after the update.  In "mean" arrival mode this is exactly
-    the deterministic trajectory.
+    the deterministic trajectory.  ``options.runs`` is not read.
     """
     run_index = _check(run_index, "an integer >= 0", "run_index")
-    if config.arrival_mode == "mean":
-        return integrate_votes(
-            config.story, config.params, config.policy, config.horizon
-        )
-    n_steps = step_count(config.horizon, config.params.dt)
-    times = np.arange(n_steps + 1, dtype=float) * config.params.dt
+    if options.arrival_mode == "mean":
+        return integrate_votes(story, params, policy, horizon)
+    n_steps = step_count(horizon, params.dt)
+    times = np.arange(n_steps + 1, dtype=float) * params.dt
     votes = np.empty(n_steps + 1, dtype=np.int64)
     votes[0] = 1
     k = 1
-    for block, promo_step in _lockstep(config, [run_index]):
+    lockstep = _lockstep(story, params, policy, horizon, options.seed, [run_index])
+    for block, promo_step in lockstep:
         votes[k : k + len(block)] = block[:, 0]
         k += len(block)
     step = int(promo_step[0])
@@ -308,15 +302,19 @@ def simulate_once(config: StochasticRunConfig, run_index: int = 0) -> VoteTrajec
     )
 
 
-def ensemble(config: StochasticRunConfig) -> EnsembleSummary:
-    """Run the configured ensemble and aggregate across runs at each step.
+def ensemble(
+    story: StoryConfig, params: VoteModelParams, policy: PromotionPolicy,
+    horizon: float, options: EnsembleOptions = EnsembleOptions(),
+) -> EnsembleSummary:
+    """Run ``options.runs`` runs of the vote model over ``horizon`` minutes
+    and aggregate across runs at each step.
 
     In "mean" arrival mode every run is the deterministic trajectory, so
     it is integrated once and shared by all runs.
     """
-    story, params, runs = config.story, config.params, config.runs
-    if config.arrival_mode == "mean":
-        only = integrate_votes(story, params, config.policy, config.horizon)
+    runs = options.runs
+    if options.arrival_mode == "mean":
+        only = integrate_votes(story, params, policy, horizon)
         times = only.times
         mean = only.votes_m
         std = np.zeros(times.size)
@@ -324,13 +322,14 @@ def ensemble(config: StochasticRunConfig) -> EnsembleSummary:
         th = only.promotion_time_Th
         promo = np.full(runs, np.nan if th is None else th)
     else:
-        n_steps = step_count(config.horizon, params.dt)
+        n_steps = step_count(horizon, params.dt)
         times = np.arange(n_steps + 1, dtype=float) * params.dt
         mean = np.empty(n_steps + 1)
         std = np.zeros(n_steps + 1)
         mean[0] = 1.0
         k = 1
-        for block, promo_step in _lockstep(config, range(runs)):
+        lockstep = _lockstep(story, params, policy, horizon, options.seed, range(runs))
+        for block, promo_step in lockstep:
             rows = slice(k, k + len(block))
             mean[rows] = block.mean(axis=1)
             if runs > 1:

@@ -227,7 +227,10 @@ def promotion_threshold_for(policy: PromotionPolicy, story: StoryConfig) -> floa
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Number of ``dt`` steps in ``horizon``; ValueError unless whole and few enough."""
+    """Number of ``dt`` steps in ``horizon``; ValueError unless ``horizon``
+    is > 0 and a whole number of steps, and the steps few enough.  Every
+    entry point of the vote model checks its horizon here."""
+    _check(horizon, "> 0", "horizon")
     steps = horizon / dt
     if not steps <= _MAX_STEPS:
         raise ValueError(

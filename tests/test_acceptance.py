@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from frontpage import (
+    EnsembleOptions,
     FixedThreshold,
     NetworkProportional,
     RankModelParams,
     RunOptions,
-    StochasticRunConfig,
     StoryConfig,
     UserState,
     VoteModelParams,
@@ -149,15 +149,13 @@ def test_criterion_6_binomial_oracles():
 
 
 def test_criterion_7_monte_carlo_consistency():
-    config = StochasticRunConfig(
-        story=StoryConfig(interestingness_r=0.5, submitter_network_S=0),
-        params=FRIENDS_OFF,
-        policy=NEVER,
-        horizon=1440.0,
-        seed=20260823,
-        runs=2000,
+    summary = ensemble(
+        StoryConfig(interestingness_r=0.5, submitter_network_S=0),
+        FRIENDS_OFF,
+        NEVER,
+        1440.0,
+        EnsembleOptions(seed=20260823, runs=2000),
     )
-    summary = ensemble(config)
     closed = analytic_upcoming_saturation(0.5, FRIENDS_OFF)
     se = summary.final_votes.std(ddof=1) / math.sqrt(summary.n_runs)
     ok = abs(float(summary.final_votes.mean()) - closed) <= 3 * se
@@ -205,12 +203,10 @@ def test_criterion_9_determinism(tmp_path):
     b = integrate_votes(story, DEFAULTS, FixedThreshold(h=40), 1440.0)
     ok = np.array_equal(a.votes_m, b.votes_m)
 
-    config = StochasticRunConfig(
-        story=story, params=DEFAULTS, policy=FixedThreshold(h=40),
-        horizon=360.0, seed=5, runs=40,
-    )
+    config = story, DEFAULTS, FixedThreshold(h=40), 360.0
+    options = EnsembleOptions(seed=5, runs=40)
     ok = ok and np.array_equal(
-        ensemble(config).mean_votes, ensemble(config).mean_votes
+        ensemble(*config, options).mean_votes, ensemble(*config, options).mean_votes
     )
 
     ini = tmp_path / "scenario.ini"

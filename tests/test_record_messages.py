@@ -23,6 +23,7 @@ import pytest
 
 from frontpage import core
 from frontpage.core import (
+    ARRIVAL_MODES,
     EnsembleOptions,
     FixedThreshold,
     FriendVoteObservation,
@@ -42,13 +43,8 @@ from frontpage.fitting import (
     success_rate_series,
 )
 from frontpage.rank_dynamics import RankTrajectory, rank_proxy, success_rate
-from frontpage.stochastic_sim import (
-    EnsembleSummary,
-    StochasticRunConfig,
-    ensemble,
-    simulate_once,
-)
-from frontpage.vote_dynamics import analytic_upcoming_saturation
+from frontpage.stochastic_sim import EnsembleSummary, ensemble, simulate_once
+from frontpage.vote_dynamics import analytic_upcoming_saturation, integrate_votes
 
 NAN, INF = math.nan, math.inf
 HUGE = 10**400  # an int past the float range: math.isfinite overflows on it
@@ -404,21 +400,38 @@ def test_each_bad_value_gets_its_exact_message(cls, changes, message):
     assert str(info.value) == message
 
 
-def _ensemble_config(**changes):
-    return StochasticRunConfig(
-        story=StoryConfig(interestingness_r=0.5), params=VoteModelParams(),
-        policy=FixedThreshold(), **changes,
-    )
+def _model(horizon):
+    """The arguments ``integrate_votes``, ``ensemble`` and ``simulate_once`` share."""
+    return (StoryConfig(interestingness_r=0.5), VoteModelParams(), FixedThreshold(),
+            horizon)
 
 
-@pytest.mark.parametrize("horizon", [0.0, NAN, INF, "x", HUGE])
-def test_ensemble_horizon_is_a_declared_bound(horizon):
-    with pytest.raises(ParameterError) as info:
-        _ensemble_config(horizon=horizon, runs=100_001)
-    assert str(info.value) == (
-        "runs must be an integer in [1, 100000], got 100001; "
-        f"horizon must be > 0, got {horizon}"
-    )
+@pytest.mark.parametrize(
+    "horizon, message",
+    [
+        (NAN, "horizon must be > 0, got nan"),
+        (INF, "horizon must be > 0, got inf"),
+        (0.0, "horizon must be > 0, got 0.0"),
+        (-5.0, "horizon must be > 0, got -5.0"),
+        ("x", "horizon must be > 0, got x"),
+        (HUGE, f"horizon must be > 0, got {HUGE}"),
+        (2880.5, "horizon (2880.5) must be a whole number of dt (1.0) steps"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "text", "huge", "fractional-step"],
+)
+@pytest.mark.parametrize("mode", ARRIVAL_MODES)
+def test_the_vote_model_checks_its_horizon_once(horizon, message, mode):
+    # integrate_votes, ensemble and simulate_once read it through step_count
+    options = EnsembleOptions(runs=2, arrival_mode=mode)
+    for call in (
+        lambda: integrate_votes(*_model(horizon)),
+        lambda: ensemble(*_model(horizon), options),
+        lambda: simulate_once(*_model(horizon), options),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
 
 def _numeric_fields():
@@ -431,9 +444,6 @@ def _numeric_fields():
         for field in dataclasses.fields(cls):
             if field.type in ("int", "float"):
                 yield cls, field
-    for field in dataclasses.fields(StochasticRunConfig):
-        if field.name == "horizon":
-            yield StochasticRunConfig, field
 
 
 @pytest.mark.parametrize(
@@ -448,7 +458,7 @@ def test_every_numeric_field_declares_its_bound(cls, field, value):
     assert "bound" in field.metadata
     kwargs = dict(REQUIRED.get(cls, {}), **{field.name: value})
     with pytest.raises(ParameterError) as info:
-        _ensemble_config(**kwargs) if cls is StochasticRunConfig else cls(**kwargs)
+        cls(**kwargs)
     assert str(info.value) == (
         f"{field.name} must be {field.metadata['bound']}, got {value}"
     )
@@ -495,6 +505,13 @@ RESULT_MESSAGES = [
      "promotion_time_Th must be finite or None, got inf"),
     (VoteTrajectory, {"promotion_time_Th": "x"},
      "promotion_time_Th must be finite or None, got x"),
+    # a series that is not finite gets only that message (NaN passes any order)
+    (VoteTrajectory, {"times": [0.0, NAN, 2.0], "votes_m": [1, NAN, 1]},
+     "times must be finite; votes_m must be finite"),
+    (VoteTrajectory, {"times": [0.0, 1.0, INF]}, "times must be finite"),
+    (VoteTrajectory, {"votes_m": [NAN, 2.0, 2.0]}, "votes_m must be finite"),
+    (VoteTrajectory, {"votes_m": [1, -INF, 2]}, "votes_m must be finite"),
+    (VoteTrajectory, {"votes_m": [1, HUGE, HUGE]}, "votes_m must be finite"),
     # RankTrajectory
     (RankTrajectory, {"weeks": []}, "weeks must be a non-empty 1-d array"),
     (RankTrajectory, {"weeks": [[0.0], [1.0], [2.0]]},
@@ -512,6 +529,10 @@ RESULT_MESSAGES = [
      "network_S must be nonnegative and nondecreasing"),
     (RankTrajectory, {"network_S": [5.0, 4.0, 7.0]},
      "network_S must be nonnegative and nondecreasing"),
+    (RankTrajectory, {"weeks": [0.0, NAN, 2.0]}, "weeks must be finite"),
+    (RankTrajectory, {"front_page_F": [0.0, NAN, 1.5]},
+     "front_page_F must be finite"),
+    (RankTrajectory, {"network_S": [5.0, 5.0, INF]}, "network_S must be finite"),
     # EnsembleSummary
     (EnsembleSummary, {"promotion_probability": 1.5},
      "promotion_probability must be in [0, 1], got 1.5"),
@@ -519,6 +540,8 @@ RESULT_MESSAGES = [
      "promotion_probability must be in [0, 1], got nan"),
     (EnsembleSummary, {"mean_votes": [1.0, 2.0, 1.5]},
      "mean_votes must be nondecreasing"),
+    (EnsembleSummary, {"mean_votes": [1.0, NAN, 2.0]}, "mean_votes must be finite"),
+    (EnsembleSummary, {"std_votes": [0.0, INF, 0.5]}, "std_votes must be finite"),
 
     # Two violations, listed in the order the record checks them.
     (VoteTrajectory, {"times": [0.0, 1.0, 1.0], "promotion_time_Th": NAN},
@@ -565,8 +588,20 @@ def test_each_bad_result_gets_its_exact_message(cls, changes, message):
         ({"times": [0.0, 0.0, 1.0], "mean_votes": [1.0, 1.5], "std_votes": [0.0]},
          "mean_votes shape (2,) does not match times shape (3,); "
          "std_votes shape (1,) does not match times shape (3,)"),
+        # the per-run arrays hold one entry per run
+        ({"final_votes": [1.0], "promotion_times": [1.0, 2.0, 3.0], "n_runs": 7},
+         "final_votes must be a 1-d array of n_runs (7) entries, got shape (1,); "
+         "promotion_times must be a 1-d array of n_runs (7) entries, got shape (3,)"),
+        ({"final_votes": [[2.0, 2.0]]},
+         "final_votes must be a 1-d array of n_runs (2) entries, got shape (1, 2)"),
+        ({"promotion_times": NAN},
+         "promotion_times must be a 1-d array of n_runs (2) entries, got shape ()"),
+        ({"n_runs": 0}, "n_runs must be an integer >= 1, got 0"),
     ],
-    ids=["repeated-times", "empty-times", "short-mean", "short-std", "all-three"],
+    ids=[
+        "repeated-times", "empty-times", "short-mean", "short-std", "all-three",
+        "per-run-lengths", "per-run-2d", "per-run-scalar", "no-runs",
+    ],
 )
 def test_ensemble_summary_rejects_inconsistent_series(changes, message):
     with pytest.raises(ParameterError) as info:
@@ -674,9 +709,9 @@ FUNCTION_MESSAGES = [
     (lambda: rank_proxy(1.0, kappa=0.0), "kappa must be > 0, got 0.0"),
     (lambda: analytic_upcoming_saturation(1.5, VoteModelParams()),
      "r must be in [0, 1], got 1.5"),
-    (lambda: simulate_once(_ensemble_config(horizon=10.0), run_index=-1),
+    (lambda: simulate_once(*_model(10.0), run_index=-1),
      "run_index must be an integer >= 0, got -1"),
-    (lambda: simulate_once(_ensemble_config(horizon=10.0), run_index=0.5),
+    (lambda: simulate_once(*_model(10.0), run_index=0.5),
      "run_index must be an integer >= 0, got 0.5"),
 ]
 
@@ -699,10 +734,12 @@ def _same_summary(a, b) -> bool:
 
 @pytest.mark.parametrize("field, value", [("runs", 5), ("seed", 3)])
 def test_an_integral_float_ensemble_field_runs_as_its_int(field, value):
-    by_float = _ensemble_config(horizon=60.0, **{field: float(value)})
-    by_int = _ensemble_config(horizon=60.0, **{field: value})
+    by_float = EnsembleOptions(**{field: float(value)})
+    by_int = EnsembleOptions(**{field: value})
     assert type(getattr(by_float, field)) is int
-    assert _same_summary(ensemble(by_float), ensemble(by_int))
+    assert _same_summary(
+        ensemble(*_model(60.0), by_float), ensemble(*_model(60.0), by_int)
+    )
 
 
 @pytest.mark.parametrize("mode", ["exact", "tail"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontpage import (
+    EnsembleOptions,
     FixedThreshold,
     ParameterError,
-    StochasticRunConfig,
+    PromotionPolicy,
     StoryConfig,
     VoteModelParams,
 )
-from frontpage.core import EnsembleOptions
 from frontpage.stochastic_sim import (
     _INVERSION_MAX_MEAN,
     _SEGMENT_RUN_STEPS,
@@ -38,17 +39,26 @@ from frontpage.vote_dynamics import (
 from channel_rates import channel_rates, total_rate
 
 
-def _config(**overrides):
-    defaults = dict(
-        story=StoryConfig(interestingness_r=0.5, submitter_network_S=0),
-        params=VoteModelParams(sm_alpha=0.0, sm_beta=0.0),
-        policy=FixedThreshold(h=1000),
-        horizon=360.0,
-        seed=42,
-        runs=1,
-    )
-    defaults.update(overrides)
-    return StochasticRunConfig(**defaults)
+class Config(NamedTuple):
+    """The arguments of ``ensemble``, in order: ``ensemble(*config)``."""
+
+    story: StoryConfig
+    params: VoteModelParams
+    policy: PromotionPolicy
+    horizon: float
+    options: EnsembleOptions
+
+
+def _config(
+    story=StoryConfig(interestingness_r=0.5, submitter_network_S=0),
+    params=VoteModelParams(sm_alpha=0.0, sm_beta=0.0),
+    policy=FixedThreshold(h=1000),
+    horizon=360.0,
+    **options,
+):
+    """The arguments of an ensemble; ``options`` are ``[ensemble]`` fields."""
+    options = {"seed": 42, "runs": 1, **options}
+    return Config(story, params, policy, horizon, EnsembleOptions(**options))
 
 
 def test_config_validation():
@@ -58,35 +68,28 @@ def test_config_validation():
         _config(seed=-1)
     with pytest.raises(ParameterError, match="arrival_mode"):
         _config(arrival_mode="gaussian")
-    with pytest.raises(ParameterError, match="horizon"):
-        _config(horizon=-5.0)
 
 
-def test_config_is_an_ensemble_record_with_its_story():
-    config = StochasticRunConfig(
-        story=StoryConfig(interestingness_r=0.5), params=VoteModelParams(),
-        policy=FixedThreshold(), horizon=60.0,
+def test_options_default_to_the_ensemble_record():
+    model = _config(horizon=60.0)[:4]
+    default, explicit = ensemble(*model), ensemble(*model, EnsembleOptions())
+    assert default.n_runs == explicit.n_runs == 100
+    np.testing.assert_array_equal(default.final_votes, explicit.final_votes)
+    np.testing.assert_array_equal(
+        simulate_once(*model).votes_m, simulate_once(*model, EnsembleOptions()).votes_m
     )
-    assert isinstance(config, EnsembleOptions)
-    assert (config.runs, config.seed, config.arrival_mode) == (100, 0, "poisson")
-    with pytest.raises(
-        ParameterError,
-        match=r"^runs must be an integer in \[1, 100000\], got 100001; "
-        r"horizon must be > 0, got 0.0$",
-    ):
-        _config(horizon=0.0, runs=100_001)
 
 
 def test_zero_interest_never_votes():
     config = _config(story=StoryConfig(interestingness_r=0.0, submitter_network_S=400))
     for run_index in (0, 1, 17):
-        traj = simulate_once(config, run_index=run_index)
+        traj = simulate_once(*config, run_index=run_index)
         assert np.all(traj.votes_m == 1)
         assert traj.promotion_time_Th is None
 
 
 def test_trajectories_are_integer_and_monotone():
-    traj = simulate_once(_config(), run_index=3)
+    traj = simulate_once(*_config(), run_index=3)
     assert traj.votes_m.dtype == np.int64
     assert traj.votes_m[0] == 1
     assert np.all(np.diff(traj.votes_m) >= 0)
@@ -97,7 +100,7 @@ def test_mean_mode_reproduces_integrator_exactly():
     deterministic = integrate_votes(
         config.story, config.params, config.policy, config.horizon
     )
-    stochastic = simulate_once(config)
+    stochastic = simulate_once(*config)
     assert np.array_equal(stochastic.votes_m, deterministic.votes_m)
     assert stochastic.promotion_time_Th == deterministic.promotion_time_Th
 
@@ -111,7 +114,7 @@ def test_mean_mode_reproduces_integrator_exactly():
         promoting.story, promoting.params, promoting.policy, promoting.horizon
     )
     assert deterministic.promotion_time_Th is not None
-    summary = ensemble(promoting)
+    summary = ensemble(*promoting)
     assert np.array_equal(summary.mean_votes, deterministic.votes_m)
     assert np.all(summary.std_votes == 0.0)
     assert np.all(summary.final_votes == deterministic.votes_m[-1])
@@ -120,21 +123,21 @@ def test_mean_mode_reproduces_integrator_exactly():
 
 
 def test_same_seed_same_trajectory():
-    a = simulate_once(_config(), run_index=5)
-    b = simulate_once(_config(), run_index=5)
+    a = simulate_once(*_config(), run_index=5)
+    b = simulate_once(*_config(), run_index=5)
     assert np.array_equal(a.votes_m, b.votes_m)
 
 
 def test_runs_are_distinct():
-    a = simulate_once(_config(), run_index=0)
-    b = simulate_once(_config(), run_index=1)
+    a = simulate_once(*_config(), run_index=0)
+    b = simulate_once(*_config(), run_index=1)
     assert not np.array_equal(a.votes_m, b.votes_m)
 
 
 def test_single_run_ensemble_degenerates():
     config = _config(runs=1)
-    summary = ensemble(config)
-    only = simulate_once(config, run_index=0)
+    summary = ensemble(*config)
+    only = simulate_once(*config, run_index=0)
     np.testing.assert_array_equal(summary.mean_votes, only.votes_m)
     assert np.all(summary.std_votes == 0.0)
     assert summary.promotion_probability == 0.0
@@ -142,15 +145,15 @@ def test_single_run_ensemble_degenerates():
 
 
 def test_ensemble_is_deterministic():
-    a = ensemble(_config(runs=30))
-    b = ensemble(_config(runs=30))
+    a = ensemble(*_config(runs=30))
+    b = ensemble(*_config(runs=30))
     np.testing.assert_array_equal(a.mean_votes, b.mean_votes)
     np.testing.assert_array_equal(a.promotion_times, b.promotion_times)
 
 
 def test_ensemble_mean_tracks_closed_form():
     config = _config(runs=400, horizon=720.0, seed=99)
-    summary = ensemble(config)
+    summary = ensemble(*config)
     closed = analytic_upcoming_saturation(0.5, config.params)
     se = summary.final_votes.std(ddof=1) / np.sqrt(summary.n_runs)
     assert abs(summary.final_votes.mean() - closed) <= 3 * se
@@ -164,7 +167,7 @@ def test_strong_story_promotes_in_large_majority_of_runs():
         runs=1000,
         seed=7,
     )
-    summary = ensemble(config)
+    summary = ensemble(*config)
     assert summary.promotion_probability > 0.9
     # quantiles exist and are ordered
     qs = summary.promotion_time_quantiles
@@ -181,7 +184,7 @@ def test_promotion_time_matches_threshold_crossing():
         runs=1,
         seed=11,
     )
-    traj = simulate_once(config)
+    traj = simulate_once(*config)
     th = traj.promotion_time_Th
     assert th is not None
     i = int(np.searchsorted(traj.times, th))
@@ -216,7 +219,7 @@ def _reference_run(config, run_index):
     """
     story, params = config.story, config.params
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(run_index,))
+        np.random.SeedSequence(entropy=config.options.seed, spawn_key=(run_index,))
     )
     dt = params.dt
     threshold = promotion_threshold_for(config.policy, story)
@@ -247,10 +250,10 @@ def _ks_statistic(a, b):
 
 def test_collapsed_draw_matches_per_channel_sampler():
     reference = _config(**NEAR_THRESHOLD, seed=2026, runs=200)
-    ref = [_reference_run(reference, i) for i in range(reference.runs)]
+    ref = [_reference_run(reference, i) for i in range(reference.options.runs)]
     ref_final = np.array([final for final, _ in ref], dtype=float)
     ref_promo = np.array([t for _, t in ref if t is not None])
-    new = ensemble(_config(**NEAR_THRESHOLD, seed=2027, runs=2000))
+    new = ensemble(*_config(**NEAR_THRESHOLD, seed=2027, runs=2000))
     new_promo = new.promotion_times[~np.isnan(new.promotion_times)]
 
     se = math.hypot(
@@ -259,10 +262,10 @@ def test_collapsed_draw_matches_per_channel_sampler():
     )
     assert abs(new.final_votes.mean() - ref_final.mean()) <= 4 * se
 
-    p_ref = ref_promo.size / reference.runs
+    p_ref = ref_promo.size / reference.options.runs
     p_new = new.promotion_probability
     se = math.hypot(
-        math.sqrt(p_ref * (1 - p_ref) / reference.runs),
+        math.sqrt(p_ref * (1 - p_ref) / reference.options.runs),
         math.sqrt(p_new * (1 - p_new) / new.n_runs),
     )
     assert 0.0 < p_new < 1.0
@@ -280,14 +283,14 @@ def test_collapsed_draw_matches_per_channel_sampler():
     ids=["near_threshold", "huge_rate", "queue_only"],
 )
 def test_run_draws_depend_only_on_seed_and_index(setting):
-    wide = ensemble(_config(**setting, seed=31, runs=40))
-    narrow = ensemble(_config(**setting, seed=31, runs=10))
+    wide = ensemble(*_config(**setting, seed=31, runs=40))
+    narrow = ensemble(*_config(**setting, seed=31, runs=10))
     np.testing.assert_array_equal(narrow.final_votes, wide.final_votes[:10])
     np.testing.assert_array_equal(
         narrow.promotion_times, wide.promotion_times[:10]
     )
     for i in (0, 9, 39):
-        run = simulate_once(_config(**setting, seed=31), run_index=i)
+        run = simulate_once(*_config(**setting, seed=31), run_index=i)
         assert run.final_votes == wide.final_votes[i]
         th = run.promotion_time_Th
         assert (th is None and np.isnan(wide.promotion_times[i])) or (
@@ -297,9 +300,9 @@ def test_run_draws_depend_only_on_seed_and_index(setting):
 
 def test_huge_visit_rate_tracks_integrator():
     config = _config(**HUGE_RATE, seed=5, runs=200)
-    summary = ensemble(config)
+    summary = ensemble(*config)
     for i in (0, 1, 2):
-        traj = simulate_once(config, run_index=i)
+        traj = simulate_once(*config, run_index=i)
         assert traj.votes_m.dtype == np.int64
         assert np.all(np.diff(traj.votes_m) >= 0)
     # Every run promotes at the end of its first step, whose rate does not
@@ -316,7 +319,7 @@ def test_huge_visit_rate_tracks_integrator():
 def test_vote_count_past_int64_raises():
     params = VoteModelParams(visit_rate_N=1e17)
     with pytest.raises(OverflowError):
-        ensemble(_config(**{**HUGE_RATE, "params": params, "horizon": 1440.0}))
+        ensemble(*_config(**{**HUGE_RATE, "params": params, "horizon": 1440.0}))
 
 
 def test_full_interest_tracks_integrator():
@@ -326,8 +329,8 @@ def test_full_interest_tracks_integrator():
         seed=8,
         runs=400,
     )
-    summary = ensemble(config)
-    traj = simulate_once(config, run_index=4)
+    summary = ensemble(*config)
+    traj = simulate_once(*config, run_index=4)
     assert np.all(np.diff(traj.votes_m) >= 0)
     assert summary.promotion_probability == 0.0
     deterministic = integrate_votes(
@@ -418,7 +421,7 @@ def test_counts_past_the_cap_equal_the_reference():
         horizon=10.0, runs=2, seed=0,
     )
     _assert_matches_reference(config)
-    summary = ensemble(config)
+    summary = ensemble(*config)
     assert summary.promotion_probability == 0.0
     assert summary.final_votes.min() > 2e9
 
@@ -452,7 +455,7 @@ def _reference_lockstep(config, runs):
 
     def rng(*key):
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=key)
+            np.random.SeedSequence(entropy=config.options.seed, spawn_key=key)
         )
 
     streams = [rng(i) for i in runs]
@@ -488,7 +491,7 @@ def _reference_lockstep(config, runs):
 def _reference_summary(config):
     """Every ``EnsembleSummary`` field of a Poisson-mode ensemble, with the
     mean and spread taken across runs one step at a time."""
-    runs, dt = config.runs, config.params.dt
+    runs, dt = config.options.runs, config.params.dt
     n_steps = step_count(config.horizon, dt)
     times = np.arange(n_steps + 1, dtype=float) * dt
     mean = np.empty(n_steps + 1)
@@ -521,7 +524,7 @@ def _reference_summary(config):
 
 def _assert_matches_reference(config):
     want = _reference_summary(config)
-    got = ensemble(config)
+    got = ensemble(*config)
     for field in dataclasses.fields(EnsembleSummary):
         a, b = getattr(got, field.name), want[field.name]
         if isinstance(b, np.ndarray):
@@ -529,8 +532,8 @@ def _assert_matches_reference(config):
             assert np.array_equal(a, b, equal_nan=True), field.name
         else:
             assert a == b, field.name
-    last = config.runs - 1
-    run = simulate_once(config, run_index=last)
+    last = config.options.runs - 1
+    run = simulate_once(*config, run_index=last)
     ref = [1] + [int(m[0]) for m, _ in _reference_lockstep(config, [last])]
     assert run.votes_m.tolist() == ref
     th = want["promotion_times"][last]
@@ -542,7 +545,7 @@ def _segment_edges(config):
     """First and last steps of the segments a run of ``config`` can have."""
     n_steps = step_count(config.horizon, config.params.dt)
     chunk = min(n_steps, _UNIFORM_BLOCK)
-    widest = max(1, min(chunk, _SEGMENT_RUN_STEPS // config.runs))
+    widest = max(1, min(chunk, _SEGMENT_RUN_STEPS // config.options.runs))
     steps = np.arange(n_steps)
     row = (steps % chunk) % widest
     first = row == 0
