@@ -135,8 +135,6 @@ _EXPORTS = {
         "RankTrajectory",
         "integrate_rank",
         "rank_proxies",
-        "rank_proxy",
-        "step_week",
     ),
     "stochastic_sim": (
         "EnsembleSummary",

@@ -8,9 +8,9 @@ promotion.  Iterating the two coupled updates week over week produces the
 rich-get-richer growth seen in active users' histories, and stagnation
 once submissions stop.
 
-The weekly update is written once, in :func:`_step`, on Python floats:
-:func:`step_week` wraps it for one :class:`UserState` and
-:func:`integrate_rank` loops it over a run, building no record per week.
+Each rule is written once: :func:`_step` is the weekly update, on Python
+floats, with the unclipped success law ``c_success * S``;
+:func:`integrate_rank` loops it, and :func:`rank_proxies` is ``kappa / F``.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ import numpy as np
 from . import _check
 from .core import RankModelParams, RunOptions, UserState, _Record, _series
 
-__all__ = [
-    "RankTrajectory",
-    "success_rate",
-    "rank_proxy",
-    "rank_proxies",
-    "step_week",
-    "integrate_rank",
-]
+__all__ = ["RankTrajectory", "rank_proxies", "integrate_rank"]
 
 
 @dataclass(frozen=True)
@@ -43,39 +36,23 @@ class RankTrajectory(_Record):
     network_S: np.ndarray = _series("nonnegative and nondecreasing")
 
 
-def success_rate(network_S: float, params: RankModelParams) -> float:
-    """Fraction of a user's submissions that reach the front page.
-
-    Linear in network size — each reverse friend adds a fixed increment
-    of early-vote support.  The line is a fit over observed network
-    sizes and is not clipped at 1.
-    """
-    _check(network_S, ">= 0", "network_S")
-    return params.c_success * network_S
-
-
-def rank_proxy(front_page_F: float, kappa: float = 1.0) -> float | None:
-    """Rank stand-in ``kappa / F``: rank improves (shrinks) as F grows.
-
-    Returns None while the user has no front-page stories ("unranked").
-    Ties and activity-based tie-breaking are deliberately out of model:
-    the proxy is a strict function of F alone.
-    """
-    _check(front_page_F, ">= 0", "front_page_F")
-    with np.errstate(over="ignore"):  # as Python's float division: inf
-        [proxy] = rank_proxies(np.array([front_page_F], dtype=float), kappa).tolist()
-    return None if math.isnan(proxy) else proxy
-
-
 def rank_proxies(front_page_F: np.ndarray, kappa: float = 1.0) -> np.ndarray:
-    """:func:`rank_proxy` of each F of a column, NaN where it is None.
+    """Rank stand-in ``kappa / F`` of each F of a column, NaN while F = 0.
 
     ``kappa`` is checked; the column is not, as :class:`RankTrajectory`
-    checks a trajectory's F.
+    checks a trajectory's F.  OverflowError if a proxy overflows floating point.
     """
     _check(kappa, "> 0", "kappa")
     F = np.asarray(front_page_F, dtype=float)
-    return np.divide(float(kappa), F, out=np.full_like(F, np.nan), where=F != 0.0)
+    try:
+        with np.errstate(over="raise"):
+            return np.divide(float(kappa), F, out=np.full_like(F, np.nan),
+                             where=F != 0.0)
+    except FloatingPointError:
+        nonzero = F[F != 0.0]
+        f = nonzero[np.nanargmin(np.abs(nonzero))]
+        raise OverflowError(f"rank_proxy column: kappa ({kappa}) / front_page_F ({f}) "
+                            "overflows floating point") from None
 
 
 def _step(F: float, S: float, M: float, params: RankModelParams) -> tuple[float, float]:
@@ -99,14 +76,6 @@ def _step(F: float, S: float, M: float, params: RankModelParams) -> tuple[float,
     return F, S
 
 
-def step_week(state: UserState, params: RankModelParams) -> UserState:
-    """Advance one week by :func:`_step`; the submission rate carries over.
-    OverflowError if either value grows past floating point."""
-    M = state.submission_rate_M
-    F, S = _step(state.front_page_F, state.network_S, M, params)
-    return UserState(front_page_F=F, network_S=S, submission_rate_M=M)
-
-
 def integrate_rank(
     initial: UserState, params: RankModelParams, run: RunOptions
 ) -> RankTrajectory:
@@ -115,11 +84,14 @@ def integrate_rank(
     ``run.M_schedule`` optionally varies the submission rate week by week,
     with one entry per week; the record has checked both.  When it is None,
     the initial state's rate is used throughout.  OverflowError, naming the
-    week, if F or S grows past floating point.
+    week, if F or S grows past floating point, or the week column does.
     """
     weeks, schedule = run.weeks, run.M_schedule
     if schedule is None:
         schedule = itertools.repeat(initial.submission_rate_M, weeks)
+    if not math.isfinite(weeks * float(params.dt_weeks)):
+        raise OverflowError(f"week column: weeks ({weeks}) * dt_weeks "
+                            f"({params.dt_weeks}) overflows floating point")
     w = np.arange(weeks + 1, dtype=float) * params.dt_weeks
     f = np.empty(weeks + 1, dtype=float)
     s = np.empty(weeks + 1, dtype=float)

@@ -550,6 +550,36 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"rank": {"dt_weeks": "1e308"}, "run": {"weeks": "2"}},
+             "week column: weeks (2) * dt_weeks (1e+308) overflows floating point"),
+            ({"user": {"front_page_F": "1e-320"}, "run": {"rank_kappa": "1e300"}},
+             "rank_proxy column: kappa (1e+300) / front_page_F (1e-320) "
+             "overflows floating point"),
+        ],
+        ids=["week", "rank_proxy"],
+    )
+    def test_overflowing_rank_column_names_its_inputs(
+        self, tmp_path, capsys, changes, message, fmt
+    ):
+        sections = {
+            "rank": {},
+            "user": {"front_page_F": "5", "network_S": "50",
+                     "submission_rate_M": "2.0"},
+            "run": {},
+        }
+        for name, keys in changes.items():
+            sections[name].update(keys)
+        ini = write_ini(tmp_path / "rank.ini", sections)
+        out = tmp_path / "o"
+        argv = ["simulate", "rank", "--config", str(ini), "--out", str(out)]
+        assert main([*argv, "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,header,rows",
         [

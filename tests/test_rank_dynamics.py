@@ -6,54 +6,35 @@ import pytest
 
 from frontpage import RankModelParams, RunOptions, UserState
 from frontpage.cli import load_config
-from frontpage.rank_dynamics import (
-    integrate_rank,
-    rank_proxies,
-    rank_proxy,
-    step_week,
-    success_rate,
-)
+from frontpage.rank_dynamics import _step, integrate_rank, rank_proxies
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_step_week_direct_evaluation():
+def test_step_direct_evaluation():
     # dF = 0.002 * 100 * 10 = 2; dS = 0.03 * 50 + 1.0 * 2 = 3.5
-    state = UserState(front_page_F=50.0, network_S=100.0, submission_rate_M=10.0)
-    after = step_week(state, RankModelParams())
-    assert after.front_page_F == pytest.approx(52.0)
-    assert after.network_S == pytest.approx(103.5)
-    assert after.submission_rate_M == 10.0
+    F, S = _step(50.0, 100.0, 10.0, RankModelParams())
+    assert F == pytest.approx(52.0)
+    assert S == pytest.approx(103.5)
 
 
-def test_step_week_stagnant_user():
-    state = UserState(front_page_F=50.0, network_S=100.0, submission_rate_M=0.0)
-    after = step_week(state, RankModelParams())
-    assert after.front_page_F == 50.0  # no submissions, no promotions
-    assert after.network_S == pytest.approx(101.5)  # standing growth only
+def test_step_stagnant_user():
+    F, S = _step(50.0, 100.0, 0.0, RankModelParams())
+    assert F == 50.0  # no submissions, no promotions
+    assert S == pytest.approx(101.5)  # standing growth only
 
 
-def test_step_week_frozen_dynamics():
-    state = UserState(front_page_F=3.0, network_S=7.0, submission_rate_M=4.0)
+def test_step_frozen_dynamics():
     params = RankModelParams(a=0.0, b=0.0, c_success=0.0)
-    assert step_week(state, params) == state
+    assert _step(3.0, 7.0, 4.0, params) == (3.0, 7.0)
 
 
-def test_success_rate_linear_unclipped():
-    params = RankModelParams()
-    assert success_rate(0.0, params) == 0.0
-    assert success_rate(100.0, params) == pytest.approx(0.2)
-    assert success_rate(1000.0, params) == pytest.approx(2.0)
-
-
-def test_rank_proxy():
-    assert rank_proxy(50.0, kappa=1000.0) == pytest.approx(20.0)
-    assert rank_proxy(100.0) == pytest.approx(rank_proxy(50.0) / 2)
-    assert rank_proxy(0.0) is None
-    with pytest.raises(ValueError):
-        rank_proxy(-1.0)
-    with pytest.raises(ValueError):
-        rank_proxy(10.0, kappa=0.0)
+@pytest.mark.parametrize("S, rate", [(0.0, 0.0), (100.0, 0.2), (1000.0, 2.0)])
+def test_success_law_linear_unclipped(S, rate):
+    """With one submission a week and no network growth, F gains the
+    success rate ``c_success * S``, past 1 when S is large."""
+    F, _ = _step(0.0, S, 1.0, RankModelParams(a=0.0, b=0.0))
+    assert F == pytest.approx(rate)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1000.0, 3, 0.7])
@@ -63,11 +44,34 @@ def test_rank_proxies_is_the_proxy_of_each_F_as_Python_divides(kappa):
     assert proxies.dtype == np.float64
     for f, proxy in zip(F.tolist(), proxies.tolist()):
         if f == 0.0:
-            assert np.isnan(proxy) and rank_proxy(f, kappa) is None
+            assert np.isnan(proxy)
         else:
-            assert proxy == kappa / f == rank_proxy(f, kappa)
+            assert proxy == kappa / f
     with pytest.raises(ValueError, match="kappa must be > 0, got -1"):
         rank_proxies(F, -1)
+
+
+@pytest.mark.parametrize("over", ["ignore", "warn", "raise"])
+def test_an_overflowing_proxy_names_kappa_and_the_smallest_F(over):
+    F = np.array([0.0, 3e-320, 1e-320, 5.0])
+    with np.errstate(over=over):
+        with pytest.raises(OverflowError) as info:
+            rank_proxies(F, kappa=1e300)
+    assert str(info.value) == (
+        "rank_proxy column: kappa (1e+300) / front_page_F (1e-320) "
+        "overflows floating point"
+    )
+
+
+@pytest.mark.parametrize("over", ["ignore", "warn", "raise"])
+def test_an_overflowing_week_column_names_weeks_and_dt_weeks(over):
+    state = UserState(front_page_F=5.0, network_S=50.0, submission_rate_M=0.0)
+    with np.errstate(over=over):
+        with pytest.raises(OverflowError) as info:
+            integrate_rank(state, RankModelParams(dt_weeks=1e308), RunOptions(weeks=2))
+    assert str(info.value) == (
+        "week column: weeks (2) * dt_weeks (1e+308) overflows floating point"
+    )
 
 
 def test_stagnation_is_exact_arithmetic_progression():
@@ -232,9 +236,9 @@ def test_two_stretch_schedule_matches_piecewise_product():
     _assert_matches_matrix_powers(traj, (5.0, 50.0), stretches)
 
 
-def test_integrate_rank_is_step_week_repeated():
-    """Both entry points run one formula: week k of ``integrate_rank`` is
-    ``step_week`` applied k times, to the last bit."""
+def test_integrate_rank_is_step_repeated():
+    """Week k of ``integrate_rank`` is ``_step`` applied k times, to the
+    last bit."""
     rng = np.random.default_rng(20)
     for _ in range(300):
         params = RankModelParams(
@@ -256,9 +260,8 @@ def test_integrate_rank_is_step_week_repeated():
                 schedule = tuple(schedule.tolist())
         traj = integrate_rank(state, params, RunOptions(weeks=weeks, M_schedule=schedule))
         rates = [state.submission_rate_M] * weeks if schedule is None else schedule
+        F, S = state.front_page_F, state.network_S
         for k, rate in enumerate(rates, 1):
-            state = step_week(
-                UserState(state.front_page_F, state.network_S, float(rate)), params
-            )
-            assert traj.front_page_F[k] == state.front_page_F
-            assert traj.network_S[k] == state.network_S
+            F, S = _step(F, S, float(rate), params)
+            assert traj.front_page_F[k] == F
+            assert traj.network_S[k] == S

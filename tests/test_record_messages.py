@@ -42,7 +42,7 @@ from frontpage.fitting import (
     fit_log,
     success_rate_series,
 )
-from frontpage.rank_dynamics import RankTrajectory, rank_proxy, success_rate
+from frontpage.rank_dynamics import RankTrajectory, rank_proxies
 from frontpage.stochastic_sim import EnsembleSummary, ensemble, simulate_once
 from frontpage.vote_dynamics import analytic_upcoming_saturation, integrate_votes
 
@@ -390,10 +390,16 @@ MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, changes, message", MESSAGES,
-    ids=[f"{cls.__name__}-{'-'.join(changes)}" for cls, changes, _ in MESSAGES],
-)
+def _row_id(cls, changes) -> str:
+    """A row's test id: its class and each changed ``key=value``."""
+    pairs = (f"{key}={value!r}" for key, value in changes.items())
+    return "-".join([cls.__name__, *pairs]).replace(repr(HUGE), "HUGE")
+
+
+MESSAGE_IDS = [_row_id(cls, changes) for cls, changes, _ in MESSAGES]
+
+
+@pytest.mark.parametrize("cls, changes, message", MESSAGES, ids=MESSAGE_IDS)
 def test_each_bad_value_gets_its_exact_message(cls, changes, message):
     with pytest.raises(ParameterError) as info:
         cls(**{**REQUIRED.get(cls, {}), **changes})
@@ -567,14 +573,24 @@ RESULT_MESSAGES = [
 ]
 
 
+RESULT_MESSAGE_IDS = [_row_id(cls, changes) for cls, changes, _ in RESULT_MESSAGES]
+
+
 @pytest.mark.parametrize(
-    "cls, changes, message", RESULT_MESSAGES,
-    ids=[f"{cls.__name__}-{'-'.join(changes)}" for cls, changes, _ in RESULT_MESSAGES],
+    "cls, changes, message", RESULT_MESSAGES, ids=RESULT_MESSAGE_IDS
 )
 def test_each_bad_result_gets_its_exact_message(cls, changes, message):
     with pytest.raises(ParameterError) as info:
         cls(**{**RESULT_REQUIRED[cls], **changes})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "ids", [MESSAGE_IDS, RESULT_MESSAGE_IDS], ids=["values", "results"]
+)
+def test_each_row_has_its_own_id(ids):
+    """pytest numbers repeated ids, so a new row would rename those after it."""
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize(
@@ -703,10 +719,7 @@ FUNCTION_MESSAGES = [
      "columns must be 1-d and of one length, got shapes [(2,), (1,), (2,)]"),
     (lambda: success_rate_series(*np.ones((3, 2, 2))),
      "columns must be 1-d and of one length, got shapes [(2, 2), (2, 2), (2, 2)]"),
-    (lambda: success_rate(-1.0, RankModelParams()),
-     "network_S must be >= 0, got -1.0"),
-    (lambda: rank_proxy(NAN), "front_page_F must be >= 0, got nan"),
-    (lambda: rank_proxy(1.0, kappa=0.0), "kappa must be > 0, got 0.0"),
+    (lambda: rank_proxies([1.0], kappa=0.0), "kappa must be > 0, got 0.0"),
     (lambda: analytic_upcoming_saturation(1.5, VoteModelParams()),
      "r must be in [0, 1], got 1.5"),
     (lambda: simulate_once(*_model(10.0), run_index=-1),
