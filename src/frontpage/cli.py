@@ -1,19 +1,13 @@
 """Config-driven scenario runner.
 
-Subcommands
-    simulate votes   deterministic vote trajectory (CSV ``t,m``)
-    simulate rank    weekly rank model (CSV ``week,F,S,rank_proxy``)
-    ensemble         stochastic ensemble; mean trajectory + summary stats
-    fit linear|log|success   least-squares fits over ingested CSV data
-    significance     friend-voting chance probabilities per observation
-    compare          model trajectory vs. an observed trace
+Each command is one row of ``_COMMANDS``; ``frontpage --help`` lists them.
 
 Scenario configs are INI-style: sections ``[vote] [story] [policy] [rank]
 [user] [ensemble] [run]`` whose keys mirror the parameter-record field
 names exactly; every section in the file is checked, read or not.
 ``--sweep SECTION.KEY=V1,V2,...`` (repeatable, once per key; cross
 product) fans a ``simulate`` or ``ensemble`` run out over a parameter
-grid of keys the command reads (the ``_READS`` table); outputs are keyed
+grid of keys the command reads (its row's ``reads``); outputs are keyed
 by the swept values.  ``compare`` takes no ``--sweep``.
 
 Every command writes a ``summary.json`` embedding the fully resolved
@@ -164,7 +158,7 @@ def load_config(path: Path):
     or not the command reads it, so no key is silently ignored.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # skips a leading BOM
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -175,6 +169,9 @@ def load_config(path: Path):
         interpolation=None,
         inline_comment_prefixes=("#",),
         delimiters=("=",),
+        # no header line spells this name, so a [DEFAULT] section is unknown
+        # like any other instead of filling every section with its keys
+        default_section="\n",
     )
     parser.optionxform = str  # keys are case-sensitive field names
     try:
@@ -270,16 +267,6 @@ def _suffix_for(overrides: dict[str, str]) -> str:
         for qualified, value in overrides.items()
     )
 
-
-# Model command kind -> the config sections it reads, in the order their
-# records are built, and the [run] keys it reads.  Its ``summary.json``
-# ``params`` hold these and nothing else, and a sweep may name only these.
-_READS = {
-    "simulate-votes": (("vote", "story", "policy", "run"), ("horizon_minutes",)),
-    "simulate-rank": (("rank", "user", "run"), ("weeks", "rank_kappa", "M_schedule")),
-    "ensemble": (("vote", "story", "policy", "run", "ensemble"), ("horizon_minutes",)),
-    "compare": (("vote", "story", "policy", "run"), ("horizon_minutes",)),
-}
 _POLICY_KINDS = {name: kind for kind, name in _RECORDS["policy"].items()}
 
 
@@ -295,7 +282,7 @@ def _points(args: argparse.Namespace):
     """
     cfg, records = load_config(args.config)
     sweeps = parse_sweeps(args.sweep if "sweep" in args else [])
-    sections, run_keys = _READS[args.kind]
+    sections, run_keys = _COMMANDS[args.kind].reads
     swept = rebuild = {section for section, _, _ in sweeps}
     if getattr(args, "seed", None) is not None:
         cfg = {**cfg, "ensemble": {**cfg.get("ensemble", {}), "seed": args.seed}}
@@ -328,7 +315,7 @@ def _points(args: argparse.Namespace):
 def _params(command: str, records) -> dict:
     """A point's ``params`` doc: the records ``command`` reads, as built
     only when the point runs."""
-    sections, run_keys = _READS[command]
+    sections, run_keys = _COMMANDS[command].reads
     doc = {section: dataclasses.asdict(records[section]) for section in sections}
     if "policy" in doc:
         kind = _POLICY_KINDS[type(records["policy"]).__name__]
@@ -350,8 +337,9 @@ def _read_rows(path: Path, header: list[str], cast) -> None:
     """
     cast_error, has_header, has_data = None, False, False
     try:
-        # Universal newlines, as Path.read_text, so "\r\n" rows read alike.
-        with open(path, encoding="utf-8") as stream:
+        # Universal newlines, as Path.read_text, so "\r\n" rows read alike;
+        # a leading BOM is skipped.
+        with open(path, encoding="utf-8-sig") as stream:
             reader = csv.reader(stream)
             for lineno, row in enumerate(reader, start=1):
                 if not row:
@@ -454,12 +442,10 @@ def _fmt(value) -> str:
 
 
 def _is_float_vector(value) -> bool:
-    """A 1-d float ndarray whose ``tolist()`` gives Python floats."""
+    """A 1-d float16, float32 or float64 ndarray: its ``tolist()`` gives
+    Python floats."""
     return (
-        isinstance(value, np.ndarray)
-        and value.ndim == 1
-        and value.dtype.kind == "f"
-        and value.dtype.itemsize <= 8
+        isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.char in "efd"
     )
 
 
@@ -783,12 +769,16 @@ def _per_id(args: argparse.Namespace, name: str, analyse, extra: dict):
     return [_record_table(name, results)], results, extra
 
 
-def _run_fit(args: argparse.Namespace):
-    """``fit linear`` and ``fit log``: one fit per id, its flags as keywords."""
-    if args.kind == "fit-linear":
-        fit, options = fit_linear, {"through_origin": args.through_origin}
-    else:
-        fit, options = fit_log, {"log_base": args.log_base}
+def _options(args: argparse.Namespace) -> dict:
+    """The values of the command's own flags, by ``dest``."""
+    flags = _COMMANDS[args.kind].flags
+    return {dest: getattr(args, dest) for dest, _, _ in flags}
+
+
+def _run_fit(args: argparse.Namespace, fit: str):
+    """One ``fit`` per id, the command's flags as its keywords.  The name
+    is looked up as the command runs: tests and ``perfbench`` patch it."""
+    fit, options = globals()[fit], _options(args)
     return _per_id(
         args,
         "fits.csv",
@@ -828,7 +818,7 @@ def _run_fit_success(args: argparse.Namespace):
         networks.append(s)
 
     _read_rows(args.input, _USERS_HEADER, cast)
-    options = {"bins": args.bins, "min_submissions": args.min_submissions}
+    options = _options(args)
     try:
         users = map(np.frombuffer, (subs, fronts, networks))
         binned = success_rate_series(*users, **options)
@@ -879,46 +869,85 @@ def _run_significance(args: argparse.Namespace):
     return [_record_table("significance.csv", results)], results, extra
 
 
-# Command kind -> (help, help for the input CSV argument, whether it takes
-# --sweep, the modules it runs, runner).  A kind "GROUP-NAME" is the command
-# ``GROUP NAME``; the kinds in ``_READS`` take --config.
+def _checked(cast, bound: str):
+    """An argparse ``type``: ``cast`` the text, then require it to be ``bound``,
+    a key of the package's table of bounds."""
+
+    def parse(text: str):
+        value = cast(text)
+        try:
+            return _check(value, bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
+# A command's row: its help; the modules it runs; its runner; its input
+# CSV as (what it holds, header, note), or None; the config sections it
+# reads, in the order their records are built, and the [run] keys it reads,
+# or None when it takes no --config (its ``summary.json`` ``params`` hold
+# these and nothing else, and a sweep may name only these); whether it
+# takes --sweep; and its own flags as (dest, flag, argparse keywords).  The
+# kind "GROUP-NAME" is the command ``GROUP NAME``.
+_Command = collections.namedtuple(
+    "_Command", "help modules runner input reads sweep flags",
+    defaults=(None, None, False, ()),
+)
 _COMMANDS = {
-    "simulate-votes": (
-        "story vote trajectory (CSV t,m)", None, True, ("core", "vote_dynamics"),
+    "simulate-votes": _Command(
+        "story vote trajectory (CSV t,m)", ("core", "vote_dynamics"),
         functools.partial(_run_model, stem="votes", compute=_votes),
+        reads=(("vote", "story", "policy", "run"), ("horizon_minutes",)), sweep=True,
     ),
-    "simulate-rank": (
-        "weekly user rank model (CSV week,F,S,rank_proxy)", None, True,
-        ("core", "rank_dynamics"),
+    "simulate-rank": _Command(
+        "weekly user rank model (CSV week,F,S,rank_proxy)", ("core", "rank_dynamics"),
         functools.partial(_run_model, stem="rank", compute=_rank),
+        reads=(("rank", "user", "run"), ("weeks", "rank_kappa", "M_schedule")),
+        sweep=True,
     ),
-    "ensemble": (
-        "stochastic vote-model ensemble", None, True,
-        ("core", "vote_dynamics", "stochastic_sim"),
+    "ensemble": _Command(
+        "stochastic vote-model ensemble", ("core", "vote_dynamics", "stochastic_sim"),
         functools.partial(_run_model, stem="ensemble_mean", compute=_ensemble),
+        reads=(("vote", "story", "policy", "run", "ensemble"), ("horizon_minutes",)),
+        sweep=True,
+        flags=[("seed", "--seed",
+                dict(type=int, metavar="N", help="override the [ensemble] seed"))],
     ),
-    "fit-linear": (
-        "y = slope*x + intercept per id", f"trace CSV ({','.join(_TRACE_HEADER)})",
-        False, ("core", "fitting"), _run_fit,
+    "fit-linear": _Command(
+        "y = slope*x + intercept per id", ("core", "fitting"),
+        functools.partial(_run_fit, fit="fit_linear"),
+        input=("trace", _TRACE_HEADER, None),
+        flags=[("through_origin", "--through-origin",
+                dict(action="store_true", help="pin the intercept at 0"))],
     ),
-    "fit-log": (
-        "y = alpha*log(x) + beta per id",
-        f"trace CSV ({','.join(_TRACE_HEADER)}), t >= 1", False, ("core", "fitting"),
-        _run_fit,
+    "fit-log": _Command(
+        "y = alpha*log(x) + beta per id", ("core", "fitting"),
+        functools.partial(_run_fit, fit="fit_log"),
+        input=("trace", _TRACE_HEADER, "t >= 1"),
+        flags=[("log_base", "--log-base",
+                dict(type=_checked(float, "positive and != 1"), default=math.e,
+                     help="logarithm base (default e)"))],
     ),
-    "fit-success": (
-        "binned success rate vs. network size",
-        f"users CSV ({','.join(_USERS_HEADER)})", False, ("core", "fitting"),
-        _run_fit_success,
+    "fit-success": _Command(
+        "binned success rate vs. network size", ("core", "fitting"), _run_fit_success,
+        input=("users", _USERS_HEADER, None),
+        flags=[("bins", "--bins",
+                dict(type=_checked(int, f"an integer in [1, {_MAX_BINS}]"), default=10,
+                     help="equal-width bin count (default 10)")),
+               ("min_submissions", "--min-submissions",
+                dict(type=_checked(int, "an integer >= 1"), default=50,
+                     help="drop users below this many submissions (default 50)"))],
     ),
-    "significance": (
-        "friend-voting chance probabilities",
-        f"observations CSV ({','.join(_OBS_HEADER)})", False, ("core", "fitting"),
-        _run_significance,
+    "significance": _Command(
+        "friend-voting chance probabilities", ("core", "fitting"), _run_significance,
+        input=("observations", _OBS_HEADER, None),
     ),
-    "compare": (
-        "model trajectory vs. observed trace", f"trace CSV ({','.join(_TRACE_HEADER)})",
-        False, ("core", "vote_dynamics", "fitting"), _run_compare,
+    "compare": _Command(
+        "model trajectory vs. observed trace", ("core", "vote_dynamics", "fitting"),
+        _run_compare, input=("trace", _TRACE_HEADER, None),
+        reads=(("vote", "story", "policy", "run"), ("horizon_minutes",)),
     ),
 }
 
@@ -935,10 +964,10 @@ def run_scenario(args: argparse.Namespace) -> int:
     all renamed into place, so a failure while computing or rendering
     leaves the output location as it was.
     """
-    *_, modules, runner = _COMMANDS[args.kind]
-    _bind(*modules)
+    row = _COMMANDS[args.kind]
+    _bind(*row.modules)
     with _raising_float_errors():
-        tables, results, extra = runner(args)
+        tables, results, extra = row.runner(args)
     doc = {
         "command": args.kind.replace("-", " "),
         "format": args.output_format,
@@ -955,21 +984,6 @@ def run_scenario(args: argparse.Namespace) -> int:
 
 
 # --- argument parsing ------------------------------------------------------
-
-def _checked(cast, bound: str):
-    """An argparse ``type``: ``cast`` the text, then require it to be ``bound``,
-    a key of the package's table of bounds."""
-
-    def parse(text: str):
-        value = cast(text)
-        try:
-            return _check(value, bound)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    parse.__name__ = cast.__name__  # argparse says "invalid int value: 'x'"
-    return parse
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -989,15 +1003,19 @@ def build_parser() -> argparse.ArgumentParser:
         groups[group] = sub.add_parser(group, help=help_text).add_subparsers(
             dest="target", required=True, metavar=metavar
         )
-    cmd = {}
-    for kind, (help_text, input_help, sweeps, _, _) in _COMMANDS.items():
+    for kind, row in _COMMANDS.items():
         group, _, name = kind.rpartition("-")
-        cmd[kind] = groups[group].add_parser(name, help=help_text)
-        cmd[kind].set_defaults(kind=kind)
-        if input_help:
-            cmd[kind].add_argument("input", type=Path, help=input_help)
-        if kind in _READS:
-            cmd[kind].add_argument(
+        command = groups[group].add_parser(name, help=row.help)
+        command.set_defaults(kind=kind)
+        if row.input:
+            what, header, note = row.input
+            command.add_argument(
+                "input",
+                type=Path,
+                help=f"{what} CSV ({','.join(header)})" + (f", {note}" if note else ""),
+            )
+        if row.reads:
+            command.add_argument(
                 "--config",
                 type=Path,
                 required=True,
@@ -1005,22 +1023,22 @@ def build_parser() -> argparse.ArgumentParser:
                 help="INI scenario config (sections "
                 + " ".join(f"[{section}]" for section in _RECORDS) + ")",
             )
-        if sweeps:
-            cmd[kind].add_argument(
+        if row.sweep:
+            command.add_argument(
                 "--sweep",
                 action="append",
                 default=[],
                 metavar="SECTION.KEY=V1,V2,...",
                 help="sweep a config key over values; repeatable (cross product)",
             )
-        cmd[kind].add_argument(
+        command.add_argument(
             "--out",
             type=Path,
             default=Path("."),
             metavar="DIR",
             help="output directory (default: current directory)",
         )
-        cmd[kind].add_argument(
+        command.add_argument(
             "--format",
             choices=("csv", "json"),
             default="csv",
@@ -1028,35 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="csv: tables as CSV files plus summary.json; "
             "json: everything embedded in summary.json",
         )
-
-    cmd["ensemble"].add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the [ensemble] seed",
-    )
-    cmd["fit-linear"].add_argument(
-        "--through-origin", action="store_true", help="pin the intercept at 0"
-    )
-    cmd["fit-log"].add_argument(
-        "--log-base",
-        type=_checked(float, "positive and != 1"),
-        default=math.e,
-        help="logarithm base (default e)",
-    )
-    cmd["fit-success"].add_argument(
-        "--bins",
-        type=_checked(int, f"an integer in [1, {_MAX_BINS}]"),
-        default=10,
-        help="equal-width bin count (default 10)",
-    )
-    cmd["fit-success"].add_argument(
-        "--min-submissions",
-        type=_checked(int, "an integer >= 1"),
-        default=50,
-        help="drop users below this many submissions (default 50)",
-    )
+        for dest, flag, keywords in row.flags:
+            command.add_argument(flag, dest=dest, **keywords)
     return parser
 
 

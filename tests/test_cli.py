@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,62 @@ def test_non_utf8_config_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        # configparser would give [user] front_page_F = 5, and the run exit 0
+        (["simulate", "rank"],
+         "[DEFAULT]\nfront_page_F = 5\n\n[user]\nnetwork_S = 10\n"
+         "submission_rate_M = 2\n"),
+        # configparser would blame [story] for the key
+        (["simulate", "votes"],
+         "[DEFAULT]\nfoo = 1\n\n[story]\ninterestingness_r = 0.5\n"),
+    ],
+    ids=["fills-user", "blames-story"],
+)
+def test_a_default_section_is_an_unknown_section(command, text, tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {path}: unknown section(s) DEFAULT; "
+        "expected vote, story, policy, rank, user, ensemble, run\n"
+    )
+    assert not out.exists()
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["simulate", "votes", "--config", "{path}"],
+         (_CONFIGS / "votes_baseline.ini").read_text(encoding="utf-8")),
+        (["simulate", "rank", "--config", "{path}", "--format", "json"],
+         (_CONFIGS / "rank_active_user.ini").read_text(encoding="utf-8")),
+        (["fit", "linear", "{path}"], "id,t,value\na,1,2\na,2,3.5\nb,1,1\nb,3,4\n"),
+        (["fit", "success", "{path}", "--bins", "2", "--min-submissions", "1"],
+         "id,submissions,front_page_F,network_S\n"
+         "u,10,1,10\nv,20,4,20\nw,40,9,40\nx,10,3,30\n"),
+        (["significance", "{path}"],
+         "id,pool_N,sample_n,group_K,overlap_k\no,100,10,20,5\np,50,5,5,1\n"),
+    ],
+    ids=["config-csv", "config-json", "trace", "users", "observations"],
+)
+def test_a_leading_byte_order_mark_is_skipped(argv, text, tmp_path):
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name / "input"
+        path.parent.mkdir()
+        path.write_text(bom + text, encoding="utf-8")
+        out = tmp_path / name / "out"
+        assert main([*(a.format(path=path) for a in argv), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 class TestNothingGivenIsIgnored:
     """Every config section, sweep key and flag a command accepts is read."""
 
@@ -1174,7 +1231,8 @@ _SWEEP_VALUES = {
 
 
 class TestReadsTable:
-    """What each model command reads is ``cli._READS``, and only that."""
+    """What each model command reads is its row's ``reads`` in
+    ``cli._COMMANDS``, and only that."""
 
     @pytest.fixture
     def every_section_ini(self, tmp_path):
@@ -1204,7 +1262,7 @@ class TestReadsTable:
     def test_a_sweep_names_only_a_key_the_command_reads(
         self, kind, section, key, every_section_ini, tmp_path, capsys
     ):
-        sections, run_keys = cli._READS[kind]
+        sections, run_keys = cli._COMMANDS[kind].reads
         value = _SWEEP_VALUES[section][key]
         out = tmp_path / "o"
         argv = [*kind.split("-"), "--config", str(every_section_ini),
@@ -1227,7 +1285,10 @@ class TestReadsTable:
     ):
         trace = tmp_path / "t.csv"
         trace.write_text("id,t,value\na,0,1\na,30,8\n")
-        for kind, (sections, run_keys) in cli._READS.items():
+        for kind, row in cli._COMMANDS.items():
+            if row.reads is None:
+                continue
+            sections, run_keys = row.reads
             out = tmp_path / kind
             argv = [*kind.split("-"), "--config", str(every_section_ini)]
             if kind == "compare":

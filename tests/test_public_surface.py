@@ -76,7 +76,7 @@ def test_submodules_import_from_the_package():
 
 
 def test_readme_states_what_each_command_reads():
-    from frontpage.cli import _READS
+    from frontpage.cli import _COMMANDS
 
     text = " ".join(README.read_text(encoding="utf-8").split())
     sentence = re.search(
@@ -90,10 +90,11 @@ def test_readme_states_what_each_command_reads():
     }
     assert stated == {
         kind.replace("-", " "): (
-            [f"[{section}]" for section in sections if section != "run"],
-            list(run_keys),
+            [f"[{section}]" for section in row.reads[0] if section != "run"],
+            list(row.reads[1]),
         )
-        for kind, (sections, run_keys) in _READS.items()
+        for kind, row in _COMMANDS.items()
+        if row.reads is not None
     }
 
 
