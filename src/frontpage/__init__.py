@@ -139,7 +139,6 @@ _EXPORTS = {
     "stochastic_sim": (
         "EnsembleSummary",
         "ensemble",
-        "simulate_once",
     ),
     "vote_dynamics": (
         "analytic_upcoming_saturation",

@@ -985,6 +985,16 @@ def run_scenario(args: argparse.Namespace) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+class _BeforeName(argparse.Action):
+    """An option given before the name of the command that takes it.
+    Argparse would read the option's value as that name (``fit --out DIR``:
+    "invalid choice: 'DIR'"), so each level above a command takes its
+    options, unlisted, only to say that the name must come first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"argument {self.const}: required before {option_string}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontpage",
@@ -995,14 +1005,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    groups = {"": sub}
+    groups, levels = {"": sub}, {"": parser}
     for group, help_text, metavar in (
         ("simulate", "deterministic model runs", "WHAT"),
         ("fit", "least-squares fits over CSV data", "KIND"),
     ):
-        groups[group] = sub.add_parser(group, help=help_text).add_subparsers(
+        levels[group] = sub.add_parser(group, help=help_text)
+        groups[group] = levels[group].add_subparsers(
             dest="target", required=True, metavar=metavar
         )
+    known = {group: {} for group in groups}  # its commands' options: flag -> nargs
+
+    def option(command, group, flag, **keywords):
+        nargs = command.add_argument(flag, **keywords).nargs
+        for level in {"", group}:
+            known[level][flag] = nargs
+
     for kind, row in _COMMANDS.items():
         group, _, name = kind.rpartition("-")
         command = groups[group].add_parser(name, help=row.help)
@@ -1015,8 +1033,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"{what} CSV ({','.join(header)})" + (f", {note}" if note else ""),
             )
         if row.reads:
-            command.add_argument(
-                "--config",
+            option(
+                command, group, "--config",
                 type=Path,
                 required=True,
                 metavar="PATH",
@@ -1024,22 +1042,22 @@ def build_parser() -> argparse.ArgumentParser:
                 + " ".join(f"[{section}]" for section in _RECORDS) + ")",
             )
         if row.sweep:
-            command.add_argument(
-                "--sweep",
+            option(
+                command, group, "--sweep",
                 action="append",
                 default=[],
                 metavar="SECTION.KEY=V1,V2,...",
                 help="sweep a config key over values; repeatable (cross product)",
             )
-        command.add_argument(
-            "--out",
+        option(
+            command, group, "--out",
             type=Path,
             default=Path("."),
             metavar="DIR",
             help="output directory (default: current directory)",
         )
-        command.add_argument(
-            "--format",
+        option(
+            command, group, "--format",
             choices=("csv", "json"),
             default="csv",
             dest="output_format",
@@ -1047,7 +1065,13 @@ def build_parser() -> argparse.ArgumentParser:
             "json: everything embedded in summary.json",
         )
         for dest, flag, keywords in row.flags:
-            command.add_argument(flag, dest=dest, **keywords)
+            option(command, group, flag, dest=dest, **keywords)
+    for group, commands in groups.items():
+        for flag, nargs in known[group].items():
+            levels[group].add_argument(
+                flag, nargs=nargs, action=_BeforeName, const=commands.metavar,
+                default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+            )
     return parser
 
 

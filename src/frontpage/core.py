@@ -71,17 +71,10 @@ _SERIES = {
 }
 
 
-def _series(rule: str | None, dtype=float):
-    """A finite 1-d array field, read by ``np.asarray(value, dtype=dtype)``,
+def _series(rule: str | None):
+    """A finite 1-d array field, read by ``np.asarray(value, dtype=float)``,
     of the shape of the record's first series, that passes ``_SERIES[rule]``."""
-    return dataclasses.field(metadata={"series": rule, "dtype": dtype})
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    try:
-        return bool(np.isfinite(a).all())
-    except TypeError:  # an object or string array: entry by entry
-        return all(map(_finite, a.flat))
+    return dataclasses.field(metadata={"series": rule})
 
 
 class _Record:
@@ -94,8 +87,9 @@ class _Record:
     of the record's own ``_violations(broken)``, ``broken`` naming the
     fields it must not read: those that broke their bounds, every series
     if one has a bad shape, and each series that is not finite, whose
-    rule is then left unchecked.  An integer field holds a Python int
-    once it passes, and a series an array.
+    rule is then left unchecked.  A series that cannot be read as floats
+    (text, or an int past float range) is not finite.  An integer field
+    holds a Python int once it passes, and a series a float array.
     """
 
     def __post_init__(self) -> None:
@@ -103,7 +97,10 @@ class _Record:
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if "series" in meta:
-                value = np.asarray(value, dtype=meta["dtype"])
+                try:
+                    value = np.asarray(value, dtype=float)
+                except (TypeError, ValueError, OverflowError):
+                    value = np.full(np.asarray(value, dtype=object).shape, np.nan)
                 series.append((f.name, meta["series"], value))
             elif "bound" in meta:
                 try:
@@ -127,7 +124,7 @@ class _Record:
                 broken.update(name for name, _, _ in series)
                 series = []
             for name, rule, a in series:
-                if not _all_finite(a):
+                if not np.isfinite(a).all():
                     bad.append(f"{name} must be finite")
                     broken.add(name)
                 elif rule is not None and not _SERIES[rule](a):
@@ -185,14 +182,14 @@ class StoryConfig(_Record):
 class VoteTrajectory(_Record):
     """A story's vote history on a fixed time grid.
 
-    ``votes_m`` is float-valued for mean-field runs and integer-valued for
-    stochastic ones; either way it starts at the submitter's own vote and
-    never decreases.  ``promotion_time_Th`` is the end of the step in
-    which the promotion policy first fired, or None if it never did.
+    ``votes_m`` is read as floats, like ``times``; it starts at the
+    submitter's own vote and never decreases.  ``promotion_time_Th`` is
+    the end of the step in which the promotion policy first fired, or None
+    if it never did.
     """
 
     times: np.ndarray = _series("strictly increasing")
-    votes_m: np.ndarray = _series("nondecreasing", dtype=None)
+    votes_m: np.ndarray = _series("nondecreasing")
     promotion_time_Th: float | None = None
 
     def _violations(self, broken: set[str]) -> list[str]:
@@ -308,10 +305,10 @@ ARRIVAL_MODES = ("poisson", "mean")
 @dataclass(frozen=True)
 class EnsembleOptions(_Record):
     """Size, seed and arrival mode of a stochastic ensemble: the
-    ``[ensemble]`` record, and the ``options`` of ``ensemble`` and
-    ``simulate_once``.  Arrival mode "poisson" draws vote counts; "mean"
-    replaces every draw by its expectation, reproducing the deterministic
-    integrator bit for bit (a self-test of the harness)."""
+    ``[ensemble]`` record, and the ``options`` of ``ensemble``.  Arrival
+    mode "poisson" draws vote counts; in "mean" mode ``ensemble`` draws
+    nothing: it runs ``integrate_votes`` once and reports its trajectory
+    as every run's."""
 
     runs: int = _bounded(f"an integer in [1, {_MAX_RUNS}]", 100)
     seed: int = _bounded("an integer >= 0", 0)

@@ -323,7 +323,7 @@ def compare_model_to_trace(
             f"model spans [{trajectory.times[0]}, {trajectory.times[-1]}]"
         )
     tt, tv = tt[mask], tv[mask]
-    model_at = np.interp(tt, trajectory.times, np.asarray(trajectory.votes_m, float))
+    model_at = np.interp(tt, trajectory.times, trajectory.votes_m)
     rms = float(np.sqrt(np.mean((model_at - tv) ** 2)))
 
     promo_trace: float | None = None

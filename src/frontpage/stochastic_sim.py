@@ -5,8 +5,8 @@ and each votes independently with probability r.  By Poisson thinning and
 superposition the votes of one step are a single
 ``Poisson(r * total_rate * dt)`` draw, where ``total_rate`` is the sum of
 the channel rates the deterministic integrator uses: the fixed step makes
-this tau-leaping with tau = dt.  Trajectories are integer-valued and
-monotone, and their ensemble mean should track the mean-field integrator
+this tau-leaping with tau = dt.  A run's vote counts are integer-valued
+and monotone, and their ensemble mean should track the mean-field integrator
 wherever no promotion flip happens near the mean — which is exactly what
 the ensemble summary is used to check.
 
@@ -33,7 +33,8 @@ whose mean exceeds ``_INVERSION_MAX_MEAN`` draws ``Generator.poisson`` from
 the run's second stream, ``spawn_key=(i, 0)``, instead.  A run's draws
 therefore depend only on the seed, its index and its own history, not on
 how many runs share the ensemble or on the order they are reported in, so
-``simulate_once`` of the same arguments and ``run_index=i`` reproduces it.
+an ensemble of ``n`` runs reports the first ``n`` runs of any larger
+ensemble of the same arguments and seed.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _check
 from .core import (
-    ARRIVAL_MODES,
     EnsembleOptions,
     PromotionPolicy,
     StoryConfig,
     VoteModelParams,
-    VoteTrajectory,
     _Record,
     _bounded,
     _series,
@@ -64,10 +62,8 @@ from .vote_dynamics import (
 )
 
 __all__ = [
-    "ARRIVAL_MODES",
     "PROMOTION_QUANTILES",
     "EnsembleSummary",
-    "simulate_once",
     "ensemble",
 ]
 
@@ -269,39 +265,6 @@ def _lockstep(
         yield np.concatenate(blocks) if len(blocks) > 1 else blocks[0], promo_step
 
 
-def simulate_once(
-    story: StoryConfig, params: VoteModelParams, policy: PromotionPolicy,
-    horizon: float, options: EnsembleOptions = EnsembleOptions(), run_index: int = 0,
-) -> VoteTrajectory:
-    """One stochastic realization: run ``run_index`` of the ensemble of the
-    same arguments.
-
-    Mirrors the deterministic integrator step for step: the rate is
-    evaluated at the step midpoint from the pre-step vote count and
-    promotion status, the step's votes are drawn, and the promotion rule
-    is checked after the update.  In "mean" arrival mode this is exactly
-    the deterministic trajectory.  ``options.runs`` is not read.
-    """
-    run_index = _check(run_index, "an integer >= 0", "run_index")
-    if options.arrival_mode == "mean":
-        return integrate_votes(story, params, policy, horizon)
-    n_steps = step_count(horizon, params.dt)
-    times = np.arange(n_steps + 1, dtype=float) * params.dt
-    votes = np.empty(n_steps + 1, dtype=np.int64)
-    votes[0] = 1
-    k = 1
-    lockstep = _lockstep(story, params, policy, horizon, options.seed, [run_index])
-    for block, promo_step in lockstep:
-        votes[k : k + len(block)] = block[:, 0]
-        k += len(block)
-    step = int(promo_step[0])
-    return VoteTrajectory(
-        times=times,
-        votes_m=votes,
-        promotion_time_Th=float(times[step + 1]) if step < n_steps else None,
-    )
-
-
 def ensemble(
     story: StoryConfig, params: VoteModelParams, policy: PromotionPolicy,
     horizon: float, options: EnsembleOptions = EnsembleOptions(),
@@ -309,8 +272,11 @@ def ensemble(
     """Run ``options.runs`` runs of the vote model over ``horizon`` minutes
     and aggregate across runs at each step.
 
-    In "mean" arrival mode every run is the deterministic trajectory, so
-    it is integrated once and shared by all runs.
+    Entry ``i`` of ``final_votes`` and ``promotion_times`` is run ``i``,
+    whose draws depend only on ``options.seed`` and ``i`` (the module's
+    reproducibility contract).  In "mean" arrival mode every run is the
+    deterministic trajectory, so it is integrated once by
+    ``integrate_votes`` and shared by all runs.
     """
     runs = options.runs
     if options.arrival_mode == "mean":

@@ -1097,6 +1097,27 @@ def test_a_leading_byte_order_mark_is_skipped(argv, text, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# An option before the name of its command: the message names what is missing.
+BEFORE_THE_NAME = [
+    (["fit", "--out", "DIR"],
+     "frontpage fit: error: argument KIND: required before --out"),
+    (["simulate", "--out", "DIR"],
+     "frontpage simulate: error: argument WHAT: required before --out"),
+    (["fit", "--format", "json", "linear", "t.csv"],
+     "frontpage fit: error: argument KIND: required before --format"),
+    (["fit", "--through-origin", "linear", "t.csv"],
+     "frontpage fit: error: argument KIND: required before --through-origin"),
+    (["simulate", "--sweep", "story.h=1", "votes", "--config", "c.ini"],
+     "frontpage simulate: error: argument WHAT: required before --sweep"),
+    (["--config", "c.ini", "ensemble"],
+     "frontpage: error: argument COMMAND: required before --config"),
+    # a name that is no command is still an invalid choice
+    (["fit", "bogus"],
+     "frontpage fit: error: argument KIND: invalid choice: 'bogus' "
+     "(choose from 'linear', 'log', 'success')"),
+]
+
+
 class TestNothingGivenIsIgnored:
     """Every config section, sweep key and flag a command accepts is read."""
 
@@ -1126,6 +1147,19 @@ class TestNothingGivenIsIgnored:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        BEFORE_THE_NAME,
+        ids=[" ".join(argv) for argv, _ in BEFORE_THE_NAME],
+    )
+    def test_an_option_before_the_command_name_names_what_is_missing(
+        self, argv, line, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
 
     @pytest.mark.parametrize(
         "command,spec",

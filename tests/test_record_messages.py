@@ -43,7 +43,7 @@ from frontpage.fitting import (
     success_rate_series,
 )
 from frontpage.rank_dynamics import RankTrajectory, rank_proxies
-from frontpage.stochastic_sim import EnsembleSummary, ensemble, simulate_once
+from frontpage.stochastic_sim import EnsembleSummary, ensemble
 from frontpage.vote_dynamics import analytic_upcoming_saturation, integrate_votes
 
 NAN, INF = math.nan, math.inf
@@ -407,7 +407,7 @@ def test_each_bad_value_gets_its_exact_message(cls, changes, message):
 
 
 def _model(horizon):
-    """The arguments ``integrate_votes``, ``ensemble`` and ``simulate_once`` share."""
+    """The arguments ``integrate_votes`` and ``ensemble`` share."""
     return (StoryConfig(interestingness_r=0.5), VoteModelParams(), FixedThreshold(),
             horizon)
 
@@ -427,12 +427,11 @@ def _model(horizon):
 )
 @pytest.mark.parametrize("mode", ARRIVAL_MODES)
 def test_the_vote_model_checks_its_horizon_once(horizon, message, mode):
-    # integrate_votes, ensemble and simulate_once read it through step_count
+    # integrate_votes and ensemble read it through step_count
     options = EnsembleOptions(runs=2, arrival_mode=mode)
     for call in (
         lambda: integrate_votes(*_model(horizon)),
         lambda: ensemble(*_model(horizon), options),
-        lambda: simulate_once(*_model(horizon), options),
     ):
         with pytest.raises(ValueError) as info:
             call()
@@ -501,7 +500,7 @@ RESULT_MESSAGES = [
     (VoteTrajectory, {"times": [0.0, 1.0, 1.0]}, "times must be strictly increasing"),
     (VoteTrajectory, {"times": [0.0, 2.0, 1.0]}, "times must be strictly increasing"),
     (VoteTrajectory, {"votes_m": [0, 2, 2]},
-     "votes_m must start at 1 (submitter's vote), got 0"),
+     "votes_m must start at 1 (submitter's vote), got 0.0"),
     (VoteTrajectory, {"votes_m": [1.5, 2.0, 2.0]},
      "votes_m must start at 1 (submitter's vote), got 1.5"),
     (VoteTrajectory, {"votes_m": [1, 3, 2]}, "votes_m must be nondecreasing"),
@@ -518,6 +517,8 @@ RESULT_MESSAGES = [
     (VoteTrajectory, {"votes_m": [NAN, 2.0, 2.0]}, "votes_m must be finite"),
     (VoteTrajectory, {"votes_m": [1, -INF, 2]}, "votes_m must be finite"),
     (VoteTrajectory, {"votes_m": [1, HUGE, HUGE]}, "votes_m must be finite"),
+    # a series that cannot be read as floats is not finite
+    (VoteTrajectory, {"times": [0, 1, HUGE]}, "times must be finite"),
     # RankTrajectory
     (RankTrajectory, {"weeks": []}, "weeks must be a non-empty 1-d array"),
     (RankTrajectory, {"weeks": [[0.0], [1.0], [2.0]]},
@@ -539,6 +540,8 @@ RESULT_MESSAGES = [
     (RankTrajectory, {"front_page_F": [0.0, NAN, 1.5]},
      "front_page_F must be finite"),
     (RankTrajectory, {"network_S": [5.0, 5.0, INF]}, "network_S must be finite"),
+    (RankTrajectory, {"weeks": ["a", "b", "c"], "network_S": [5.0, 4.0, 7.0]},
+     "weeks must be finite; network_S must be nonnegative and nondecreasing"),
     # EnsembleSummary
     (EnsembleSummary, {"promotion_probability": 1.5},
      "promotion_probability must be in [0, 1], got 1.5"),
@@ -548,6 +551,7 @@ RESULT_MESSAGES = [
      "mean_votes must be nondecreasing"),
     (EnsembleSummary, {"mean_votes": [1.0, NAN, 2.0]}, "mean_votes must be finite"),
     (EnsembleSummary, {"std_votes": [0.0, INF, 0.5]}, "std_votes must be finite"),
+    (EnsembleSummary, {"mean_votes": [1, HUGE, HUGE]}, "mean_votes must be finite"),
 
     # Two violations, listed in the order the record checks them.
     (VoteTrajectory, {"times": [0.0, 1.0, 1.0], "promotion_time_Th": NAN},
@@ -562,7 +566,7 @@ RESULT_MESSAGES = [
     # The series rules come before a record's own checks.
     (VoteTrajectory, {"votes_m": [0, 2, 1]},
      "votes_m must be nondecreasing; "
-     "votes_m must start at 1 (submitter's vote), got 0"),
+     "votes_m must start at 1 (submitter's vote), got 0.0"),
     # A series of a bad shape leaves every rule of its record unchecked.
     (VoteTrajectory, {"times": [0.0, 1.0, 1.0], "votes_m": [0, 2]},
      "votes_m shape (2,) does not match times shape (3,)"),
@@ -722,10 +726,6 @@ FUNCTION_MESSAGES = [
     (lambda: rank_proxies([1.0], kappa=0.0), "kappa must be > 0, got 0.0"),
     (lambda: analytic_upcoming_saturation(1.5, VoteModelParams()),
      "r must be in [0, 1], got 1.5"),
-    (lambda: simulate_once(*_model(10.0), run_index=-1),
-     "run_index must be an integer >= 0, got -1"),
-    (lambda: simulate_once(*_model(10.0), run_index=0.5),
-     "run_index must be an integer >= 0, got 0.5"),
 ]
 
 

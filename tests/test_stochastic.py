@@ -21,10 +21,10 @@ from frontpage.stochastic_sim import (
     _UNIFORM_BLOCK,
     PROMOTION_QUANTILES,
     EnsembleSummary,
+    _lockstep,
     _poisson_by_inversion,
     _quantile,
     ensemble,
-    simulate_once,
 )
 from frontpage.vote_dynamics import (
     _VOTER_TABLE_CAP,
@@ -61,6 +61,19 @@ def _config(
     return Config(story, params, policy, horizon, EnsembleOptions(**options))
 
 
+def _run(config, i):
+    """Vote counts after each step, from the submitter's vote on, and the
+    promotion time (None if it never promoted) of run ``i`` of the
+    Poisson-mode ensemble of ``config``."""
+    n_steps = step_count(config.horizon, config.params.dt)
+    votes = [np.ones(1, dtype=np.int64)]
+    for block, promo_step in _lockstep(*config[:4], config.options.seed, [i]):
+        votes.append(block[:, 0])
+    step = int(promo_step[0])
+    th = (step + 1) * config.params.dt if step < n_steps else None
+    return np.concatenate(votes), th
+
+
 def test_config_validation():
     with pytest.raises(ParameterError, match="runs"):
         _config(runs=0)
@@ -75,24 +88,21 @@ def test_options_default_to_the_ensemble_record():
     default, explicit = ensemble(*model), ensemble(*model, EnsembleOptions())
     assert default.n_runs == explicit.n_runs == 100
     np.testing.assert_array_equal(default.final_votes, explicit.final_votes)
-    np.testing.assert_array_equal(
-        simulate_once(*model).votes_m, simulate_once(*model, EnsembleOptions()).votes_m
-    )
 
 
 def test_zero_interest_never_votes():
     config = _config(story=StoryConfig(interestingness_r=0.0, submitter_network_S=400))
-    for run_index in (0, 1, 17):
-        traj = simulate_once(*config, run_index=run_index)
-        assert np.all(traj.votes_m == 1)
-        assert traj.promotion_time_Th is None
+    for i in (0, 1, 17):
+        votes, th = _run(config, i)
+        assert np.all(votes == 1)
+        assert th is None
 
 
 def test_trajectories_are_integer_and_monotone():
-    traj = simulate_once(*_config(), run_index=3)
-    assert traj.votes_m.dtype == np.int64
-    assert traj.votes_m[0] == 1
-    assert np.all(np.diff(traj.votes_m) >= 0)
+    votes, _ = _run(_config(), 3)
+    assert votes.dtype == np.int64
+    assert votes[0] == 1
+    assert np.all(np.diff(votes) >= 0)
 
 
 def test_mean_mode_reproduces_integrator_exactly():
@@ -100,9 +110,10 @@ def test_mean_mode_reproduces_integrator_exactly():
     deterministic = integrate_votes(
         config.story, config.params, config.policy, config.horizon
     )
-    stochastic = simulate_once(*config)
-    assert np.array_equal(stochastic.votes_m, deterministic.votes_m)
-    assert stochastic.promotion_time_Th == deterministic.promotion_time_Th
+    only = ensemble(*config)
+    assert np.array_equal(only.mean_votes, deterministic.votes_m)
+    assert np.all(np.isnan(only.promotion_times))
+    assert deterministic.promotion_time_Th is None
 
     promoting = _config(
         arrival_mode="mean",
@@ -123,22 +134,18 @@ def test_mean_mode_reproduces_integrator_exactly():
 
 
 def test_same_seed_same_trajectory():
-    a = simulate_once(*_config(), run_index=5)
-    b = simulate_once(*_config(), run_index=5)
-    assert np.array_equal(a.votes_m, b.votes_m)
+    assert np.array_equal(_run(_config(), 5)[0], _run(_config(), 5)[0])
 
 
 def test_runs_are_distinct():
-    a = simulate_once(*_config(), run_index=0)
-    b = simulate_once(*_config(), run_index=1)
-    assert not np.array_equal(a.votes_m, b.votes_m)
+    assert not np.array_equal(_run(_config(), 0)[0], _run(_config(), 1)[0])
 
 
 def test_single_run_ensemble_degenerates():
     config = _config(runs=1)
     summary = ensemble(*config)
-    only = simulate_once(*config, run_index=0)
-    np.testing.assert_array_equal(summary.mean_votes, only.votes_m)
+    votes, _ = _run(config, 0)
+    np.testing.assert_array_equal(summary.mean_votes, votes)
     assert np.all(summary.std_votes == 0.0)
     assert summary.promotion_probability == 0.0
     assert summary.promotion_time_quantiles == {}
@@ -184,12 +191,12 @@ def test_promotion_time_matches_threshold_crossing():
         runs=1,
         seed=11,
     )
-    traj = simulate_once(*config)
-    th = traj.promotion_time_Th
-    assert th is not None
-    i = int(np.searchsorted(traj.times, th))
-    assert traj.votes_m[i] >= 40
-    assert traj.votes_m[i - 1] < 40
+    only = ensemble(*config)
+    [th] = only.promotion_times
+    assert not np.isnan(th)
+    i = int(np.searchsorted(only.times, th))
+    assert only.mean_votes[i] >= 40
+    assert only.mean_votes[i - 1] < 40
 
 
 # All four channels on, near the promotion threshold: the [vote] values of
@@ -290,9 +297,8 @@ def test_run_draws_depend_only_on_seed_and_index(setting):
         narrow.promotion_times, wide.promotion_times[:10]
     )
     for i in (0, 9, 39):
-        run = simulate_once(*_config(**setting, seed=31), run_index=i)
-        assert run.final_votes == wide.final_votes[i]
-        th = run.promotion_time_Th
+        votes, th = _run(_config(**setting, seed=31), i)
+        assert votes[-1] == wide.final_votes[i]
         assert (th is None and np.isnan(wide.promotion_times[i])) or (
             th == wide.promotion_times[i]
         )
@@ -302,9 +308,9 @@ def test_huge_visit_rate_tracks_integrator():
     config = _config(**HUGE_RATE, seed=5, runs=200)
     summary = ensemble(*config)
     for i in (0, 1, 2):
-        traj = simulate_once(*config, run_index=i)
-        assert traj.votes_m.dtype == np.int64
-        assert np.all(np.diff(traj.votes_m) >= 0)
+        votes, _ = _run(config, i)
+        assert votes.dtype == np.int64
+        assert np.all(np.diff(votes) >= 0)
     # Every run promotes at the end of its first step, whose rate does not
     # depend on the draws; after it the rate is a function of time alone,
     # so the mean-field trajectory is the exact mean.
@@ -330,8 +336,7 @@ def test_full_interest_tracks_integrator():
         runs=400,
     )
     summary = ensemble(*config)
-    traj = simulate_once(*config, run_index=4)
-    assert np.all(np.diff(traj.votes_m) >= 0)
+    assert np.all(np.diff(_run(config, 4)[0]) >= 0)
     assert summary.promotion_probability == 0.0
     deterministic = integrate_votes(
         config.story, config.params, config.policy, config.horizon
@@ -533,11 +538,11 @@ def _assert_matches_reference(config):
         else:
             assert a == b, field.name
     last = config.options.runs - 1
-    run = simulate_once(*config, run_index=last)
+    votes, th = _run(config, last)
     ref = [1] + [int(m[0]) for m, _ in _reference_lockstep(config, [last])]
-    assert run.votes_m.tolist() == ref
-    th = want["promotion_times"][last]
-    assert (run.promotion_time_Th is None) == bool(np.isnan(th))
+    assert votes.tolist() == ref
+    want_th = want["promotion_times"][last]
+    assert (th is None and np.isnan(want_th)) or th == want_th
     return want["promo_step"]
 
 
