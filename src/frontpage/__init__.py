@@ -143,7 +143,6 @@ _EXPORTS = {
     "vote_dynamics": (
         "analytic_upcoming_saturation",
         "integrate_votes",
-        "promotion_threshold_for",
     ),
 }
 

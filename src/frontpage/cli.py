@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import _EXPORTS, _MAX_BINS, __version__, _check, _echo, _load
@@ -121,12 +122,12 @@ class OutputError(CliError):
 
 # --- config loading --------------------------------------------------------
 
-# Config section -> the name of its record class in ``core``; [policy]'s
-# ``kind`` key picks one of two.
+# Config section -> the name of its record in ``core``.  [policy]'s is a
+# union: its ``kind`` key names a member by its ``kind``, the first by default.
 _RECORDS = {
     "vote": "VoteModelParams",
     "story": "StoryConfig",
-    "policy": {"fixed": "FixedThreshold", "network_proportional": "NetworkProportional"},
+    "policy": "PromotionPolicy",
     "rank": "RankModelParams",
     "user": "UserState",
     "ensemble": "EnsembleOptions",
@@ -137,15 +138,16 @@ _RECORDS = {
 def _record(cfg: dict[str, dict[str, str]], section: str):
     """The record of one config section, its defaults where it is absent."""
     mapping = dict(cfg.get(section, {}))
-    name = _RECORDS[section]
-    if section == "policy":
-        kind = mapping.pop("kind", "fixed")
-        if kind not in name:
-            kinds = " or ".join(map(repr, name))
-            raise ConfigError(f"[policy] kind must be {kinds}, got {kind!r}")
-        name = name[kind]
+    record = globals()[_RECORDS[section]]
+    members = {member.kind: member for member in typing.get_args(record)}
+    if members:
+        kind = mapping.pop("kind", next(iter(members)))
+        if kind not in members:
+            kinds = " or ".join(map(repr, members))
+            raise ConfigError(f"[{section}] kind must be {kinds}, got {kind!r}")
+        record = members[kind]
     try:
-        return record_from_mapping(globals()[name], mapping)
+        return record_from_mapping(record, mapping)
     except ParameterError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
@@ -267,8 +269,6 @@ def _suffix_for(overrides: dict[str, str]) -> str:
         for qualified, value in overrides.items()
     )
 
-_POLICY_KINDS = {name: kind for kind, name in _RECORDS["policy"].items()}
-
 
 def _points(args: argparse.Namespace):
     """Load ``--config``; ``(overrides, records)`` of each point.
@@ -318,8 +318,7 @@ def _params(command: str, records) -> dict:
     sections, run_keys = _COMMANDS[command].reads
     doc = {section: dataclasses.asdict(records[section]) for section in sections}
     if "policy" in doc:
-        kind = _POLICY_KINDS[type(records["policy"]).__name__]
-        doc["policy"] = {"kind": kind, **doc["policy"]}
+        doc["policy"] = {"kind": records["policy"].kind, **doc["policy"]}
     doc["run"] = {key: doc["run"][key] for key in run_keys}
     return doc
 
@@ -794,7 +793,7 @@ def _run_compare(args: argparse.Namespace):
         trajectory = integrate_votes(*_story(records))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config: {exc}") from None
-    threshold = promotion_threshold_for(records["policy"], records["story"])
+    threshold = records["policy"].threshold(records["story"])
     return _per_id(
         args,
         "compare.csv",

@@ -15,6 +15,10 @@ too; and an array's shape and order, checked against ``_SERIES``
 comparisons between fields, the non-numeric keys and a trajectory's first
 vote are checked by hand.
 
+Each promotion policy, a member of ``PromotionPolicy``, names its
+``[policy] kind`` and computes its own bar: ``policy.threshold(story)`` is
+the vote count at which ``story`` leaves the upcoming queue.
+
 The run settings of the ``[run]`` and ``[ensemble]`` config sections are
 records too.  :func:`record_from_mapping` builds any record from the raw
 strings of one config section; see :mod:`frontpage.cli` for the layout.
@@ -25,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
@@ -210,7 +214,17 @@ class VoteTrajectory(_Record):
 class FixedThreshold(_Record):
     """Promote once the vote count reaches a site-wide constant."""
 
+    kind: ClassVar[str] = "fixed"
     h: int = _bounded("an integer >= 2", 40)  # a story starts with one vote
+
+    def threshold(self, story: StoryConfig) -> float:
+        """Votes required before ``story`` leaves the upcoming queue."""
+        return float(self.h)
+
+
+# Minimum bar for the network-proportional promotion rule, so that a
+# submitter with no reverse friends still needs more than their own vote.
+_PROPORTIONAL_FLOOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -222,9 +236,16 @@ class NetworkProportional(_Record):
     often.
     """
 
+    kind: ClassVar[str] = "network_proportional"
     factor: float = _bounded("> 0", 1.5)
 
+    def threshold(self, story: StoryConfig) -> float:
+        """Votes required before ``story`` leaves the upcoming queue."""
+        return max(_PROPORTIONAL_FLOOR, self.factor * story.submitter_network_S)
 
+
+# The promotion policies, the ``[policy]`` record: its ``kind`` key names
+# one by its ``kind``, the first member's by default.
 PromotionPolicy = Union[FixedThreshold, NetworkProportional]
 
 

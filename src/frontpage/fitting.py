@@ -314,22 +314,22 @@ def compare_model_to_trace(
     trace's promotion time is the first stamp at which its value reaches
     ``threshold`` (None if it never does).
     """
-    tt = np.asarray(trace_times, dtype=float)
-    tv = np.asarray(trace_values, dtype=float)
-    mask = (tt >= trajectory.times[0]) & (tt <= trajectory.times[-1])
+    times = np.asarray(trace_times, dtype=float)
+    values = np.asarray(trace_values, dtype=float)
+    mask = (times >= trajectory.times[0]) & (times <= trajectory.times[-1])
     if not np.any(mask):
         raise ValueError(
-            f"no time overlap: trace spans [{tt.min()}, {tt.max()}], "
+            f"no time overlap: trace spans [{times.min()}, {times.max()}], "
             f"model spans [{trajectory.times[0]}, {trajectory.times[-1]}]"
         )
-    tt, tv = tt[mask], tv[mask]
+    tt, tv = times[mask], values[mask]
     model_at = np.interp(tt, trajectory.times, trajectory.votes_m)
     rms = float(np.sqrt(np.mean((model_at - tv) ** 2)))
 
     promo_trace: float | None = None
-    crossed = np.nonzero(np.asarray(trace_values, float) >= threshold)[0]
+    crossed = np.nonzero(values >= threshold)[0]
     if crossed.size:
-        promo_trace = float(np.asarray(trace_times, float)[crossed[0]])
+        promo_trace = float(times[crossed[0]])
     promo_model = trajectory.promotion_time_Th
     difference = None
     if promo_model is not None and promo_trace is not None:

@@ -54,12 +54,7 @@ from .core import (
     _bounded,
     _series,
 )
-from .vote_dynamics import (
-    RateKernel,
-    integrate_votes,
-    promotion_threshold_for,
-    step_count,
-)
+from .vote_dynamics import RateKernel, integrate_votes, step_count
 
 __all__ = [
     "PROMOTION_QUANTILES",
@@ -184,7 +179,7 @@ def _lockstep(
     """
     n_steps = step_count(horizon, params.dt)
     rate = RateKernel(story, params, n_steps)
-    threshold = promotion_threshold_for(policy, story)
+    threshold = policy.threshold(story)
     scale = story.interestingness_r * params.dt
 
     streams = [_rng_for_run(seed, i) for i in runs]

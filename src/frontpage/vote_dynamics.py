@@ -40,8 +40,6 @@ import numpy as np
 
 from . import _check
 from .core import (
-    FixedThreshold,
-    NetworkProportional,
     PromotionPolicy,
     StoryConfig,
     VoteModelParams,
@@ -50,7 +48,6 @@ from .core import (
 
 __all__ = [
     "RateKernel",
-    "promotion_threshold_for",
     "step_count",
     "integrate_votes",
     "analytic_upcoming_saturation",
@@ -61,10 +58,6 @@ __all__ = [
 # contributes S/1440 potential viewers per minute until its pool drains
 # (submitter's own network) or its window closes.
 _FRIENDS_RATE_UNIT = 1.0 / (24.0 * 60.0)
-
-# Minimum bar for the network-proportional promotion rule, so that a
-# submitter with no reverse friends still needs more than their own vote.
-_PROPORTIONAL_FLOOR = 2.0
 
 # Most steps in one run (about two years of minutes): bounds its time and memory.
 _MAX_STEPS = 1_000_000
@@ -217,15 +210,6 @@ class RateKernel:
         return rate
 
 
-def promotion_threshold_for(policy: PromotionPolicy, story: StoryConfig) -> float:
-    """Votes required before this story leaves the upcoming queue."""
-    if isinstance(policy, FixedThreshold):
-        return float(policy.h)
-    if isinstance(policy, NetworkProportional):
-        return max(_PROPORTIONAL_FLOOR, policy.factor * story.submitter_network_S)
-    raise TypeError(f"unknown promotion policy: {policy!r}")
-
-
 def step_count(horizon: float, dt: float) -> int:
     """Number of ``dt`` steps in ``horizon``; ValueError unless ``horizon``
     is > 0 and a whole number of steps, and the steps few enough.  Every
@@ -260,10 +244,11 @@ def integrate_votes(
     continuous-time integral at dt = 1; the left endpoint overshoots the
     queue-decay integral by several percent.
 
-    The promotion rule is checked after each step; crossing the bar marks
-    the story promoted from the end of that step onward.  After it the
-    rate is the kernel's ``front`` plus ``submitter``; before it, its
-    ``unpromoted`` plus the voter network inside the friends window.
+    The promotion rule is checked after each step; crossing the bar,
+    ``policy.threshold(story)``, marks the story promoted from the end of
+    that step onward.  After it the rate is the kernel's ``front`` plus
+    ``submitter``; before it, its ``unpromoted`` plus the voter network
+    inside the friends window.
 
     Steps are taken one at a time only while the voter-network term reads
     the vote count: inside the friends window, before promotion.  The rest
@@ -277,7 +262,7 @@ def integrate_votes(
     """
     dt = params.dt
     n_steps = step_count(horizon, dt)
-    threshold = promotion_threshold_for(policy, story)
+    threshold = policy.threshold(story)
     kernel = RateKernel(story, params, n_steps)
     r = story.interestingness_r
 

@@ -136,6 +136,46 @@ class TestSimulateVotes:
         assert not out.exists()
 
 
+class TestPolicyKind:
+    MESSAGE = (
+        "error: [policy] kind must be 'fixed' or 'network_proportional', "
+        "got 'bogus'\n"
+    )
+
+    def _only_kind(self, votes_ini, tmp_path):
+        sections = load_config(votes_ini)[0]
+        sections["policy"] = {"kind": "fixed"}
+        return write_ini(tmp_path / "kind.ini", sections)
+
+    def test_an_unknown_kind_in_the_config_exits_two(self, votes_ini, tmp_path, capsys):
+        sections = load_config(votes_ini)[0]
+        sections["policy"] = {"kind": "bogus"}
+        ini = write_ini(tmp_path / "bogus.ini", sections)
+        out = tmp_path / "out"
+        assert main(["simulate", "votes", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_an_unknown_swept_kind_exits_two(self, votes_ini, tmp_path, capsys):
+        ini, out = self._only_kind(votes_ini, tmp_path), tmp_path / "out"
+        code = main(["simulate", "votes", "--config", str(ini), "--out", str(out),
+                     "--sweep", "policy.kind=fixed,bogus"])
+        assert code == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_each_swept_kind_writes_its_own_params(self, votes_ini, tmp_path):
+        ini, out = self._only_kind(votes_ini, tmp_path), tmp_path / "out"
+        code = main(["simulate", "votes", "--config", str(ini), "--out", str(out),
+                     "--sweep", "policy.kind=fixed,network_proportional"])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [result["params"]["policy"] for result in summary["results"]] == [
+            {"h": 40, "kind": "fixed"},
+            {"factor": 1.5, "kind": "network_proportional"},
+        ]
+
+
 class TestSimulateRank:
     def test_rank_csv_and_unranked_user(self, tmp_path):
         ini = write_ini(
@@ -711,6 +751,16 @@ class TestCompare:
         assert report.promotion_time_difference == pytest.approx(
             traj.promotion_time_Th - 200.0
         )
+
+    def test_the_trace_promotes_at_its_stamp_past_the_horizon(self):
+        traj = self._model()  # 1,440 minutes
+        # the trace first reaches the bar after the model's horizon: the
+        # overlap leaves that stamp out, the trace's promotion does not
+        trace_t = np.array([0.0, 600.0, 2000.0])
+        trace_v = np.array([1.0, 20.0, 45.0])
+        report = compare_model_to_trace(trace_t, trace_v, traj, threshold=40.0)
+        assert report.n_overlap == 2
+        assert report.promotion_time_trace == 2000.0
 
     def test_no_overlap_is_rejected(self):
         traj = self._model()

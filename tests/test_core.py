@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from frontpage import (
     FriendVoteObservation,
     NetworkProportional,
     ParameterError,
+    PromotionPolicy,
     RankModelParams,
     StoryConfig,
     UserState,
@@ -34,6 +36,22 @@ def test_golden_defaults():
     assert (r.a, r.b, r.c_success, r.dt_weeks) == (0.03, 1.0, 0.002, 1.0)
     assert NetworkProportional().factor == 1.5
     assert FixedThreshold().h == 40
+
+
+def test_each_policy_computes_its_threshold():
+    story, no_network = StoryConfig(0.5, 160), StoryConfig(0.5, 0)
+    assert FixedThreshold(h=40).threshold(story) == 40.0
+    assert NetworkProportional(1.5).threshold(story) == 240.0
+    assert NetworkProportional(1.5).threshold(no_network) == 2.0
+
+
+def test_a_policy_names_its_kind_but_does_not_read_it():
+    kinds = [policy.kind for policy in typing.get_args(PromotionPolicy)]
+    assert kinds == ["fixed", "network_proportional"]
+    assert [f.name for f in dataclasses.fields(FixedThreshold)] == ["h"]
+    assert [f.name for f in dataclasses.fields(NetworkProportional)] == ["factor"]
+    with pytest.raises(ParameterError, match="^unknown key"):
+        record_from_mapping(FixedThreshold, {"kind": "fixed"})
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import math
 import pkgutil
 import re
 import symtable
+import typing
 from pathlib import Path
 
 import pytest
@@ -121,15 +122,15 @@ def test_readme_config_table_states_each_default_and_bound():
             README.read_text(encoding="utf-8"), re.MULTILINE,
         )
     }
-    kinds = _RECORDS["policy"]
+    policies = typing.get_args(core.PromotionPolicy)
     assert stated.pop(("policy", "kind")) == (
-        "`fixed`", " or ".join(f"`{kind}`" for kind in kinds)
+        f"`{policies[0].kind}`", " or ".join(f"`{p.kind}`" for p in policies)
     )
     declared = {
         (section, field.name): field
-        for section, names in _RECORDS.items()
-        for name in (names.values() if isinstance(names, dict) else [names])
-        for field in dataclasses.fields(getattr(core, name))
+        for section, name in _RECORDS.items()
+        for record in typing.get_args(getattr(core, name)) or [getattr(core, name)]
+        for field in dataclasses.fields(record)
     }
     assert stated.keys() == declared.keys()
     for key, (default, bound) in stated.items():
@@ -309,7 +310,4 @@ def test_cli_defines_no_name_a_model_module_exports():
 def test_each_config_record_class_is_a_core_export():
     from frontpage import cli, core
 
-    names = set()
-    for record in cli._RECORDS.values():  # [policy] maps each kind to its class
-        names |= set(record.values()) if isinstance(record, dict) else {record}
-    assert names <= set(core.__all__)
+    assert set(cli._RECORDS.values()) <= set(core.__all__)

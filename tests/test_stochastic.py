@@ -32,7 +32,6 @@ from frontpage.vote_dynamics import (
     _voter_rate,
     analytic_upcoming_saturation,
     integrate_votes,
-    promotion_threshold_for,
     step_count,
 )
 
@@ -229,7 +228,7 @@ def _reference_run(config, run_index):
         np.random.SeedSequence(entropy=config.options.seed, spawn_key=(run_index,))
     )
     dt = params.dt
-    threshold = promotion_threshold_for(config.policy, story)
+    threshold = config.policy.threshold(story)
     r = story.interestingness_r
     promotion_time = None
     m = 1
@@ -455,7 +454,7 @@ def _reference_lockstep(config, runs):
     story, params = config.story, config.params
     n_steps = step_count(config.horizon, params.dt)
     kernel = RateKernel(story, params, n_steps)
-    threshold = promotion_threshold_for(config.policy, story)
+    threshold = config.policy.threshold(story)
     scale = story.interestingness_r * params.dt
 
     def rng(*key):

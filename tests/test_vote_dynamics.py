@@ -25,7 +25,6 @@ from frontpage.vote_dynamics import (
     _voter_rate,
     analytic_upcoming_saturation,
     integrate_votes,
-    promotion_threshold_for,
     saturation_time,
     step_count,
 )
@@ -130,14 +129,6 @@ class TestVisibility:
         _, queue, submitter, voters = channel_rates(10.5, 3.0, story, None, p)
         assert submitter > 0.0 and voters > 0.0
         assert total == pytest.approx(queue + submitter + voters, rel=1e-12)
-
-
-def test_promotion_threshold_for():
-    story = StoryConfig(0.5, 160)
-    assert promotion_threshold_for(FixedThreshold(h=40), story) == 40.0
-    assert promotion_threshold_for(NetworkProportional(1.5), story) == 240.0
-    no_network = StoryConfig(0.5, 0)
-    assert promotion_threshold_for(NetworkProportional(1.5), no_network) == 2.0
 
 
 class TestAnalyticSaturation:
@@ -362,7 +353,7 @@ def _reference_integrate(story, params, policy, horizon):
     ``(k - promo_end + 0.5) * dt``."""
     dt = params.dt
     n_steps = step_count(horizon, dt)
-    threshold = promotion_threshold_for(policy, story)
+    threshold = policy.threshold(story)
     times = np.empty(n_steps + 1, dtype=float)
     votes = np.empty(n_steps + 1, dtype=float)
     times[0] = 0.0
@@ -414,7 +405,7 @@ def test_integrator_adds_the_kernels_rates(dt):
     story, policy = StoryConfig(0.5, 80), FixedThreshold(h=40)
     n_steps = step_count(2880.0, dt)
     kernel = RateKernel(story, params, n_steps)
-    threshold = promotion_threshold_for(policy, story)
+    threshold = policy.threshold(story)
     r = story.interestingness_r
     m, promo = 1.0, n_steps  # promo >= n_steps: not promoted
     votes = [m]
