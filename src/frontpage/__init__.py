@@ -103,12 +103,15 @@ def _echo(raw) -> str:
     return repr(raw)
 
 
-# Each submodule -> the names exported from it.  A submodule, and numpy
-# with it, is imported on the first use of one of its names (PEP 562), so
-# that ``import frontpage`` and the command line's parser load only the
+# The one list of public names: each model module -> the names it exports.
+# Each module's ``__all__`` is its entry, the package exports them all, and
+# a command binds its modules' entries on ``frontpage.cli``.  A module, and
+# numpy with it, is imported on the first use of one of its names (PEP 562),
+# so that ``import frontpage`` and the command line's parser load only the
 # standard library.
 _EXPORTS = {
     "core": (
+        "ARRIVAL_MODES",
         "EnsembleOptions",
         "FixedThreshold",
         "FriendVoteObservation",
@@ -121,12 +124,16 @@ _EXPORTS = {
         "UserState",
         "VoteModelParams",
         "VoteTrajectory",
+        "record_from_mapping",
     ),
     "fitting": (
+        "ComparisonReport",
         "LinearFit",
         "LogFit",
+        "SuccessRateBins",
         "binomial_pmf",
         "chance_probability",
+        "compare_model_to_trace",
         "fit_linear",
         "fit_log",
         "success_rate_series",
@@ -138,11 +145,15 @@ _EXPORTS = {
     ),
     "stochastic_sim": (
         "EnsembleSummary",
+        "PROMOTION_QUANTILES",
         "ensemble",
     ),
     "vote_dynamics": (
+        "RateKernel",
         "analytic_upcoming_saturation",
         "integrate_votes",
+        "saturation_time",
+        "step_count",
     ),
 }
 

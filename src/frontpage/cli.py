@@ -60,12 +60,13 @@ array = _LazyModule("array", "array")
 
 
 def _bind(*modules: str) -> None:
-    """Import ``modules`` and bind here each name in their ``__all__`` not
-    yet bound: tests and ``perfbench`` patch some of them on this module."""
+    """Import ``modules`` and bind here each name of their ``_EXPORTS``
+    entries not yet bound: tests and ``perfbench`` patch some of them on
+    this module."""
     scope = globals()
     for module in modules:
         imported = _load(f"{__package__}.{module}")
-        for name in imported.__all__:
+        for name in _EXPORTS[module]:
             scope.setdefault(name, getattr(imported, name))
 
 
@@ -644,12 +645,6 @@ def _write_outputs(out_dir: Path, outputs) -> None:
 # extra): the CSV tables as (file name, render), the ``results`` of
 # ``summary.json`` and any further top-level keys of it.
 
-def _raising_float_errors():
-    """A float overflow or NaN in a model or a fit raises FloatingPointError,
-    which the runners report as bad config or input instead of writing it."""
-    return np.errstate(over="raise", divide="raise", invalid="raise")
-
-
 def _table(name: str, header: str, columns):
     return name, functools.partial(_write_csv, header=header, columns=columns)
 
@@ -672,8 +667,7 @@ def _run_model(args: argparse.Namespace, stem: str, compute):
         # csv sweep keeps raised its peak RSS by about 0.2 MB
         params = _params(args.kind, records)
         try:
-            with _raising_float_errors():
-                fields, columns, trajectory = compute(records)
+            fields, columns, trajectory = compute(records)
         except (ValueError, ArithmeticError) as exc:
             where = " ".join(f"{k}={v}" for k, v in overrides.items())
             raise ConfigError(f"{where or 'config'}: {exc}") from None
@@ -965,20 +959,23 @@ def run_scenario(args: argparse.Namespace) -> int:
     """
     row = _COMMANDS[args.kind]
     _bind(*row.modules)
-    with _raising_float_errors():
+    # A float overflow or NaN in a model or a fit raises FloatingPointError,
+    # which the runners report as bad config or input instead of writing it.
+    # A model point runs as its output is written, so writing is inside too.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         tables, results, extra = row.runner(args)
-    doc = {
-        "command": args.kind.replace("-", " "),
-        "format": args.output_format,
-        "results": results,
-        "tool_version": __version__,
-        **extra,
-    }
-    if "input" in args:
-        doc["input"] = args.input.name
-    outputs = tables if args.output_format == "csv" else []
-    outputs.append(("summary.json", functools.partial(_write_summary, doc=doc)))
-    _write_outputs(args.out, outputs)
+        doc = {
+            "command": args.kind.replace("-", " "),
+            "format": args.output_format,
+            "results": results,
+            "tool_version": __version__,
+            **extra,
+        }
+        if "input" in args:
+            doc["input"] = args.input.name
+        outputs = tables if args.output_format == "csv" else []
+        outputs.append(("summary.json", functools.partial(_write_summary, doc=doc)))
+        _write_outputs(args.out, outputs)
     return EXIT_OK
 
 

@@ -33,24 +33,9 @@ from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
-from . import _MAX_RUNS, _MAX_SAMPLE_N, _MAX_WEEKS, _check, _echo, _finite
+from . import _EXPORTS, _MAX_RUNS, _MAX_SAMPLE_N, _MAX_WEEKS, _check, _echo, _finite
 
-__all__ = [
-    "ParameterError",
-    "VoteModelParams",
-    "StoryConfig",
-    "VoteTrajectory",
-    "FixedThreshold",
-    "NetworkProportional",
-    "PromotionPolicy",
-    "RankModelParams",
-    "UserState",
-    "FriendVoteObservation",
-    "RunOptions",
-    "ARRIVAL_MODES",
-    "EnsembleOptions",
-    "record_from_mapping",
-]
+__all__ = list(_EXPORTS["core"])
 
 
 class ParameterError(ValueError):

@@ -16,21 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _MAX_BINS, _check
+from . import _EXPORTS, _MAX_BINS, _check
 from .core import FriendVoteObservation, VoteTrajectory
 
-__all__ = [
-    "LinearFit",
-    "LogFit",
-    "SuccessRateBins",
-    "fit_linear",
-    "fit_log",
-    "binomial_pmf",
-    "chance_probability",
-    "success_rate_series",
-    "ComparisonReport",
-    "compare_model_to_trace",
-]
+__all__ = list(_EXPORTS["fitting"])
 
 CHANCE_MODES = ("exact", "tail")
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _check
+from . import _EXPORTS, _check
 from .core import RankModelParams, RunOptions, UserState, _Record, _series
 
-__all__ = ["RankTrajectory", "rank_proxies", "integrate_rank"]
+__all__ = list(_EXPORTS["rank_dynamics"])
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     EnsembleOptions,
     PromotionPolicy,
@@ -56,11 +57,7 @@ from .core import (
 )
 from .vote_dynamics import RateKernel, integrate_votes, step_count
 
-__all__ = [
-    "PROMOTION_QUANTILES",
-    "EnsembleSummary",
-    "ensemble",
-]
+__all__ = list(_EXPORTS["stochastic_sim"])
 
 # Quantiles of the promotion-time distribution reported by ensembles.
 PROMOTION_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from . import _check
+from . import _EXPORTS, _check
 from .core import (
     PromotionPolicy,
     StoryConfig,
@@ -46,13 +46,7 @@ from .core import (
     VoteTrajectory,
 )
 
-__all__ = [
-    "RateKernel",
-    "step_count",
-    "integrate_votes",
-    "analytic_upcoming_saturation",
-    "saturation_time",
-]
+__all__ = list(_EXPORTS["vote_dynamics"])
 
 # Friends-interface audiences trickle in over a day: a network of S users
 # contributes S/1440 potential viewers per minute until its pool drains

@@ -621,6 +621,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_overflow_while_a_point_is_written_names_the_point(
+        self, fmt, votes_ini, tmp_path, capsys, monkeypatch
+    ):
+        # a sweep point runs as its output is written, so the float-error
+        # scope must cover the writing too
+        def overflow(*args, **kwargs):
+            return np.array([1e308]) * 10.0
+
+        monkeypatch.setattr(cli, "integrate_votes", overflow)
+        out = tmp_path / "o"
+        argv = ["simulate", "votes", "--config", str(votes_ini),
+                "--sweep", "story.interestingness_r=0.1,0.2"]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: story.interestingness_r=0.1: overflow encountered in multiply\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,header,rows",
         [

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import zlib
 from typing import NamedTuple
 
 import numpy as np
@@ -281,6 +283,101 @@ def test_collapsed_draw_matches_per_channel_sampler():
     n, k = ref_promo.size, new_promo.size
     critical = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt((n + k) / (n * k))
     assert _ks_statistic(ref_promo, new_promo) < critical
+
+
+def _poisson_tail(mean, k):
+    """P(X >= k) for X ~ Poisson(mean)."""
+    below = (math.exp(i * math.log(mean) - mean - math.lgamma(i + 1)) for i in range(k))
+    return 1.0 - math.fsum(below)
+
+
+def test_promotion_law_is_a_poisson_tail_with_the_voter_network_off():
+    # With no voter network no rate reads the count, so before promotion
+    # the count after step k is 1 + Poisson(Lambda_k), Lambda_k being
+    # r * dt times the unpromoted rates summed over steps 0 .. k, and
+    # P(T_h <= t_k) = P(Poisson(Lambda_k) >= ceil(bar) - 1) exactly.
+    config = _config(
+        story=StoryConfig(interestingness_r=0.1, submitter_network_S=300),
+        policy=FixedThreshold(h=40),
+        horizon=2880.0,
+        seed=5,
+        runs=4000,
+    )
+    story, params, policy, horizon, options = config
+    dt = params.dt
+    rates = [
+        total_rate((k + 0.5) * dt, 1.0, story, None, params)
+        for k in range(step_count(horizon, dt))
+    ]
+    cumulative = np.cumsum(rates) * story.interestingness_r * dt
+    votes_needed = math.ceil(policy.threshold(story)) - 1
+    summary = ensemble(*config)
+
+    def within_4_se(empirical, exact):
+        se = math.sqrt(exact * (1 - exact) / options.runs)
+        return abs(empirical - exact) <= 4 * se
+
+    exact = _poisson_tail(cumulative[-1], votes_needed)
+    assert math.isclose(exact, 0.22451, abs_tol=5e-6)
+    assert within_4_se(summary.promotion_probability, exact)
+    for t in (360, 720, 1440, 2880):
+        exact = _poisson_tail(cumulative[round(t / dt) - 1], votes_needed)
+        empirical = np.count_nonzero(summary.promotion_times <= t) / options.runs
+        assert within_4_se(empirical, exact), t
+
+
+# The near-threshold story with one input raised at a time, as (r, S, sm_beta).
+RISING = {
+    "r": [(r, 80, 47.0) for r in (0.07, 0.08, 0.09, 0.10)],
+    "S": [(0.09, S, 47.0) for S in (0, 40, 80, 160)],
+    "sm_beta": [(0.09, 80, beta) for beta in (0.0, 47.0, 100.0)],
+}
+
+
+def _promotion_times(r, network, beta):
+    """Each run's promotion time (inf if it never promoted) in a 500-run
+    near-threshold ensemble, and the largest mean any of its steps can draw."""
+    config = _config(**{
+        **NEAR_THRESHOLD,
+        "story": StoryConfig(interestingness_r=r, submitter_network_S=network),
+        "params": VoteModelParams(sm_beta=beta),
+    }, seed=3, runs=500)
+    summary = ensemble(*config)
+    kernel = RateKernel(config.story, config.params, summary.times.size - 1)
+    voters = _voter_rate(float(summary.final_votes.max()), config.params)
+    top = max(kernel.unpromoted.max(), kernel.front.max() + kernel.submitter.max())
+    largest_mean = r * config.params.dt * (top + voters)
+    return np.nan_to_num(summary.promotion_times, nan=np.inf), largest_mean
+
+
+def _later_promotions(rising, promotion_times):
+    """Runs that promote later after one step up of an input."""
+    times = [promotion_times(*inputs)[0] for inputs in rising]
+    return sum(int(np.count_nonzero(b > a)) for a, b in zip(times, times[1:]))
+
+
+def test_no_run_promotes_later_when_an_input_rises():
+    # Inversion maps each run's shared uniforms monotonically to its draws,
+    # so a run's counts, and hence its promotion, only gain as r, S (under a
+    # fixed bar) or sm_beta rises; Generator.poisson past the inversion
+    # range would break that coupling.
+    promotion_times = functools.cache(_promotion_times)  # the sequences share inputs
+    for name, rising in RISING.items():
+        assert _later_promotions(rising, promotion_times) == 0, name
+        for inputs in rising:
+            assert promotion_times(*inputs)[1] <= _INVERSION_MAX_MEAN, inputs
+
+
+def test_the_coupling_check_catches_draws_not_by_inversion(monkeypatch):
+    def by_generator(mean, u):
+        # seeded by the step's uniforms: both sides still share their
+        # randomness, but not its monotone map to counts
+        return np.random.default_rng(zlib.crc32(u.tobytes())).poisson(mean)
+
+    monkeypatch.setattr("frontpage.stochastic_sim._poisson_by_inversion", by_generator)
+    assert any(
+        _later_promotions(rising, _promotion_times) for rising in RISING.values()
+    )
 
 
 @pytest.mark.parametrize(
