@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 # loads only the standard library, so that flags are checked before numpy.
 
 # Longest rank-model run (about 19,000 years of weeks): bounds its time and
-# memory.  At the cap `integrate_rank` takes about 0.5 s and `simulate rank`
-# about 5 s, most of it in the rendering, and 64 MB peak RSS in csv, 62 MB
+# memory.  At the cap `integrate_rank` takes about 0.32 s and `simulate rank`
+# 3 to 5 s, most of it in the rendering, and 64 MB peak RSS in csv, 62 MB
 # in json, about half of it the trajectory's four columns (2 vCPU Xeon).
 _MAX_WEEKS = 1_000_000
 # Largest voter sample of the chance-probability test: its binomial tail

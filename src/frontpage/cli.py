@@ -483,8 +483,8 @@ def _float_reprs(vector: np.ndarray) -> list[str]:
 
 
 def _cells(column) -> list[str]:
-    """``_fmt`` of every cell of a column, typed arrays without the per-cell
-    dispatch: floats as ``repr`` (NaN as ""), integers as ``str``."""
+    """``_fmt`` of every cell of a column, a 1-d float array without the
+    per-cell dispatch: each cell as ``repr``, NaN as ""."""
     if _is_float_vector(column):
         cells = _float_reprs(column)
         nan = np.flatnonzero(np.isnan(column)).tolist()
@@ -493,8 +493,6 @@ def _cells(column) -> list[str]:
             for i in nan:
                 cells[i] = ""
         return cells
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return list(map(int.__repr__, column.tolist()))
     return [_fmt(cell) for cell in column]
 
 

@@ -62,18 +62,13 @@ def _step(F: float, S: float, M: float, params: RankModelParams) -> tuple[float,
     made; the network gains its standing per-front-page-story increment
     plus ``b`` reverse friends per new promotion.  Both increments read
     the start-of-week values, so on nonnegative inputs neither value
-    shrinks.  OverflowError if either grows past floating point.
+    shrinks, and one that grows past floating point stays inf or nan:
+    :func:`integrate_rank` checks the last week only.
     """
     dt = params.dt_weeks
     dF = params.c_success * S * M * dt
     dS = params.a * F * dt + params.b * dF
-    F, S = F + dF, S + dS
-    if not (math.isfinite(F) and math.isfinite(S)):
-        raise OverflowError(
-            f"front_page_F is {F} and network_S is {S}: "
-            "the rank model overflows floating point"
-        )
-    return F, S
+    return F + dF, S + dS
 
 
 def integrate_rank(
@@ -83,8 +78,10 @@ def integrate_rank(
 
     ``run.M_schedule`` optionally varies the submission rate week by week,
     with one entry per week; the record has checked both.  When it is None,
-    the initial state's rate is used throughout.  OverflowError, naming the
-    week, if F or S grows past floating point, or the week column does.
+    the initial state's rate is used throughout.  OverflowError if the
+    week column grows past floating point, or if F or S does: a value that
+    overflows never turns finite again, so the last week is checked once
+    and the message names the first week that is not finite.
     """
     weeks, schedule = run.weeks, run.M_schedule
     if schedule is None:
@@ -96,9 +93,13 @@ def integrate_rank(
     f = np.empty(weeks + 1, dtype=float)
     s = np.empty(weeks + 1, dtype=float)
     F, S = f[0], s[0] = float(initial.front_page_F), float(initial.network_S)
-    try:
-        for k, rate in enumerate(schedule, 1):
-            F, S = f[k], s[k] = _step(F, S, float(rate), params)
-    except OverflowError as exc:
-        raise OverflowError(f"week {k}: {exc}") from None
+    for k, rate in enumerate(schedule, 1):
+        F, S = f[k], s[k] = _step(F, S, float(rate), params)
+    # F and S never decrease, so once either is inf or nan it stays so
+    if not (math.isfinite(F) and math.isfinite(S)):
+        k = int(np.argmin(np.isfinite(f) & np.isfinite(s)))
+        raise OverflowError(
+            f"week {k}: front_page_F is {float(f[k])} and network_S is "
+            f"{float(s[k])}: the rank model overflows floating point"
+        )
     return RankTrajectory(weeks=w, front_page_F=f, network_S=s)

@@ -137,11 +137,12 @@ class RateKernel:
     no Python call per step and its powers by Python's float pow
     (:func:`_pow`, not ``np.power``): ``queue``, ``submitter``, and
     ``front[a]``, the front page ``a + 0.5`` steps after promotion.
-    ``unpromoted`` is ``queue + submitter``.  The queue and front-page
-    tables are cached per ``[vote]`` record and step count.  Called on
-    vectors, it gives the ``(k1 - k0) x runs`` rates of steps
-    ``k0 .. k1 - 1`` of runs promoted at the end of step ``promo_step``
-    (``>= n_steps``: not promoted).
+    ``unpromoted`` is ``queue + submitter``.  All are built with the
+    kernel; the queue and front-page tables come from the cache of
+    :func:`_time_table`, so the kernels of one ``[vote]`` record and step
+    count share them, read-only.  Called on vectors, it gives the
+    ``(k1 - k0) x runs`` rates of steps ``k0 .. k1 - 1`` of runs promoted
+    at the end of step ``promo_step`` (``>= n_steps``: not promoted).
 
     The voter-network term, the one scalar channel, is added while
     ``k < voter_steps``.  It reads ``m``, the vote counts before step
@@ -156,20 +157,15 @@ class RateKernel:
 
     def __init__(self, story: StoryConfig, params: VoteModelParams, n_steps: int):
         t = (np.arange(n_steps) + 0.5) * params.dt
-        self._params, self._n_steps = params, n_steps
+        self._params = params
         self.submitter = _submitter_rate(t, story, params)
         self.queue = _time_table(_queue_rate, params, n_steps)
+        self.front = _time_table(_front_rate, params, n_steps)
         self.unpromoted = self.queue + self.submitter
         has_voters = params.sm_alpha > 0.0 or params.sm_beta > 0.0
         in_friends = int(np.count_nonzero(t <= params.friends_window))
         self.voter_steps = in_friends if has_voters else 0
         self._voter = np.array([np.nan])  # by vote count; no run has 0 votes
-
-    @functools.cached_property
-    def front(self) -> np.ndarray:
-        """Built on first use: a story that never promotes never reads it."""
-        # t is the age since promotion here: promotions happen at step ends.
-        return _time_table(_front_rate, self._params, self._n_steps)
 
     def _voter_rates(self, m: np.ndarray) -> np.ndarray:
         """``_voter_rate(float(j), params)`` for each vote count ``j`` in ``m``;

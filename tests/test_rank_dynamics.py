@@ -164,6 +164,40 @@ def test_overflow_names_the_week():
         integrate_rank(state, params, RunOptions(weeks=2, M_schedule=[1e308, 1e308]))
 
 
+# (initial state, params, run, message): each overflows first in the named week
+_OVERFLOWS = {
+    # week 2 overflows both; then M = 0 makes week 3's dF = 0 * inf = nan
+    "nan_after_inf": (
+        UserState(front_page_F=5.0, network_S=50.0, submission_rate_M=2.0),
+        RankModelParams(a=0.03, b=1.0, c_success=0.002),
+        RunOptions(weeks=3, M_schedule=[1e308, 1e308, 0.0]),
+        "week 2: front_page_F is inf and network_S is inf",
+    ),
+    # no promotions: S alone reaches 1e308, then 2e308
+    "S_alone": (
+        UserState(front_page_F=1.0, network_S=0.0, submission_rate_M=2.0),
+        RankModelParams(a=1e308, c_success=0.0),
+        RunOptions(weeks=3),
+        "week 2: front_page_F is 1.0 and network_S is inf",
+    ),
+    "last_week": (
+        UserState(front_page_F=5.0, network_S=1e6, submission_rate_M=1.0),
+        RankModelParams(),
+        RunOptions(weeks=3, M_schedule=[1.0, 1.0, 1e308]),
+        "week 3: front_page_F is inf and network_S is inf",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "state, params, run, message", _OVERFLOWS.values(), ids=list(_OVERFLOWS)
+)
+def test_overflow_names_the_first_week_that_is_not_finite(state, params, run, message):
+    with pytest.raises(OverflowError) as info:
+        integrate_rank(state, params, run)
+    assert str(info.value) == message + ": the rank model overflows floating point"
+
+
 @pytest.mark.parametrize("over", ["warn", "raise"])
 def test_array_schedule_overflows_as_the_documented_error(over):
     """An ndarray schedule steps on Python floats, so its overflow is the

@@ -38,6 +38,7 @@ from frontpage.vote_dynamics import (
 )
 
 from channel_rates import channel_rates, total_rate
+from promotion_law import promotion_law
 
 
 class Config(NamedTuple):
@@ -324,6 +325,38 @@ def test_promotion_law_is_a_poisson_tail_with_the_voter_network_off():
         exact = _poisson_tail(cumulative[round(t / dt) - 1], votes_needed)
         empirical = np.count_nonzero(summary.promotion_times <= t) / options.runs
         assert within_4_se(empirical, exact), t
+
+
+# The default [vote] record, a bar of 40 and two days: each story's (r, S)
+# and its exact P(promote).
+FORWARD_STORIES = {(0.05, 80): 0.65908, (0.05, 0): 0.37038, (0.03, 320): 0.16865}
+
+
+@pytest.mark.parametrize("r, network", list(FORWARD_STORIES))
+def test_promotion_law_is_the_forward_equation_on_the_count(r, network):
+    # The voter network reads the count, so the law has no closed form; the
+    # forward equation on the counts before promotion gives it exactly.
+    config = _config(
+        story=StoryConfig(interestingness_r=r, submitter_network_S=network),
+        params=VoteModelParams(),
+        policy=FixedThreshold(h=40),
+        horizon=2880.0,
+        seed=11,
+        runs=2000,
+    )
+    law = promotion_law(*config[:4])
+    summary = ensemble(*config)
+    runs = config.options.runs
+
+    def within_4_se(empirical, exact):
+        return abs(empirical - exact) <= 4 * math.sqrt(exact * (1 - exact) / runs)
+
+    assert math.isclose(law[-1], FORWARD_STORIES[r, network], abs_tol=5e-6)
+    assert within_4_se(summary.promotion_probability, law[-1])
+    # most promotions come on the second day
+    for t in (1800, 2160, 2520, 2880):
+        empirical = np.count_nonzero(summary.promotion_times <= t) / runs
+        assert within_4_se(empirical, law[round(t / config.params.dt) - 1]), t
 
 
 # The near-threshold story with one input raised at a time, as (r, S, sm_beta).

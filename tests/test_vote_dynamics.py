@@ -518,6 +518,18 @@ def test_time_tables_are_shared_and_read_only():
     assert RateKernel(StoryConfig(0.5, 80), params, 2999).front is not a.front
 
 
+def test_kernels_of_one_vote_record_hold_one_front_table():
+    # every kernel of a command holds the one cached table, never a copy
+    params = VoteModelParams()
+    kernels = [RateKernel(StoryConfig(r, s), params, 2880) for r, s in
+               [(0.05, 80), (0.05, 0), (0.03, 320)]]
+    front = _time_table(_front_rate, params, 2880)
+    assert all(kernel.front is front for kernel in kernels)
+    assert not front.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kernels[0].front[0] = 0.0
+
+
 def test_page_channels_on_arrays_equal_the_scalar_rates():
     params = VoteModelParams(k_u=0.037, k_f=0.0041, upcoming_window=500.3)
     t = np.random.default_rng(5).uniform(0.0, 1000.0, 500)
